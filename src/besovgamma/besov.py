@@ -14,10 +14,9 @@ L^p norms, weight 2^{ks} at level k.
 
 Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
-continuity, evaluated by midpoint quadrature on a geometric t-grid, with
-the small-t mass of step functions added in closed form (below every
-breakpoint gap the shifted-difference norm is exactly
-(|h| sum ||jump||^p)^{1/p}).
+continuity, exact for steps up to quadrature roundoff (the modulus is
+read off the kinks of the shift profile, see `_step_seminorm`).  Linear
+sources use midpoint quadrature on a geometric t-grid over sampled moduli.
 
 Holder route (piecewise linear only): the sup norm plus the difference
 quotient maximized over breakpoint pairs.  That maximum is exact, not a
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (GridFunction, Interpolation, PiecewiseFunction,
-                        grid_lp_norm, lp_norm, translate_diff_norm)
+                        _gl_rule, grid_lp_norm, lp_norm, translate_diff_norm)
 from .spaces import INF, as_exponent
 
 
@@ -163,83 +162,104 @@ def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> flo
     return lq_norm(weights * blocks, q)
 
 
+def _gaps(b: np.ndarray) -> np.ndarray:
+    """The distinct positive breakpoint differences, sorted."""
+    diffs = (b[None, :] - b[:, None]).ravel()
+    return np.unique(diffs[diffs > 0])
+
+
+def _step_shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndarray:
+    """F(h) = ||f(.+h) - f||_p^p of a step f at every shift h: per row, the
+    merged breakpoints of f and f(.+h) cut cells where both are constant.
+    Chunks keep each temporary array near 2^18 floats."""
+    b = f.breakpoints
+    table = np.pad(f.values[1:], ((1, 1), (0, 0)))  # row i: the value on (b_{i-1}, b_i]
+    rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim))
+    out = np.empty(shifts.size)
+    for lo in range(0, shifts.size, rows):
+        h = shifts[lo:lo + rows, None]
+        pts = np.sort(np.hstack([np.broadcast_to(b, (h.shape[0], b.size)), b - h]), axis=1)
+        mids = 0.5 * (pts[:, 1:] + pts[:, :-1])
+        diff = table[np.searchsorted(b, mids + h)] - table[np.searchsorted(b, mids)]
+        out[lo:lo + rows] = (np.diff(pts, axis=1) * f.space.norms(diff) ** p).sum(axis=1)
+    return out
+
+
 def modulus_of_continuity(f: PiecewiseFunction, t: float, p: float,
                           h_grid: int = 64) -> float:
-    """Certified lower bound for sup_{|h| <= t} ||f(.+h) - f||_p.
+    """sup_{|h| <= t} ||f(.+h) - f||_p; positive h suffice (t -> t - h).
 
-    Candidates: the uniform grid t j / h_grid (j = 1..h_grid, so t itself
-    is included) plus every breakpoint difference <= t.  Only positive
-    shifts are evaluated; ||f(.+h) - f||_p = ||f(.-h) - f||_p exactly by
-    substituting t -> t - h in the integral.  For step functions whose
-    extremal shift is a breakpoint difference or the endpoint t (all step
-    families built here), the bound is attained.
+    Exact for steps up to roundoff: F(h) = ||f(.+h) - f||_p^p is piecewise
+    linear in h with kinks at breakpoint differences, so its sup over (0, t]
+    sits at a kink or at t.  A lower bound for linear sources: the max over
+    the grid t j / h_grid (j = 1..h_grid) and breakpoint differences <= t.
     """
     t = float(t)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    b = f.breakpoints
-    diffs = (b[None, :] - b[:, None]).ravel()
-    diffs = np.unique(diffs[(diffs > 0) & (diffs <= t)])
+    gaps = _gaps(f.breakpoints)
+    if f.interpolation is Interpolation.STEP:
+        return float(_step_shift_powers(f, np.append(gaps[gaps < t], t), p).max()) ** (1.0 / p)
     grid = t * np.arange(1, h_grid + 1) / h_grid
-    candidates = np.unique(np.concatenate([grid, diffs]))
+    candidates = np.unique(np.concatenate([grid, gaps[gaps <= t]]))
     return max(translate_diff_norm(f, h, p) for h in candidates)
 
 
-def _step_jump_scale(f: PiecewiseFunction, p: float) -> float:
-    """(sum over jumps ||jump||^p)^{1/p}; the small-shift law is
-    ||f(.+h) - f||_p = A |h|^{1/p} with this A, valid for |h| below the
-    smallest breakpoint gap."""
-    jumps = f.jump_vectors()
-    return float((f.space.norms(jumps) ** p).sum()) ** (1.0 / p)
+def _step_seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
+    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} for a step f: rho^p = max(M, F),
+    M the running max of F over the kinks, F linear between them.  Below the
+    smallest kink g, F(h) = (F(g)/g) h: closed form.  Later pieces split where
+    F overtakes M; each half gets 20-point Gauss-Legendre in log t.  For
+    q = inf the sup is the max of t^{-s} F^{1/p} over the kinks: on a piece
+    t^{-s} M^{1/p} decreases and t^{-s} F^{1/p} has no interior maximum."""
+    gaps = _gaps(f.breakpoints)
+    kinks = np.append(gaps[gaps < 1.0], 1.0)
+    F = _step_shift_powers(f, kinks, p)
+    if q is INF:
+        return float((kinks ** -s * F ** (1.0 / p)).max())
+    best = np.maximum.accumulate(F)
+    expo = (1.0 / p - s) * q
+    total = float((F[0] / kinks[0]) ** (q / p) * kinks[0] ** expo / expo)
+    lo, hi, r0, r1, top = kinks[:-1], kinks[1:], F[:-1], F[1:], best[:-1]
+    rising = r1 > top
+    cross = lo + (hi - lo) * np.where(rising, (top - r0) / np.where(rising, r1 - r0, 1.0), 1.0)
+    slope = ((r1 - r0) / (hi - lo))[:, None]
+    nodes, weights = _gl_rule(20)
+    for a, c in ((lo, cross), (cross, hi)):
+        la, lc = np.log(a)[:, None], np.log(c)[:, None]
+        t = np.exp(0.5 * (lc - la) * nodes + 0.5 * (lc + la))
+        rho_p = np.maximum(top[:, None], r0[:, None] + slope * (t - lo[:, None]))
+        total += float((0.5 * (lc - la) * weights * t ** (-s * q) * rho_p ** (q / p)).sum())
+    return total ** (1.0 / q)
 
 
 def besov_norm_difference(f: PiecewiseFunction, s: float, p: float, q,
                           quad: int = 256, h_grid: int = 64) -> float:
-    """L^p norm plus the l^q-in-t modulus integral, smoothness weight t^{-s}.
+    """L^p norm plus (int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q}, rho the modulus.
 
-    The integral over (0, 1] uses midpoint quadrature in log t on a
-    geometric grid of `quad` points down to t_min = 1/(4 m)^2 (m =
-    breakpoint count).  For step sources the exact remaining mass below the
-    grid is added in closed form via the small-shift law; if t_min does not
-    sit below the smallest breakpoint gap (degenerate geometry) the grid is
-    extended down to half that gap first.  For linear sources the sub-grid
-    mass is omitted; it is O(t_low^{(1-s)q}) by the Lipschitz bound and the
-    result is a lower bound as everywhere else in this routine.
-
-    s must lie in (0, 1).  For steps s >= 1/p makes the integral diverge
-    and +inf is returned.
+    s must lie in (0, 1).  Steps: exact up to quadrature roundoff, +inf for
+    s >= 1/p.  Linear sources: midpoint rule in log t on `quad` geometric
+    cells from t_min = 1/(4 m)^2 (m = breakpoint count) to 1 over moduli
+    sampled with `h_grid`, omitting the O(t_min^{(1-s)q}) mass below t_min.
     """
     s = float(s)
     if not (0.0 < s < 1.0):
         raise ValueError("smoothness s must lie in (0, 1)")
     p = float(p)
     q = as_exponent(q)
-    is_step = f.interpolation is Interpolation.STEP
-    if is_step and s >= 1.0 / p:
-        return math.inf
-    m = f.breakpoints.size
-    t_min = 1.0 / (4.0 * m) ** 2
-    min_gap = float(np.diff(f.breakpoints).min())
-    t_low = min(t_min, 0.5 * min_gap) if is_step else t_min
-    edges = np.exp(np.linspace(math.log(t_low), 0.0, quad + 1))
+    if f.interpolation is Interpolation.STEP:
+        if s >= 1.0 / p:
+            return math.inf
+        return lp_norm(f, p) + _step_seminorm(f, s, p, q)
+    t_min = 1.0 / (4.0 * f.breakpoints.size) ** 2
+    edges = np.exp(np.linspace(math.log(t_min), 0.0, quad + 1))
     mids = np.sqrt(edges[1:] * edges[:-1])
     widths = np.log(edges[1:]) - np.log(edges[:-1])
     rho = np.array([modulus_of_continuity(f, t, p, h_grid) for t in mids])
     integrand = mids ** (-s) * rho
     if q is INF:
-        seminorm = float(integrand.max())
-        if is_step:
-            amp = _step_jump_scale(f, p)
-            seminorm = max(seminorm, amp * t_low ** (1.0 / p - s))
-    else:
-        qv = float(q)
-        total = float((integrand ** qv * widths).sum())
-        if is_step:
-            amp = _step_jump_scale(f, p)
-            expo = (1.0 / p - s) * qv
-            total += amp ** qv * t_low ** expo / expo
-        seminorm = total ** (1.0 / qv)
-    return lp_norm(f, p) + seminorm
+        return lp_norm(f, p) + float(integrand.max())
+    return lp_norm(f, p) + float((integrand ** q * widths).sum()) ** (1.0 / q)
 
 
 def holder_norm(f: PiecewiseFunction, alpha: float) -> float:

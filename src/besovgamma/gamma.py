@@ -183,6 +183,9 @@ def _as_operator(f, basis: str, size, max_residual: float) -> GammaOperator:
         if basis != "cells":
             raise ValueError("piecewise sources use the cell basis")
         return build_cell_operator(f, cells=size, max_residual=max_residual)
+    if size is None:
+        unit = "modes" if basis == "trig" else "cells"
+        raise ValueError(f"grid sources need `size`, the number of {unit} in the basis")
     if basis == "trig":
         return build_trig_operator(f, modes=size, max_residual=max_residual)
     return build_grid_cell_operator(f, cells=size, max_residual=max_residual)

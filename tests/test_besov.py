@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from besovgamma.besov import (FilterBank, apply_multiplier, band_profile,
-                              besov_norm_difference, besov_norm_fourier,
-                              build_filter_bank, chi, holder_norm, lp_block,
-                              lq_norm, modulus_of_continuity, smoothstep)
+from besovgamma.besov import (FilterBank, _step_shift_powers, apply_multiplier,
+                              band_profile, besov_norm_difference,
+                              besov_norm_fourier, build_filter_bank, chi,
+                              holder_norm, lp_block, lq_norm,
+                              modulus_of_continuity, smoothstep)
 from besovgamma.functions import (GridFunction, Interpolation,
                                   PiecewiseFunction, grid_lp_norm, lp_norm,
                                   translate_diff_norm)
@@ -231,6 +234,104 @@ def test_besov_difference_divergence_for_rough_steps():
     assert besov_norm_difference(indicator(1.5), 0.7, 1.5, 1.0) == math.inf
     with pytest.raises(ValueError):
         besov_norm_difference(indicator(1.5), 1.2, 1.5, 1.0)
+
+
+@st.composite
+def random_steps(draw):
+    """A step with non-uniform breakpoints into l^p_dim, p in [1, 3], dim 1..3."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.02, 0.8), min_size=m - 1, max_size=m - 1))
+    breaks = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    entry = st.floats(-2.0, 2.0).map(lambda x: round(x, 6))
+    vals = draw(st.lists(entry, min_size=m * dim, max_size=m * dim))
+    p = draw(st.floats(1.0, 3.0))
+    f = PiecewiseFunction(breaks, np.reshape(vals, (m, dim)), Interpolation.STEP,
+                          LpSpace(p, dim))
+    return f, p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_steps(), st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12))
+def test_step_shift_powers_match_translate_diff_norm(step, shifts):
+    # arbitrary shifts plus every breakpoint difference, where cells degenerate
+    f, p = step
+    b = f.breakpoints
+    diffs = (b[None, :] - b[:, None]).ravel()
+    h = np.concatenate([shifts, diffs[diffs > 0]])
+    got = _step_shift_powers(f, h, p)
+    want = np.array([translate_diff_norm(f, x, p) ** p for x in h])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(random_steps(), st.floats(0.01, 2.0))
+def test_step_modulus_matches_dense_scan(step, t):
+    # F(h) = ||f(.+h) - f||_p^p is Lipschitz with constant
+    # p (2 S)^{p-1} TV (S = sup ||f||, TV = sum ||jump||), so a scan with
+    # spacing t/2000 misses its sup over (0, t] by at most that times t/2000
+    f, p = step
+    rho_p = modulus_of_continuity(f, t, p) ** p
+    dense = max(translate_diff_norm(f, h, p) ** p for h in np.linspace(t / 2000, t, 2000))
+    sup = float(f.space.norms(f.values[1:]).max())
+    lip = p * (2.0 * sup) ** (p - 1.0) * float(f.space.norms(f.jump_vectors()).sum())
+    assert dense * (1.0 - 1e-12) <= rho_p <= dense + lip * t / 2000 + 1e-12
+
+
+def kink_reference(f, s, p, q):
+    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} one kink piece at a time, with
+    F = translate_diff_norm^p at the kinks; q = inf scans each piece densely."""
+    b = f.breakpoints.tolist()
+    kinks = sorted({y - x for x in b for y in b if 0.0 < y - x < 1.0} | {1.0})
+    F = [translate_diff_norm(f, h, p) ** p for h in kinks]
+    g = kinks[0]
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    expo = math.inf if q is INF else (1.0 / p - s) * q
+    # below g, F(h) = F(g) h / g and t^{-s} rho(t) increases
+    total = F[0] ** (1.0 / p) * g ** -s if q is INF else (F[0] / g) ** (q / p) * g ** expo / expo
+    best = F[0]
+    for lo, hi, r0, r1 in zip(kinks[:-1], kinks[1:], F[:-1], F[1:]):
+        slope = (r1 - r0) / (hi - lo)
+        cuts = [lo, hi] if r1 <= best or r0 >= best else [lo, lo + (best - r0) / slope, hi]
+        for a, c in zip(cuts[:-1], cuts[1:]):
+            if q is INF:
+                t = np.geomspace(a, c, 257)
+                rho = np.maximum(best, r0 + slope * (t - lo)) ** (1.0 / p)
+                total = max(total, float((t ** -s * rho).max()))
+                continue
+            la, lc = math.log(a), math.log(c)
+            t = np.exp(0.5 * (lc - la) * nodes + 0.5 * (lc + la))
+            rho_p = np.maximum(best, r0 + slope * (t - lo))
+            total += 0.5 * (lc - la) * float(weights @ (t ** (-s * q) * rho_p ** (q / p)))
+        best = max(best, r1)
+    return total if q is INF else total ** (1.0 / q)
+
+
+@pytest.mark.parametrize("breaks, dim, p", [
+    ([0.0, 0.13, 0.31, 0.32, 0.58, 0.9], 2, 1.5),     # non-uniform, support < 1
+    ([-0.4, 0.1, 0.35, 1.2, 1.9], 3, 1.2),            # support > 1: kinks above 1
+    ([0.0, 2.0], 1, 1.5),                             # smallest gap > 1
+    ([0.2, 0.65], 2, 2.5),                            # two breakpoints
+])
+def test_besov_difference_matches_kink_reference(breaks, dim, p):
+    rng = np.random.Generator(np.random.Philox(key=len(breaks) * 10 + dim))
+    vals = rng.normal(size=(len(breaks), dim))
+    f = PiecewiseFunction(breaks, vals, Interpolation.STEP, LpSpace(p, dim))
+    s = 0.3
+    for q in (1.0, 2.0, INF):
+        want = lp_norm(f, p) + kink_reference(f, s, p, q)
+        assert besov_norm_difference(f, s, p, q) == pytest.approx(want, rel=1e-10)
+
+
+def test_besov_difference_closed_form_for_long_indicator():
+    # the indicator of [0, 2] has F(h) = 2h on all of (0, 1], so the whole
+    # seminorm is the closed-form piece: 2^{1/p} ((1/p - s) q)^{-1/q}
+    p, s = 1.5, 0.3
+    f = PiecewiseFunction([0.0, 2.0], [[1.0], [1.0]], Interpolation.STEP, LpSpace(p, 1))
+    for q in (1.0, 2.0, INF):
+        tail = 1.0 if q is INF else ((1.0 / p - s) * q) ** (-1.0 / q)
+        closed = 2.0 ** (1.0 / p) * (1.0 + tail)
+        assert besov_norm_difference(f, s, p, q) == pytest.approx(closed, rel=1e-13)
 
 
 def test_holder_norm_single_tent():

@@ -105,6 +105,15 @@ def test_trig_operator_validation():
         build_trig_operator(f, modes=512)
 
 
+def test_grid_sources_without_size_are_refused():
+    f = make_single_band(1, build_filter_bank(128.0, 4096, 1, 2), width=5.0,
+                         vector=np.array([1.0, 0.5, 0.2]), space=LpSpace(1.5, 3))
+    with pytest.raises(ValueError, match="size"):
+        gamma_norm_mc(f, MCConfig(2000, 1))
+    with pytest.raises(ValueError, match="size"):
+        gamma_norm_mc(f, MCConfig(2000, 1), basis="trig")
+
+
 def test_grid_cell_operator_matches_cell_averages():
     bank = build_filter_bank(16.0 * math.pi, 1024, 1, 4)
     f = make_single_band(1, bank)
