@@ -4,7 +4,8 @@ Step functions and their Gaussian-sum operator norms
 
 A vector-valued step function f on (0, 1) induces the integration operator
 g -> integral of f * g, whose randomized norm is the mean-square size of
-the Gaussian sum over an orthonormal basis of cells.  For the alternating
+the Gaussian sum over any orthonormal basis; it depends only on the
+covariance integral of f f^T.  For the alternating
 step family that norm has a closed form, and on Hilbert targets it is a
 plain sum of squares.  This script builds the family, checks the closed
 forms, and compares the exact norm against its Monte Carlo estimate.

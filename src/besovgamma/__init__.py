@@ -23,8 +23,7 @@ from .functions import (GridFunction, Interpolation, PiecewiseFunction,
                         dilate, grid_lp_norm, l2_norm_squared, lp_norm,
                         translate_diff_norm)
 from .gamma import (DisjointGammaNorm, GammaOperator, PartitionCheck,
-                    build_cell_operator, build_grid_cell_operator,
-                    build_trig_operator, disjoint_lp_from_sigmas,
+                    covariance, covariance_operator, disjoint_lp_from_sigmas,
                     gamma_norm_disjoint_lp, gamma_norm_hilbert, gamma_norm_mc,
                     ideal_compose, partition_inequality_check, restrict_gamma)
 from .harness import Report, ReportRow, UsageError, run, write_report_csv
@@ -44,8 +43,8 @@ __all__ = [
     "modulus_of_continuity", "besov_norm_difference", "holder_norm",
     "zeta_sum", "make_step", "tent_widths", "tent_l2_sigmas", "make_tent_family",
     "psi_profiles", "make_psi_system", "make_single_band", "ConstructionSpec",
-    "GammaOperator", "build_cell_operator", "build_trig_operator",
-    "build_grid_cell_operator", "gamma_norm_hilbert", "gamma_norm_mc",
+    "GammaOperator", "covariance", "covariance_operator",
+    "gamma_norm_hilbert", "gamma_norm_mc",
     "DisjointGammaNorm", "disjoint_lp_from_sigmas", "gamma_norm_disjoint_lp",
     "restrict_gamma", "ideal_compose", "PartitionCheck",
     "partition_inequality_check",

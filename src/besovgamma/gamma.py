@@ -1,24 +1,17 @@
 """Gaussian-sum norms of finite-rank integration operators.
 
-A function f on a measure space S with values in E induces the operator
-I_f: L^2(S) -> E, h |-> integral of f h.  Its Gaussian-sum norm is
+A function f on a measure space S with values in E = R^dim induces the
+operator I_f: L^2(S) -> E, h |-> integral of f h.  Its Gaussian-sum norm is
 
     ||I_f||^2 = E || sum_m gamma_m I_f(h_m) ||^2
 
-over any orthonormal basis (h_m); the value does not depend on the basis.
-Everything here works with the finite-rank truncation of I_f to a chosen
-orthonormal family: the coefficient matrix C with rows I_f(h_m).
-
-Two concrete bases:
-
-* cell indicators 1_cell / sqrt(width) -- exact (zero truncation residual)
-  for step functions whose breakpoints align with the cell boundaries,
-* the real trigonometric system on one period -- exact for band-limited
-  grid functions once enough modes are kept.
-
-The captured-versus-total L^2 energy gap is tracked as `residual`; builds
-refuse sources whose residual exceeds a relative guard, since silently
-truncating would bias every Monte Carlo estimate downward.
+over any orthonormal basis (h_m).  The sum is a centred Gaussian vector in
+E whose covariance Q = integral of f(t) f(t)^T dt does not depend on the
+basis, so the norm is a function of Q alone.  `covariance` computes Q in
+closed form for step, linear and grid sources; `covariance_operator`
+turns it into the dim x dim coefficient matrix S = Q^{1/2}, whose rows
+play the part of the I_f(h_m).  Nothing is truncated, so every source
+gets its exact operator.
 """
 
 from __future__ import annotations
@@ -29,41 +22,38 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functions import GridFunction, Interpolation, PiecewiseFunction, l2_norm_squared
-from .montecarlo import MCConfig, MCEstimate, batch_means, derive_seed, gaussian_array
-from .spaces import INF, LpSpace, as_exponent, gaussian_p_moment
+from .montecarlo import MCConfig, MCEstimate, derive_seed
+from .spaces import INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment
+from .typecotype import check_exponent
 
-# Relative L^2 energy the chosen basis may fail to capture before a build
-# errors out (truncation bias would otherwise contaminate MC estimates).
-MAX_RELATIVE_RESIDUAL = 1e-6
-
-# Breakpoints must sit this close (absolutely) to a cell boundary for the
-# cell-indicator basis to be exact on a step function.
+# Partition endpoints must sit this close (absolutely) to each other and to
+# the ends of the support for a user's partition to count as a tiling.
 ALIGNMENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GammaOperator:
-    """Finite-rank operator in an explicit orthonormal basis.
+    """Finite-rank operator given by its coefficient rows.
 
-    coefficients: (M, dim) array, row m = image of the m-th basis vector.
-    residual: absolute L^2 energy of the source outside the basis span.
-    basis: "cells" (with `boundaries`) or "trig" (with `period`, `modes`).
+    coefficients: (M, dim) array, row m = image of the m-th orthonormal
+        vector; the Gaussian sum has covariance coefficients^T coefficients.
+    basis: a label for where the rows came from ("covariance" for
+        `covariance_operator`).
+    residual: absolute L^2 energy of the source outside the rows' span
+        (0 for `covariance_operator`, which is exact).
     """
 
     coefficients: np.ndarray
     space: LpSpace
     basis: str
     residual: float
-    boundaries: np.ndarray | None = None
-    period: float | None = None
-    modes: int | None = None
 
     @property
     def rank_bound(self) -> int:
         return min(self.coefficients.shape)
 
     def hilbert_norm(self) -> float:
-        """Exact norm of the truncated operator (Hilbert target only)."""
+        """Exact norm of the operator (Hilbert target only)."""
         if not self.space.is_hilbert:
             raise ValueError("exact path requires a Hilbert target")
         return math.sqrt(float((self.coefficients ** 2).sum()))
@@ -71,100 +61,39 @@ class GammaOperator:
     def mc_norm(self, cfg: MCConfig) -> MCEstimate:
         """Monte Carlo estimate of the Gaussian-sum norm with a delta-method
         standard error on the square root."""
-        m = self.coefficients.shape[0]
-        draws = gaussian_array((cfg.samples, m), cfg.seed)
-        sums = draws @ self.coefficients
-        est = batch_means(self.space.norms(sums) ** 2, cfg.seed)
+        if self.coefficients.shape[0] == 0:  # rank 0: the sum is exactly 0
+            return MCEstimate(mean=0.0, std_error=0.0, samples=cfg.samples, seed=cfg.seed)
+        est = gaussian_second_moment(self.space, self.coefficients, cfg, force_mc=True)
         mean = math.sqrt(est.mean)
         if mean == 0.0:
             return replace(est, mean=0.0)
         return replace(est, mean=mean, std_error=est.std_error / (2.0 * mean))
 
 
-def _cell_coefficients(f: PiecewiseFunction, boundaries: np.ndarray):
-    widths = np.diff(boundaries)
-    coeffs = np.empty((widths.size, f.space.dim))
-    for j in range(widths.size):
-        coeffs[j] = f.integral(boundaries[j], boundaries[j + 1]) / math.sqrt(widths[j])
-    return coeffs
+def covariance(f) -> np.ndarray:
+    """Q = integral of f(t) f(t)^T dt, the (dim, dim) covariance of the
+    Gaussian sum, exact for step, linear and grid sources."""
+    if isinstance(f, GridFunction):
+        values = f.values.reshape(-1, f.space.dim)
+        return f.dx ** f.d * (values.T @ values)
+    lens = np.diff(f.breakpoints)[:, None]
+    if f.interpolation is Interpolation.STEP:
+        v = f.values[1:]
+        return (lens * v).T @ v
+    a, b = f.values[:-1], f.values[1:]
+    # integral over [0, 1] of ((1-u) a + u b)((1-u) a + u b)^T du
+    cross = (lens * a).T @ b
+    return ((lens * a).T @ a + (lens * b).T @ b) / 3.0 + (cross + cross.T) / 6.0
 
 
-def _guard_residual(total: float, captured: float, max_residual: float) -> float:
-    residual = max(total - captured, 0.0)
-    if residual > max_residual * total and total > 0.0:
-        raise ValueError(
-            f"basis captures too little of the source: relative residual "
-            f"{residual / total:.3e} exceeds the {max_residual:.1e} guard")
-    return residual
-
-
-def build_cell_operator(f: PiecewiseFunction, cells=None,
-                        max_residual: float = MAX_RELATIVE_RESIDUAL) -> GammaOperator:
-    """Coefficients of I_f in the normalized cell-indicator basis.
-
-    cells = None uses the function's own segments (zero residual for step
-    sources); an integer asks for that many uniform cells over the
-    support, in which case a step function's breakpoints must align with
-    cell boundaries (a misaligned step would be silently smeared, which the
-    error refuses).
-    """
-    lo, hi = f.support
-    if cells is None:
-        boundaries = f.breakpoints.copy()
-    else:
-        boundaries = np.linspace(lo, hi, int(cells) + 1)
-        if f.interpolation is Interpolation.STEP:
-            near = np.abs(f.breakpoints[:, None] - boundaries[None, :]).min(axis=1)
-            if float(near.max()) > ALIGNMENT_TOL:
-                raise ValueError("step breakpoints do not align with the cell "
-                                 "boundaries; the indicator basis would bias the norm")
-    coeffs = _cell_coefficients(f, boundaries)
-    total = l2_norm_squared(f)
-    residual = _guard_residual(total, float((coeffs ** 2).sum()), max_residual)
-    return GammaOperator(coefficients=coeffs, space=f.space, basis="cells",
-                         residual=residual, boundaries=boundaries)
-
-
-def build_trig_operator(f: GridFunction, modes: int,
-                        max_residual: float = MAX_RELATIVE_RESIDUAL) -> GammaOperator:
-    """Coefficients of I_f in the real trigonometric basis on one period
-    (constant + cos/sin at the first `modes` positive frequencies), read off
-    the discrete spectrum exactly.  One-dimensional grids only."""
-    if f.d != 1:
-        raise ValueError("trigonometric basis is implemented for d = 1")
-    n = f.n
-    if not (1 <= modes <= n // 2 - 1):
-        raise ValueError(f"modes must be in 1..{n // 2 - 1}")
-    L = f.period
-    fourier = np.fft.fft(f.values, axis=0) / n  # torus coefficients C_m
-    rows = [math.sqrt(L) * fourier[0].real]
-    for m in range(1, modes + 1):
-        rows.append(math.sqrt(2.0 * L) * fourier[m].real)
-        rows.append(-math.sqrt(2.0 * L) * fourier[m].imag)
-    coeffs = np.stack(rows)
-    total = L * float((np.abs(fourier) ** 2).sum())
-    residual = _guard_residual(total, float((coeffs ** 2).sum()), max_residual)
-    return GammaOperator(coefficients=coeffs, space=f.space, basis="trig",
-                         residual=residual, period=L, modes=modes)
-
-
-def build_grid_cell_operator(f: GridFunction, cells: int,
-                             max_residual: float = MAX_RELATIVE_RESIDUAL) -> GammaOperator:
-    """Cell-indicator coefficients for a grid function, cells uniform over
-    the period and each holding a whole number of samples."""
-    if f.d != 1:
-        raise ValueError("grid cell basis is implemented for d = 1")
-    if f.n % cells != 0:
-        raise ValueError("cell count must divide the grid size")
-    dx = f.dx
-    width = f.period / cells
-    sums = f.values.reshape(cells, f.n // cells, f.space.dim).sum(axis=1) * dx
-    coeffs = sums / math.sqrt(width)
-    total = float((f.values ** 2).sum()) * dx
-    residual = _guard_residual(total, float((coeffs ** 2).sum()), max_residual)
-    boundaries = np.arange(cells + 1) * width
-    return GammaOperator(coefficients=coeffs, space=f.space, basis="cells",
-                         residual=residual, boundaries=boundaries)
+def covariance_operator(f) -> GammaOperator:
+    """The exact operator of f: coefficient rows S = Q^{1/2}, the symmetric
+    square root of the covariance (eigenvalues clipped at 0 against
+    roundoff), so that S^T S = Q."""
+    eigvals, eigvecs = np.linalg.eigh(covariance(f))
+    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+    return GammaOperator(coefficients=root, space=f.space, basis="covariance",
+                         residual=0.0)
 
 
 def gamma_norm_hilbert(f) -> float:
@@ -176,25 +105,9 @@ def gamma_norm_hilbert(f) -> float:
     return math.sqrt(float((f.values ** 2).sum()) * f.dx ** f.d)
 
 
-def _as_operator(f, basis: str, size, max_residual: float) -> GammaOperator:
-    if isinstance(f, GammaOperator):
-        return f
-    if isinstance(f, PiecewiseFunction):
-        if basis != "cells":
-            raise ValueError("piecewise sources use the cell basis")
-        return build_cell_operator(f, cells=size, max_residual=max_residual)
-    if size is None:
-        unit = "modes" if basis == "trig" else "cells"
-        raise ValueError(f"grid sources need `size`, the number of {unit} in the basis")
-    if basis == "trig":
-        return build_trig_operator(f, modes=size, max_residual=max_residual)
-    return build_grid_cell_operator(f, cells=size, max_residual=max_residual)
-
-
-def gamma_norm_mc(f, cfg: MCConfig, basis: str = "cells", size=None,
-                  max_residual: float = MAX_RELATIVE_RESIDUAL) -> MCEstimate:
-    """Monte Carlo Gaussian-sum norm of a function (or prebuilt operator)."""
-    return _as_operator(f, basis, size, max_residual).mc_norm(cfg)
+def gamma_norm_mc(f, cfg: MCConfig) -> MCEstimate:
+    """Monte Carlo Gaussian-sum norm of a piecewise or grid function."""
+    return covariance_operator(f).mc_norm(cfg)
 
 
 @dataclass(frozen=True)
@@ -219,16 +132,6 @@ def disjoint_lp_from_sigmas(sigmas, p) -> DisjointGammaNorm:
                              sigmas=sigmas)
 
 
-def _coordinate_sigmas(f: PiecewiseFunction) -> np.ndarray:
-    lens = np.diff(f.breakpoints)
-    if f.interpolation is Interpolation.STEP:
-        energy = (f.values[1:] ** 2 * lens[:, None]).sum(axis=0)
-    else:
-        a, b = f.values[:-1], f.values[1:]
-        energy = ((a * a + a * b + b * b) / 3.0 * lens[:, None]).sum(axis=0)
-    return np.sqrt(energy)
-
-
 def gamma_norm_disjoint_lp(f: PiecewiseFunction, p) -> DisjointGammaNorm:
     """Exact Gaussian moments when each coordinate of f lives on its own
     cells: the Gaussian coordinates are then independent with variances
@@ -243,18 +146,17 @@ def gamma_norm_disjoint_lp(f: PiecewiseFunction, p) -> DisjointGammaNorm:
         active = (f.values[:-1] != 0.0) | (f.values[1:] != 0.0)
     if int(active.sum(axis=1).max(initial=0)) > 1:
         raise ValueError("coordinate supports overlap; the closed form does not apply")
-    return disjoint_lp_from_sigmas(_coordinate_sigmas(f), p)
+    # the diagonal-Q case: each coordinate has variance Q_kk
+    return disjoint_lp_from_sigmas(np.sqrt(np.diag(covariance(f))), p)
 
 
-def restrict_gamma(f: PiecewiseFunction, subset, cells=None,
-                   max_residual: float = MAX_RELATIVE_RESIDUAL) -> GammaOperator:
+def restrict_gamma(f: PiecewiseFunction, subset) -> GammaOperator:
     """Operator of f restricted to a union of intervals: I_{f 1_subset}.
 
     Restriction never increases the Gaussian-sum norm (compose with the
     multiplication contraction 1_subset).
     """
-    restricted = f.restrict(subset)
-    return build_cell_operator(restricted, cells=cells, max_residual=max_residual)
+    return covariance_operator(f.restrict(subset))
 
 
 def ideal_compose(op: GammaOperator, matrix) -> GammaOperator:
@@ -311,15 +213,7 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
     the conservative first-order combination of the standard errors.
     """
     parts = _partition_boundaries(f, partition)
-    exponent = as_exponent(exponent)
-    if direction == "type":
-        if exponent is INF or not (1.0 <= float(exponent) <= 2.0):
-            raise ValueError("type direction needs p in [1, 2]")
-    elif direction == "cotype":
-        if exponent is not INF and float(exponent) < 2.0:
-            raise ValueError("cotype direction needs q in [2, inf]")
-    else:
-        raise ValueError("direction must be 'type' or 'cotype'")
+    exponent = check_exponent(direction, exponent)
     constant = float(getattr(constant, "value", constant))
 
     exact = f.space.is_hilbert

@@ -26,9 +26,8 @@ from .besov import (besov_norm_difference, besov_norm_fourier,
 from .constructions import (make_psi_system, make_single_band, make_step,
                             make_tent_family, tent_l2_sigmas, zeta_sum)
 from .functions import dilate, grid_lp_norm, lp_norm
-from .gamma import (build_trig_operator, disjoint_lp_from_sigmas,
-                    gamma_norm_hilbert, gamma_norm_mc,
-                    partition_inequality_check)
+from .gamma import (disjoint_lp_from_sigmas, gamma_norm_hilbert,
+                    gamma_norm_mc, partition_inequality_check)
 from .montecarlo import MCConfig, derive_seed, gaussian_array
 from .spaces import INF, LpSpace, as_exponent, gaussian_second_moment
 from .typecotype import cotype_ratio, estimate_constant, type_ratio
@@ -192,7 +191,6 @@ def _exp_embedding_cotype(config) -> Report:
     qs = config.get("qs", [2.0, 3.0])
     counts = config.get("ns", [1, 2])
     bank = build_filter_bank(period, grid_n, 1, levels)
-    dxi = 2.0 * math.pi / period
     report = Report("embedding-cotype", config)
     for q in qs:
         q = float(q)
@@ -210,9 +208,7 @@ def _exp_embedding_cotype(config) -> Report:
             if space.is_hilbert:
                 gam, se = gamma_norm_hilbert(f), 0.0
             else:
-                modes = int(math.ceil(2.0 ** (3 * count + 1) / dxi)) + 2
-                op = build_trig_operator(f, modes=modes)
-                est = op.mc_norm(MCConfig(samples, derive_seed(vec_seed, "mc")))
+                est = gamma_norm_mc(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
                 gam, se = est.mean, est.std_error
             ratio = besov / gam
             best = max(best, ratio)
@@ -251,9 +247,7 @@ def _exp_band_limited(config) -> Report:
                        lhs=gam, rhs=lp_val, constant=1.0, tolerance=1e-9,
                        asserted=True, margin=1e-9 - abs(gam - lp_val))
         else:
-            modes = int(math.ceil(4.0 / (2.0 * math.pi / period))) + 2
-            est = build_trig_operator(f, modes=modes).mc_norm(
-                MCConfig(samples, derive_seed(vec_seed, "mc")))
+            est = gamma_norm_mc(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
             gam, se = est.mean, est.std_error
             report.add(case=f"p={float(p):g}",
                        inputs=format_inputs(p=float(p), width=width, grid_n=grid_n,

@@ -35,6 +35,21 @@ DEFAULT_RESTARTS = 64
 CLIMB_SCALES = (0.5, 0.2, 0.08, 0.03)
 
 
+def check_exponent(direction: str, exponent):
+    """Normalize `exponent` for `direction`: type needs p in [1, 2],
+    cotype needs q in [2, inf]."""
+    exponent = as_exponent(exponent)
+    if direction == "type":
+        if exponent is INF or float(exponent) > 2.0:
+            raise ValueError("type exponent must lie in [1, 2]")
+    elif direction == "cotype":
+        if exponent is not INF and float(exponent) < 2.0:
+            raise ValueError("cotype exponent must lie in [2, inf]")
+    else:
+        raise ValueError("direction must be 'type' or 'cotype'")
+    return exponent
+
+
 def _second_moment(space: LpSpace, vectors: np.ndarray, cfg: MCConfig | None,
                    variant: str) -> float:
     """E || sum_n xi_n x_n ||^2 for Gaussian or Rademacher signs xi.
@@ -50,6 +65,9 @@ def _second_moment(space: LpSpace, vectors: np.ndarray, cfg: MCConfig | None,
         raise ValueError("non-Hilbert spaces need an MC config")
     draw = gaussian_array if variant == "gaussian" else rademacher_array
     xi = draw((cfg.samples, vectors.shape[0]), cfg.seed)
+    # Not spaces.gaussian_second_moment: ConstantEstimate.value must be
+    # reproduced bit for bit here, and it is a plain np.mean like
+    # `_objective`'s, which can differ in the last bit from a batch-means mean.
     return float(np.mean(space.norms(xi @ vectors) ** 2))
 
 
@@ -67,9 +85,7 @@ def _deterministic_sum(space: LpSpace, vectors: np.ndarray, exponent) -> float:
 def type_ratio(space: LpSpace, p, vectors, cfg: MCConfig | None = None,
                variant: str = "gaussian") -> float:
     """(E ||sum gamma_n x_n||^2)^{1/2} / (sum ||x_n||^p)^{1/p}."""
-    p = as_exponent(p)
-    if p is INF or not (1.0 <= float(p) <= 2.0):
-        raise ValueError("type exponent must lie in [1, 2]")
+    p = check_exponent("type", p)
     vectors = np.asarray(vectors, dtype=float)
     den = _deterministic_sum(space, vectors, p)
     if den == 0.0:
@@ -80,9 +96,7 @@ def type_ratio(space: LpSpace, p, vectors, cfg: MCConfig | None = None,
 def cotype_ratio(space: LpSpace, q, vectors, cfg: MCConfig | None = None,
                  variant: str = "gaussian") -> float:
     """(sum ||x_n||^q)^{1/q} / (E ||sum gamma_n x_n||^2)^{1/2} (max at q = inf)."""
-    q = as_exponent(q)
-    if q is not INF and float(q) < 2.0:
-        raise ValueError("cotype exponent must lie in [2, inf]")
+    q = check_exponent("cotype", q)
     vectors = np.asarray(vectors, dtype=float)
     num = _deterministic_sum(space, vectors, q)
     if num == 0.0:
@@ -147,15 +161,7 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
     zero coordinates) joins the candidate pool unclimbed and climbed, so a
     sweep that feeds each winner forward can never report a decrease.
     """
-    exponent = as_exponent(exponent)
-    if direction == "type":
-        if exponent is INF or not (1.0 <= float(exponent) <= 2.0):
-            raise ValueError("type exponent must lie in [1, 2]")
-    elif direction == "cotype":
-        if exponent is not INF and float(exponent) < 2.0:
-            raise ValueError("cotype exponent must lie in [2, inf]")
-    else:
-        raise ValueError("direction must be 'type' or 'cotype'")
+    exponent = check_exponent(direction, exponent)
     if budget <= 0:
         raise ValueError("budget must be positive")
     if n_vectors < 1:

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovgamma.besov import build_filter_bank
 from besovgamma.constructions import (make_single_band, make_step,
                                       make_tent_family, tent_l2_sigmas)
 from besovgamma.functions import (Interpolation, PiecewiseFunction,
                                   l2_norm_squared, lp_norm)
-from besovgamma.gamma import (build_cell_operator, build_grid_cell_operator,
-                              build_trig_operator, disjoint_lp_from_sigmas,
-                              gamma_norm_disjoint_lp, gamma_norm_hilbert,
-                              gamma_norm_mc, ideal_compose,
+from besovgamma.gamma import (GammaOperator, covariance, covariance_operator,
+                              disjoint_lp_from_sigmas, gamma_norm_disjoint_lp,
+                              gamma_norm_hilbert, gamma_norm_mc, ideal_compose,
                               partition_inequality_check, restrict_gamma)
 from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
 from besovgamma.spaces import INF, LpSpace, gaussian_p_moment
@@ -21,15 +22,85 @@ def step_fn(n, dim, seed, p=2.0):
     return make_step(n, gaussian_array((n, dim), seed), LpSpace(p, dim))
 
 
-def test_cell_operator_captures_aligned_steps_exactly():
-    f = step_fn(4, 3, 70)
-    op = build_cell_operator(f)
-    assert op.residual == 0.0
-    assert op.coefficients.shape == (8, 3)
-    # coefficient for the cell holding x_k is x_k * sqrt(cell width)
-    w = 1.0 / 8.0
-    expect = f.values[1:] * math.sqrt(w)
-    assert np.abs(op.coefficients - expect).max() < 1e-14
+def test_covariance_of_make_step_is_gram_over_2n():
+    # make_step puts +-x_k on 2n cells of width 1/(2n): Q = X^T X / (2n)
+    n = 4
+    vecs = gaussian_array((n, 3), 70)
+    q = covariance(make_step(n, vecs, LpSpace(1.5, 3)))
+    assert np.abs(q - vecs.T @ vecs / (2 * n)).max() < 1e-14
+
+
+def test_covariance_of_tent_family_matches_gauss_legendre():
+    # f f^T is quadratic on each linear piece, so 8 nodes integrate it exactly
+    g = make_tent_family(8, 1.2, 1.5)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    u = 0.5 * (nodes + 1.0)
+    ref = np.zeros((8, 8))
+    for j in range(g.breakpoints.size - 1):
+        a, b = g.values[j], g.values[j + 1]
+        vals = (1.0 - u)[:, None] * a + u[:, None] * b
+        length = g.breakpoints[j + 1] - g.breakpoints[j]
+        ref += 0.5 * length * (vals.T * weights) @ vals
+    assert np.abs(covariance(g) - ref).max() < 1e-13
+
+
+def test_covariance_of_grid_single_band_has_unit_trace():
+    bank = build_filter_bank(16.0 * math.pi, 1024, 1, 4)
+    f = make_single_band(2, bank)
+    assert float(np.trace(covariance(f))) == pytest.approx(1.0, rel=1e-10)
+    est = gamma_norm_mc(f, MCConfig(samples=20000, seed=9))
+    assert abs(est.mean - 1.0) < 4.0 * est.std_error
+
+
+def test_mc_norm_of_linear_source_agrees_with_hilbert():
+    breaks = np.array([0.0, 0.3, 0.45, 1.0, 1.6])
+    f = PiecewiseFunction(breaks, gaussian_array((5, 3), 86), Interpolation.LINEAR,
+                          LpSpace(2, 3))
+    est = gamma_norm_mc(f, MCConfig(samples=20000, seed=10))
+    assert abs(est.mean - gamma_norm_hilbert(f)) < 4.0 * est.std_error
+
+
+def test_singular_covariance_rank_one():
+    # only coordinate 1 is active: the sum is N(0, 1.25) e_1 in any l^p
+    f = PiecewiseFunction([0.0, 1.0, 2.0], [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                            [0.0, 0.5, 0.0]],
+                          Interpolation.STEP, LpSpace(1.5, 3))
+    op = covariance_operator(f)
+    expect = np.zeros((3, 3))
+    expect[1, 1] = math.sqrt(1.25)
+    assert np.abs(op.coefficients - expect).max() < 1e-15
+    est = op.mc_norm(MCConfig(samples=20000, seed=11))
+    assert abs(est.mean - math.sqrt(1.25)) < 4.0 * est.std_error
+
+
+@st.composite
+def random_steps_and_cuts(draw):
+    """A step with non-uniform breakpoints into l^2_dim, dim 1..4, and
+    interior cut points that split its support into a partition."""
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.02, 0.8), min_size=m - 1, max_size=m - 1))
+    breaks = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    vals = draw(st.lists(st.floats(-2.0, 2.0), min_size=m * dim, max_size=m * dim))
+    f = PiecewiseFunction(breaks, np.reshape(vals, (m, dim)), Interpolation.STEP,
+                          LpSpace(2, dim))
+    fracs = draw(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=4, unique=True))
+    cuts = np.sort(breaks[0] + np.asarray(fracs) * (breaks[-1] - breaks[0]))
+    return f, np.concatenate([[breaks[0]], cuts, [breaks[-1]]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_steps_and_cuts())
+def test_covariance_properties_on_random_steps(case):
+    f, edges = case
+    q = covariance(f)
+    root = covariance_operator(f).coefficients
+    assert np.abs(q - q.T).max() <= 1e-12
+    assert np.abs(root.T @ root - q).max() <= 1e-12
+    assert abs(float(np.trace(q)) - l2_norm_squared(f)) <= 1e-12
+    parts = sum(covariance(f.restrict([(a, b)])) for a, b in zip(edges[:-1], edges[1:])
+                if b > a)
+    assert np.abs(parts - q).max() <= 1e-12
 
 
 def test_hilbert_norm_is_l2_mass():
@@ -67,61 +138,6 @@ def test_rank_one_operator_norm():
     f2 = PiecewiseFunction([0.0, 1.0], [[3.0, -4.0]] * 2, Interpolation.STEP,
                            LpSpace(2, 2))
     assert gamma_norm_hilbert(f2) == pytest.approx(5.0, rel=1e-13)
-
-
-def test_residual_guard_fires_on_misaligned_cells():
-    f = step_fn(3, 2, 74)  # breakpoints at multiples of 1/6
-    with pytest.raises(ValueError, match="align"):
-        build_cell_operator(f, cells=4)  # quarter cuts cross the jumps
-    op = build_cell_operator(f, cells=6)  # sixths align exactly
-    assert op.residual == 0.0
-
-
-def test_residual_guard_fires_on_unresolved_linear_source():
-    tent = make_tent_family(4, 1.3)
-    with pytest.raises(ValueError, match="residual"):
-        build_cell_operator(tent, cells=2)
-    coarse = build_cell_operator(tent, cells=2, max_residual=1.0)
-    assert coarse.residual > 1e-3
-    assert coarse.hilbert_norm() < math.sqrt(l2_norm_squared(tent))
-
-
-def test_trig_operator_exact_for_band_limited():
-    bank = build_filter_bank(16.0 * math.pi, 1024, 1, 4)
-    f = make_single_band(2, bank)
-    op = build_trig_operator(f, modes=40)
-    assert op.residual < 1e-12
-    assert op.hilbert_norm() == pytest.approx(1.0, rel=1e-10)
-    est = op.mc_norm(MCConfig(samples=20000, seed=9))
-    assert abs(est.mean - 1.0) < 4.0 * est.std_error
-
-
-def test_trig_operator_validation():
-    bank = build_filter_bank(16.0 * math.pi, 1024, 1, 4)
-    f = make_single_band(2, bank)
-    with pytest.raises(ValueError):
-        build_trig_operator(f, modes=0)
-    with pytest.raises(ValueError):
-        build_trig_operator(f, modes=512)
-
-
-def test_grid_sources_without_size_are_refused():
-    f = make_single_band(1, build_filter_bank(128.0, 4096, 1, 2), width=5.0,
-                         vector=np.array([1.0, 0.5, 0.2]), space=LpSpace(1.5, 3))
-    with pytest.raises(ValueError, match="size"):
-        gamma_norm_mc(f, MCConfig(2000, 1))
-    with pytest.raises(ValueError, match="size"):
-        gamma_norm_mc(f, MCConfig(2000, 1), basis="trig")
-
-
-def test_grid_cell_operator_matches_cell_averages():
-    bank = build_filter_bank(16.0 * math.pi, 1024, 1, 4)
-    f = make_single_band(1, bank)
-    op = build_grid_cell_operator(f, cells=64, max_residual=1.0)
-    assert op.coefficients.shape == (64, 1)
-    width = f.period / 64
-    seg = f.values[: 1024 // 64, 0].sum() * f.dx / math.sqrt(width)
-    assert op.coefficients[0, 0] == pytest.approx(seg, rel=1e-12)
 
 
 def test_disjoint_lp_from_sigmas_matches_mc_oracle():
@@ -166,11 +182,11 @@ def test_restrict_gamma_hilbert_pythagoras():
 
 def test_ideal_compose_identity_and_contraction():
     f = step_fn(4, 2, 79)
-    op = build_cell_operator(f)
+    op = covariance_operator(f)
     same = ideal_compose(op, np.eye(op.coefficients.shape[0]))
     assert np.array_equal(same.coefficients, op.coefficients)
     rng = np.random.Generator(np.random.Philox(key=80))
-    raw = rng.normal(size=(8, 8))
+    raw = rng.normal(size=(2, 2))
     contraction = raw / (np.linalg.norm(raw, 2) * 1.01)
     out = ideal_compose(op, contraction)
     assert out.hilbert_norm() <= op.hilbert_norm()
@@ -221,5 +237,8 @@ def test_partition_check_needs_config_for_non_hilbert():
 
 def test_rank_bound():
     f = step_fn(4, 6, 85)
-    op = build_cell_operator(f)
+    op = covariance_operator(f)
     assert op.rank_bound == min(op.coefficients.shape) == 6
+    empty = GammaOperator(np.zeros((0, 6)), f.space, "cells", 0.0)
+    assert empty.rank_bound == 0
+    assert empty.mc_norm(MCConfig(samples=2000, seed=1)).mean == 0.0
