@@ -477,6 +477,8 @@ def _exp_type_constant(config) -> Report:
                    asserted=True, margin=est.value - prev_value)
         report.summary[f"linf{dim}_type2_lower_bound"] = est.value
         report.summary[f"linf{dim}_type2_rademacher_ratio"] = rad
+        report.summary[f"linf{dim}_type2_restarts_run"] = est.restarts_run
+        report.summary[f"linf{dim}_type2_budget_exhausted"] = est.budget_exhausted
         prev_value, prev_witness = est.value, est.witness
     return report
 
@@ -517,6 +519,8 @@ def _exp_cotype_constant(config) -> Report:
                    asserted=True, margin=est.value - prev_value)
         report.summary[f"l1_{dim}_cotype2_lower_bound"] = est.value
         report.summary[f"l1_{dim}_cotype2_rademacher_ratio"] = rad
+        report.summary[f"l1_{dim}_cotype2_restarts_run"] = est.restarts_run
+        report.summary[f"l1_{dim}_cotype2_budget_exhausted"] = est.budget_exhausted
         prev_value, prev_witness = est.value, est.witness
     return report
 

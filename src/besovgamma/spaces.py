@@ -84,18 +84,24 @@ class LpSpace:
             raise ValueError(f"expected a vector of dimension {self.dim}, got shape {x.shape}")
         return float(self.norms(x[None, :])[0])
 
-    def norms(self, arr, axis: int = -1) -> np.ndarray:
-        """Vectorized l^p norm along `axis` of an array of coordinate vectors."""
+    def norms(self, arr) -> np.ndarray:
+        """Vectorized l^p norm along the last axis.
+
+        For p = inf, |arr| is laid out coordinate-major, so NumPy folds the
+        coordinates together with one elementwise maximum per coordinate
+        instead of running a reduction loop per (short) row.  Max is exact,
+        so the result equals a row-wise max bit for bit.
+        """
         arr = np.asarray(arr, dtype=float)
-        if arr.shape[axis] != self.dim:
-            raise ValueError(f"axis {axis} has length {arr.shape[axis]}, expected {self.dim}")
+        if arr.shape[-1] != self.dim:
+            raise ValueError(f"last axis has length {arr.shape[-1]}, expected {self.dim}")
         if self.p is INF:
-            return np.abs(arr).max(axis=axis)
+            return np.abs(arr, order="F").max(axis=-1)
         if self.p == 1.0:
-            return np.abs(arr).sum(axis=axis)
+            return np.abs(arr).sum(axis=-1)
         if self.p == 2.0:
-            return np.sqrt((arr * arr).sum(axis=axis))
-        return np.power(np.abs(arr), self.p).sum(axis=axis) ** (1.0 / self.p)
+            return np.sqrt((arr * arr).sum(axis=-1))
+        return np.power(np.abs(arr), self.p).sum(axis=-1) ** (1.0 / self.p)
 
     def to_json(self) -> dict:
         return {"p": exponent_to_json(self.p), "dim": self.dim}

@@ -251,7 +251,7 @@ def random_steps(draw):
     return f, p
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(random_steps(), st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12))
 def test_step_shift_powers_match_translate_diff_norm(step, shifts):
     # arbitrary shifts plus every breakpoint difference, where cells degenerate
@@ -264,7 +264,7 @@ def test_step_shift_powers_match_translate_diff_norm(step, shifts):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@settings(max_examples=12)
 @given(random_steps(), st.floats(0.01, 2.0))
 def test_step_modulus_matches_dense_scan(step, t):
     # F(h) = ||f(.+h) - f||_p^p is Lipschitz with constant

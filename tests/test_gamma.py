@@ -89,7 +89,7 @@ def random_steps_and_cuts(draw):
     return f, np.concatenate([[breaks[0]], cuts, [breaks[-1]]])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(random_steps_and_cuts())
 def test_covariance_properties_on_random_steps(case):
     f, edges = case

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from besovgamma.montecarlo import MCConfig, gaussian_array
@@ -47,6 +50,33 @@ def test_norms_batch_matches_single():
         batch = space.norms(xs)
         for row, val in zip(xs, batch):
             assert space.norm(row) == pytest.approx(val, rel=1e-14, abs=1e-300)
+
+
+@st.composite
+def coordinate_arrays(draw):
+    # 1-D vectors, (n, d) batches with n from 0 to 50, and 3-D stacks, with
+    # signed zeros, infinities and NaN among the entries
+    dim = draw(st.integers(1, 17))
+    lead = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 50)),
+                          st.tuples(st.integers(0, 5), st.integers(1, 5))))
+    entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    return draw(hnp.arrays(np.float64, lead + (dim,), elements=entries))
+
+
+@settings(max_examples=200)
+@given(coordinate_arrays())
+def test_sup_norms_equal_rowwise_max_bit_for_bit(x):
+    got = LpSpace(INF, x.shape[-1]).norms(x)
+    want = np.abs(x).max(axis=-1)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_norms_reject_a_wrong_last_axis():
+    with pytest.raises(ValueError, match="last axis"):
+        LpSpace(INF, 3).norms(np.ones((3, 4)))
 
 
 def test_is_hilbert_flag():

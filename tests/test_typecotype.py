@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from besovgamma.montecarlo import MCConfig
+from besovgamma import typecotype
+from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
 from besovgamma.spaces import INF, LpSpace
-from besovgamma.typecotype import (ConstantEstimate, cotype_ratio,
-                                   estimate_constant, type_ratio)
+from besovgamma.typecotype import (CLIMB_SCALES, ConstantEstimate, check_exponent,
+                                   cotype_ratio, estimate_constant, type_ratio)
 
 # Closed forms used as oracles below, for unit basis vectors e1, e2:
 #   E max(|g1|, |g2|)^2 = 1 + 2/pi      (sup norm of a standard pair)
@@ -130,3 +131,127 @@ def test_constant_estimate_fields():
     assert est.seed == 11
     assert est.samples == 512
     assert est.budget <= 500
+
+
+def _reference_search(space, direction, exponent, n_vectors, budget, seed,
+                      samples, restarts, warm_start=None):
+    """estimate_constant's search as a plain climb: every trial is scored by
+    a fresh `_objective`, i.e. a full product xi @ X and row reduction."""
+    exponent = check_exponent(direction, exponent)
+    exact = space.is_hilbert
+    evals, started, candidates = 0, 0, []
+    if warm_start is not None:
+        candidates.append(np.asarray(warm_start, dtype=float))
+    for r in range(restarts):
+        if evals >= budget:
+            break
+        started += 1
+        if warm_start is not None and r == 0:
+            X = candidates[0].copy()
+        else:
+            X = gaussian_array((n_vectors, space.dim), derive_seed(seed, "restart", r))
+            norms = space.norms(X)
+            norms[norms == 0.0] = 1.0
+            X = X / norms[:, None]
+        xi = None if exact else gaussian_array((samples, n_vectors),
+                                               derive_seed(seed, "crn", r))
+        best = typecotype._objective(space, direction, exponent, X, xi)
+        evals += 1
+        for scale in CLIMB_SCALES:
+            improved = True
+            while improved and evals < budget:
+                improved = False
+                for i in range(n_vectors):
+                    for j in range(space.dim):
+                        for sign in (1.0, -1.0):
+                            if evals >= budget:
+                                break
+                            X[i, j] += sign * scale
+                            val = typecotype._objective(space, direction, exponent, X, xi)
+                            evals += 1
+                            if val > best:
+                                best = val
+                                improved = True
+                            else:
+                                X[i, j] -= sign * scale
+        candidates.append(X)
+    final_xi = None if exact else gaussian_array((samples, n_vectors),
+                                                 derive_seed(seed, "final-eval"))
+    scores = [typecotype._objective(space, direction, exponent, X, final_xi)
+              for X in candidates]
+    pick = int(np.argmax(scores))
+    return scores[pick], candidates[pick], evals, started
+
+
+ORACLE_CASES = [
+    (INF, "type", 2.0), (INF, "cotype", 2.0), (1, "type", 2.0), (1, "cotype", 2.0),
+    (1.5, "type", 1.5), (1.5, "cotype", 3.0), (3, "type", 2.0), (3, "cotype", 3.0),
+    (2, "type", 1.5),
+]
+
+
+@pytest.mark.parametrize("dim", [3, 1])
+@pytest.mark.parametrize("p,direction,exponent", ORACLE_CASES)
+def test_rank_one_climb_matches_fresh_scoring_bit_for_bit(p, direction, exponent, dim):
+    # dim 1 leaves nothing when the only column is left out
+    space = LpSpace(p, dim)
+    kw = dict(budget=700, seed=5, samples=256, restarts=3)
+    est = estimate_constant(space, direction, exponent, 3, **kw)
+    value, witness, evals, started = _reference_search(space, direction, exponent, 3, **kw)
+    assert est.value == value
+    assert est.witness.tobytes() == witness.tobytes()
+    assert est.budget == evals
+    assert est.restarts_run == started
+    assert est.budget_exhausted == (evals >= kw["budget"])
+
+
+@pytest.mark.parametrize("p,direction", [(INF, "type"), (1, "cotype"), (1.5, "type")])
+def test_rank_one_climb_matches_fresh_scoring_from_a_warm_start(p, direction):
+    small = estimate_constant(LpSpace(p, 2), direction, 2.0, 4, budget=500, seed=3,
+                              samples=256, restarts=2)
+    warm = np.zeros((4, 4))
+    warm[:, :2] = small.witness
+    space = LpSpace(p, 4)
+    kw = dict(budget=900, seed=3, samples=256, restarts=3, warm_start=warm)
+    est = estimate_constant(space, direction, 2.0, 4, **kw)
+    value, witness, evals, started = _reference_search(space, direction, 2.0, 4, **kw)
+    assert est.value == value
+    assert est.witness.tobytes() == witness.tobytes()
+    assert (est.budget, est.restarts_run) == (evals, started)
+    assert est.value >= small.value
+
+
+def test_search_reports_restarts_run_and_budget_exhaustion():
+    kw = dict(seed=1, samples=256, restarts=3)
+    cut = estimate_constant(LpSpace(INF, 4), "type", 2.0, 4, budget=300, **kw)
+    assert cut.budget == 300 and cut.budget_exhausted
+    assert 1 <= cut.restarts_run < 3
+    whole = estimate_constant(LpSpace(1, 2), "cotype", 2.0, 2, budget=10 ** 6, **kw)
+    assert whole.restarts_run == 3 and not whole.budget_exhausted
+    assert whole.budget < 10 ** 6
+    analytic = estimate_constant(LpSpace(INF, 4), "type", 1.0, 4, budget=10)
+    assert analytic.restarts_run == 0 and not analytic.budget_exhausted
+
+
+def _relative_se(space, est):
+    # relative standard error of the ratio, from the draws that define it:
+    # half that of the mean square it takes the square root of
+    cfg = est.eval_config()
+    xi = gaussian_array((cfg.samples, est.witness.shape[0]), cfg.seed)
+    sq = space.norms(xi @ est.witness) ** 2
+    return 0.5 * float(sq.std(ddof=1)) / (float(sq.mean()) * math.sqrt(sq.size))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_searches_stay_below_the_gaussian_moment_upper_bounds(dim):
+    # type 2 of l^inf_d is at most sqrt(4 log d + 2 log 2), from the
+    # exponential-moment bound on E max_j g_j^2; cotype 2 of l^1_d is at
+    # most sqrt(pi/2), from E||G||_1 = sqrt(2/pi) ||(sum |x_n|^2)^{1/2}||_1
+    # and Minkowski.  Allowance: 6 relative standard errors of the estimate.
+    kw = dict(budget=800, seed=7, samples=1024, restarts=3)
+    linf, l1 = LpSpace(INF, dim), LpSpace(1, dim)
+    for space, direction, bound in (
+            (linf, "type", math.sqrt(4.0 * math.log(dim) + 2.0 * math.log(2.0))),
+            (l1, "cotype", math.sqrt(math.pi / 2.0))):
+        est = estimate_constant(space, direction, 2.0, 8, **kw)
+        assert 1.0 < est.value <= bound * (1.0 + 6.0 * _relative_se(space, est))
