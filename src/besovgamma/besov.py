@@ -10,7 +10,8 @@ so the level multipliers
 
 sum to chi(|xi|/2^K) over k = 0..K, which is exactly 1 for |xi| <= 2^K.
 The smoothness norm is then the weighted l^q sequence norm of the block
-L^p norms, weight 2^{ks} at level k.
+L^p norms, weight 2^{ks} at level k: one forward transform of f, then one
+inverse transform per level.
 
 Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
@@ -131,18 +132,22 @@ def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
                       levels=int(levels), multipliers=mults)
 
 
+def _filtered(f: GridFunction, spec: np.ndarray, mult, scale: float) -> GridFunction:
+    """Inverse transform of mult * spec; imaginary part checked against scale."""
+    out = np.fft.ifftn(spec * np.asarray(mult)[..., None], axes=tuple(range(f.d)))
+    if float(np.abs(out.imag).max()) > 1e-9 * scale:
+        raise ValueError("multiplier output has a non-negligible imaginary part")
+    return GridFunction(f.period, out.real, f.space)
+
+
 def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     """Pointwise Fourier multiplier on the grid (circular convolution with
     the multiplier's kernel).  The multiplier must be real; the output's
     imaginary part is checked against the input's scale, so an (exactly or
-    nearly) annihilated function stays unflagged."""
-    axes = tuple(range(f.d))
-    spec = np.fft.fftn(f.values, axes=axes) * np.asarray(mult)[..., None]
-    out = np.fft.ifftn(spec, axes=axes)
-    scale = float(np.abs(f.values).max())
-    if float(np.abs(out.imag).max()) > 1e-9 * scale:
-        raise ValueError("multiplier output has a non-negligible imaginary part")
-    return GridFunction(f.period, out.real, f.space)
+    nearly) annihilated function stays unflagged.  `besov_norm_fourier`
+    runs the same inverse step on one shared forward transform."""
+    spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
+    return _filtered(f, spec, mult, float(np.abs(f.values).max()))
 
 
 def lp_block(f: GridFunction, bank: FilterBank, k: int) -> GridFunction:
@@ -155,9 +160,13 @@ def lp_block(f: GridFunction, bank: FilterBank, k: int) -> GridFunction:
 
 
 def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> float:
-    """Weighted l^q over levels of the block L^p norms, weight 2^{ks}."""
-    blocks = np.array([grid_lp_norm(lp_block(f, bank, k), p)
-                       for k in range(bank.levels + 1)])
+    """Weighted l^q over levels of the block L^p norms, weight 2^{ks}; one
+    forward transform, then each block is `lp_block(f, bank, k)` to the bit."""
+    if not bank.compatible_with(f):
+        raise ValueError("filter bank was built for a different grid")
+    spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
+    scale = float(np.abs(f.values).max())
+    blocks = np.array([grid_lp_norm(_filtered(f, spec, m, scale), p) for m in bank.multipliers])
     weights = 2.0 ** (s * np.arange(bank.levels + 1))
     return lq_norm(weights * blocks, q)
 

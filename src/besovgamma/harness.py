@@ -312,7 +312,12 @@ def _exp_dilation(config) -> Report:
     s = _float_param(config, "s", 0.5)
     p = _float_param(config, "p", 4.0 / 3.0, 1.0 - 1e-12)
     q = _float_param(config, "q", 4.0 / 3.0, 1.0 - 1e-12)
-    lambdas = [int(v) for v in config.get("lambdas", [2, 4, 8, 16])]
+    lambdas = config.get("lambdas", [2, 4, 8, 16])
+    _require(isinstance(lambdas, (list, tuple)) and len(lambdas) > 0
+             and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                     and v >= 2 and v & (v - 1) == 0 for v in lambdas),
+             "lambdas", "must be a non-empty list of integer powers of two, each at least 2")
+    lambdas = [int(v) for v in lambdas]
     tol = _float_param(config, "tolerance", 0.2, 0.0)
     bank = build_filter_bank(period, grid_n, 1, levels)
     f = make_single_band(k0, bank, width=width)

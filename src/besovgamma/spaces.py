@@ -101,7 +101,9 @@ class LpSpace:
             return np.abs(arr).sum(axis=-1)
         if self.p == 2.0:
             return np.sqrt((arr * arr).sum(axis=-1))
-        return np.power(np.abs(arr), self.p).sum(axis=-1) ** (1.0 / self.p)
+        # np.power, not **: a 1-D input sums to a NumPy scalar, whose ** takes
+        # a different pow path than the array ufunc and can differ in the last bit
+        return np.power(np.power(np.abs(arr), self.p).sum(axis=-1), 1.0 / self.p)
 
     def to_json(self) -> dict:
         return {"p": exponent_to_json(self.p), "dim": self.dim}

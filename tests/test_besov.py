@@ -161,11 +161,35 @@ def test_besov_norm_fourier_monotone_in_s_and_q():
     assert besov_norm_fourier(f, 0.5, 1.5, 2.0, bank) >= n2
 
 
+@pytest.mark.parametrize("d,dim", [(1, 1), (1, 3), (2, 2)])
+def test_besov_norm_fourier_is_the_lp_block_sum_bit_for_bit(d, dim):
+    # the norm takes one forward transform for all levels; each block must
+    # still be the one lp_block computes, so the norm matches to the bit
+    n, levels = (256, 6) if d == 1 else (64, 4)
+    bank = build_filter_bank(8.0, n, d, levels)
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(21, d, dim)))
+    f = GridFunction(8.0, rng.normal(size=(n,) * d + (dim,)), LpSpace(4.0 / 3.0, dim))
+    s = 0.4
+    weights = 2.0 ** (s * np.arange(levels + 1))
+    for p in (1.0, 4.0 / 3.0, 2.0, 3.0, INF):
+        blocks = np.array([grid_lp_norm(lp_block(f, bank, k), p) for k in range(levels + 1)])
+        for q in (1.0, 2.0, INF):
+            assert besov_norm_fourier(f, s, p, q, bank) == lq_norm(weights * blocks, q)
+
+
 def test_bank_compatibility_guard():
     bank = build_filter_bank(8.0, 512, 1, 7)
     other = GridFunction(4.0, np.zeros((512, 1)), LpSpace(2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different grid"):
         lp_block(other, bank, 0)
+    with pytest.raises(ValueError, match="different grid"):
+        besov_norm_fourier(other, 0.5, 2.0, 2.0, bank)
+    # a real multiplier that is not even in xi makes a real input complex
+    f = band_limited_random(8.0, 512, 1, radius=100.0, seed=22)
+    xi = np.fft.fftfreq(512)
+    lopsided = FilterBank(8.0, 512, 1, 1, np.stack([(xi >= 0.0) * 1.0, (xi < 0.0) * 0.5]))
+    with pytest.raises(ValueError, match="imaginary part"):
+        besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
 
 
 def indicator(p):

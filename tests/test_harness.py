@@ -118,6 +118,16 @@ def test_cli_usage_errors_return_two(tmp_path, capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("lambdas", [[3], [], [2.5], "24"])
+def test_cli_rejects_bad_dilation_lambdas(tmp_path, capsys, lambdas):
+    # not a power of two, empty, not an integer, not a list
+    cfg = _write_config(tmp_path, "c.json", {"lambdas": lambdas})
+    assert cli.main(["run", "dilation", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "lambdas" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_list_names_every_experiment(capsys):
     assert cli.main(["list"]) == 0
     stdout = capsys.readouterr().out

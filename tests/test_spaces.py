@@ -74,6 +74,25 @@ def test_sup_norms_equal_rowwise_max_bit_for_bit(x):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@st.composite
+def finite_batches(draw):
+    dim = draw(st.integers(1, 17))
+    rows = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-90, 1e-6, 1.0, 1e6, 1e90]))
+    x = draw(hnp.arrays(np.float64, (rows, dim), elements=st.floats(-1.0, 1.0)))
+    return x * scale, draw(st.integers(0, rows - 1))
+
+
+@settings(max_examples=200)
+@given(finite_batches(), st.sampled_from([1.25, 4.0 / 3.0, 1.5, 3.0]))
+def test_fractional_norms_of_a_vector_equal_its_batch_row_bit_for_bit(batch, p):
+    # a 1-D input reduces to a NumPy scalar; its final root must take the
+    # same pow path as the batch's, or the two differ in the last bit
+    x, i = batch
+    space = LpSpace(p, x.shape[-1])
+    assert space.norms(x[i]).tobytes() == space.norms(x)[i].tobytes()
+
+
 def test_norms_reject_a_wrong_last_axis():
     with pytest.raises(ValueError, match="last axis"):
         LpSpace(INF, 3).norms(np.ones((3, 4)))
