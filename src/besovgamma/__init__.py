@@ -15,10 +15,9 @@ from .besov import (FilterBank, apply_multiplier, band_profile,
                     besov_norm_difference, besov_norm_fourier,
                     build_filter_bank, chi, holder_norm, lp_block, lq_norm,
                     modulus_of_continuity, smoothstep)
-from .constructions import (ConstructionSpec, make_psi_system,
-                            make_single_band, make_step, make_tent_family,
-                            psi_profiles, tent_l2_sigmas, tent_widths,
-                            zeta_sum)
+from .constructions import (make_psi_system, make_single_band, make_step,
+                            make_tent_family, psi_profiles, tent_l2_sigmas,
+                            tent_widths, zeta_sum)
 from .functions import (GridFunction, Interpolation, PiecewiseFunction,
                         dilate, grid_lp_norm, l2_norm_squared, lp_norm,
                         translate_diff_norm)
@@ -42,7 +41,7 @@ __all__ = [
     "build_filter_bank", "apply_multiplier", "lp_block", "besov_norm_fourier",
     "modulus_of_continuity", "besov_norm_difference", "holder_norm",
     "zeta_sum", "make_step", "tent_widths", "tent_l2_sigmas", "make_tent_family",
-    "psi_profiles", "make_psi_system", "make_single_band", "ConstructionSpec",
+    "psi_profiles", "make_psi_system", "make_single_band",
     "GammaOperator", "covariance", "covariance_operator",
     "gamma_norm_hilbert", "gamma_norm_mc",
     "DisjointGammaNorm", "disjoint_lp_from_sigmas", "gamma_norm_disjoint_lp",

@@ -2,6 +2,8 @@
 
 Exit status: 0 when every asserted row passed, 1 when an assertion failed,
 2 for usage problems (unknown experiment, malformed config, bad flag).
+The CSV report goes to stdout unless --out is given, and nothing else
+does; summaries, failed rows and the verdict go to stderr.
 """
 
 from __future__ import annotations
@@ -61,15 +63,16 @@ def _cmd_run(args) -> int:
         sys.stdout.write(render_csv(report))
     failures = [r for r in report.rows if not r.passed]
     for key in sorted(report.summary):
-        print(f"{report.experiment}: {key} = {report.summary[key]:.6g}")
+        print(f"{report.experiment}: {key} = {report.summary[key]:.6g}", file=sys.stderr)
     for row in failures:
         print(f"{report.experiment}: FAIL {row.case} "
               f"lhs={row.lhs:.6g} rhs={row.rhs:.6g} margin={row.margin:.3g} "
-              f"tolerance={row.tolerance:.3g}")
+              f"tolerance={row.tolerance:.3g}", file=sys.stderr)
     verdict = "PASS" if report.passed else "FAIL"
     asserted = sum(1 for r in report.rows if r.asserted)
     print(f"{report.experiment}: {verdict} "
-          f"({len(report.rows)} rows, {asserted} asserted, {len(failures)} failed)")
+          f"({len(report.rows)} rows, {asserted} asserted, {len(failures)} failed)",
+          file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -8,23 +8,17 @@ Four constructions feed the experiments:
 * frequency-bump systems (one unit bump every third dyadic level), which
   are orthonormal with exactly disjoint spectra,
 * single-band bumps concentrated on one dyadic shell.
-
-`ConstructionSpec` serializes any of them to JSON so a harness config can
-name its inputs and every report row stays recomputable.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from .besov import FilterBank, _frequency_radii, build_filter_bank
+from .besov import FilterBank, _frequency_radii
 from .functions import GridFunction, Interpolation, PiecewiseFunction
-from .spaces import LpSpace, as_exponent, exponent_to_json
+from .spaces import LpSpace
 
 ZETA_TERMS = 10 ** 6
 
@@ -201,67 +195,3 @@ def make_single_band(k0: int, bank: FilterBank, width: float = 0.0,
     values = scalar[..., None] * vector
     return GridFunction(L, values, space)
 
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """JSON-serializable recipe for one test function.
-
-    family: "step" | "tent" | "psi_system" | "single_band".
-    params: family-specific scalars plus, for grid families, the grid
-    geometry (period, grid_n, d, levels) needed to rebuild the filter bank.
-    """
-
-    family: str
-    params: dict[str, Any]
-
-    FAMILIES = ("step", "tent", "psi_system", "single_band")
-
-    def __post_init__(self):
-        if self.family not in self.FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-
-    def build(self):
-        p = self.params
-        if self.family == "step":
-            vectors = np.asarray(p["vectors"], dtype=float)
-            space = LpSpace(as_exponent(p.get("p", 2.0)), vectors.shape[1])
-            return make_step(int(p["n"]), vectors, space)
-        if self.family == "tent":
-            return make_tent_family(int(p["n"]), float(p["r"]),
-                                    as_exponent(p.get("p", 2.0)))
-        bank = build_filter_bank(float(p["period"]), int(p["grid_n"]),
-                                 int(p.get("d", 1)), int(p["levels"]))
-        if self.family == "psi_system":
-            vectors = np.asarray(p["vectors"], dtype=float)
-            space = LpSpace(as_exponent(p.get("p", 2.0)), vectors.shape[1])
-            return make_psi_system(vectors.shape[0], vectors, bank, space)
-        vector = p.get("vector")
-        space = None
-        if vector is not None:
-            vector = np.asarray(vector, dtype=float)
-            space = LpSpace(as_exponent(p.get("p", 2.0)), vector.size)
-        return make_single_band(int(p["k0"]), bank,
-                                width=float(p.get("width", 0.0)),
-                                vector=vector, space=space)
-
-    def to_json(self) -> dict[str, Any]:
-        params = {}
-        for key, val in self.params.items():
-            if key == "p":
-                params[key] = exponent_to_json(as_exponent(val))
-            elif isinstance(val, np.ndarray):
-                params[key] = val.tolist()
-            else:
-                params[key] = val
-        return {"family": self.family, "params": params}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ConstructionSpec":
-        return cls(family=data["family"], params=dict(data["params"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "ConstructionSpec":
-        return cls.from_json(json.loads(text))

@@ -112,11 +112,6 @@ class PiecewiseFunction:
         out[at_left_end] = self.values[0]
         return out[0] if scalar else out
 
-    def translate(self, h: float) -> "PiecewiseFunction":
-        """The function t -> f(t + h); exact (breakpoints shift by -h)."""
-        return PiecewiseFunction(self.breakpoints - float(h), self.values.copy(),
-                                 self.interpolation, self.space)
-
     def jump_vectors(self) -> np.ndarray:
         """Jump sizes of a step function at every breakpoint, boundary included."""
         if self.interpolation is not Interpolation.STEP:
@@ -187,24 +182,6 @@ class PiecewiseFunction:
         left = self.evaluate(pts[:-1])
         right = self.evaluate(pts[1:])
         return lens @ (0.5 * (left + right))
-
-    def to_json(self) -> dict:
-        return {
-            "type": "piecewise",
-            "interpolation": self.interpolation.value,
-            "breakpoints": self.breakpoints.tolist(),
-            "values": self.values.tolist(),
-            "space": self.space.to_json(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PiecewiseFunction":
-        return PiecewiseFunction(
-            breakpoints=np.asarray(obj["breakpoints"], dtype=float),
-            values=np.asarray(obj["values"], dtype=float),
-            interpolation=Interpolation(obj["interpolation"]),
-            space=LpSpace.from_json(obj["space"]),
-        )
 
 
 def _segment_pth_power(f: PiecewiseFunction, shift: float, p: float,
@@ -354,20 +331,6 @@ class GridFunction:
         if np.abs(vals.imag).max() > 1e-9 * max(mag, 1e-300):
             raise ValueError("spectrum is not conjugate-symmetric; values would be complex")
         return GridFunction(period, vals.real.copy(), space)
-
-    def to_json(self) -> dict:
-        return {
-            "type": "grid",
-            "period": self.period,
-            "values": self.values.tolist(),
-            "space": self.space.to_json(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GridFunction":
-        return GridFunction(period=obj["period"],
-                            values=np.asarray(obj["values"], dtype=float),
-                            space=LpSpace.from_json(obj["space"]))
 
 
 def grid_lp_norm(f: GridFunction, p) -> float:

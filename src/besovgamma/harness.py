@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .functions import dilate, grid_lp_norm, lp_norm
 from .gamma import (disjoint_lp_from_sigmas, gamma_norm_hilbert,
                     gamma_norm_mc, partition_inequality_check)
 from .montecarlo import MCConfig, derive_seed, gaussian_array
-from .spaces import INF, LpSpace, as_exponent, gaussian_second_moment
+from .spaces import INF, LpSpace, gaussian_second_moment
 from .typecotype import cotype_ratio, estimate_constant, type_ratio
 
 SCHEMA_VERSION = 1
@@ -149,6 +150,18 @@ def _float_param(config, key, default, lo=None, hi=None):
     return value
 
 
+def _list_param(config, key, default, kind, minimum, min_items=0):
+    """At least `min_items` entries of `kind` (int or float), each >= `minimum`."""
+    value = config.get(key, default)
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    _require(isinstance(value, (list, tuple))
+             and all(isinstance(v, types) and not isinstance(v, bool) for v in value),
+             key, "must be a list of integers" if kind is int else "must be a list of numbers")
+    _require(len(value) >= min_items, key, f"length must be at least {min_items}")
+    _require(all(v >= minimum for v in value), key, f"entries must be at least {minimum}")
+    return [kind(v) for v in value]
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -156,16 +169,14 @@ def _float_param(config, key, default, lo=None, hi=None):
 def _exp_embedding_type(config) -> Report:
     seed = _int_param(config, "seed", 0, 0)
     samples = _int_param(config, "samples", 20000, 320)
-    ps = config.get("ps", [4.0 / 3.0, 1.5])
-    ns = config.get("ns", [2, 4, 8, 16])
+    ps = _list_param(config, "ps", [4.0 / 3.0, 1.5], float, 1)
+    ns = _list_param(config, "ns", [2, 4, 8, 16], int, 1)
     report = Report("embedding-type", config)
     for p in ps:
-        p = float(p)
         _require(1.0 < p < 2.0, "ps", "difference-route exponents must lie in (1, 2)")
         s = 1.0 / p - 0.5
         best = 0.0
         for n in ns:
-            n = int(n)
             space = LpSpace(p, n)
             vec_seed = derive_seed(seed, "embedding-type", _fmt(p), n)
             f = make_step(n, _unit_tuple(space, n, vec_seed), space)
@@ -188,17 +199,14 @@ def _exp_embedding_cotype(config) -> Report:
     grid_n = _int_param(config, "grid_n", 2048, 64)
     period = _float_param(config, "period", 4.0, 0.0)
     levels = _int_param(config, "levels", 8, 4)
-    qs = config.get("qs", [2.0, 3.0])
-    counts = config.get("ns", [1, 2])
+    qs = _list_param(config, "qs", [2.0, 3.0], float, 2)
+    counts = _list_param(config, "ns", [1, 2], int, 1)
     bank = build_filter_bank(period, grid_n, 1, levels)
     report = Report("embedding-cotype", config)
     for q in qs:
-        q = float(q)
-        _require(q >= 2.0, "qs", "cotype exponents must be at least 2")
         s = 1.0 / q - 0.5
         best = 0.0
         for count in counts:
-            count = int(count)
             _require(3 * count < levels, "ns", "needs 3n below the bank levels")
             space = LpSpace(q, count)
             vec_seed = derive_seed(seed, "embedding-cotype", _fmt(q), count)
@@ -228,14 +236,13 @@ def _exp_band_limited(config) -> Report:
     period = _float_param(config, "period", 128.0, 0.0)
     width = _float_param(config, "width", 5.0, 0.0)
     dim = _int_param(config, "dim", 3, 1)
-    ps = config.get("ps", [2.0, 1.5, 1.0])
+    ps = _list_param(config, "ps", [2.0, 1.5, 1.0], float, 1)
     bank = build_filter_bank(period, grid_n, 1, 2)
     report = Report("band-limited", config)
     # shell 2 with a wide envelope: spectrum lives in ~[1, 3], inside [-pi, pi]
     for p in ps:
-        p = as_exponent(p)
         space = LpSpace(p, dim)
-        vec_seed = derive_seed(seed, "band-limited", _fmt(float(p) if p is not INF else math.inf))
+        vec_seed = derive_seed(seed, "band-limited", _fmt(p))
         v = _unit_tuple(space, 1, vec_seed)[0]
         f = make_single_band(1, bank, width=width, vector=v, space=space)
         lp_val = grid_lp_norm(f, p)
@@ -249,12 +256,12 @@ def _exp_band_limited(config) -> Report:
         else:
             est = gamma_norm_mc(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
             gam, se = est.mean, est.std_error
-            report.add(case=f"p={float(p):g}",
-                       inputs=format_inputs(p=float(p), width=width, grid_n=grid_n,
+            report.add(case=f"p={p:g}",
+                       inputs=format_inputs(p=p, width=width, grid_n=grid_n,
                                             period=period, samples=samples,
                                             vector_seed=vec_seed),
                        lhs=gam, rhs=lp_val, constant=gam / lp_val, std_error=se)
-        report.summary[f"gamma_over_lp_p={float(p) if p is not INF else math.inf:g}"] = gam / lp_val
+        report.summary[f"gamma_over_lp_p={p:g}"] = gam / lp_val
     return report
 
 
@@ -312,12 +319,8 @@ def _exp_dilation(config) -> Report:
     s = _float_param(config, "s", 0.5)
     p = _float_param(config, "p", 4.0 / 3.0, 1.0 - 1e-12)
     q = _float_param(config, "q", 4.0 / 3.0, 1.0 - 1e-12)
-    lambdas = config.get("lambdas", [2, 4, 8, 16])
-    _require(isinstance(lambdas, (list, tuple)) and len(lambdas) > 0
-             and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                     and v >= 2 and v & (v - 1) == 0 for v in lambdas),
-             "lambdas", "must be a non-empty list of integer powers of two, each at least 2")
-    lambdas = [int(v) for v in lambdas]
+    lambdas = _list_param(config, "lambdas", [2, 4, 8, 16], int, 2, min_items=1)
+    _require(all(v & (v - 1) == 0 for v in lambdas), "lambdas", "entries must be powers of two")
     tol = _float_param(config, "tolerance", 0.2, 0.0)
     bank = build_filter_bank(period, grid_n, 1, levels)
     f = make_single_band(k0, bank, width=width)
@@ -347,12 +350,10 @@ def _step_besov_constant(p: float) -> float:
 def _exp_step_identities(config) -> Report:
     seed = _int_param(config, "seed", 0, 0)
     samples = _int_param(config, "samples", 20000, 320)
-    ps = config.get("ps", [1.0, 4.0 / 3.0, 1.5, 2.0])
-    ns = [int(n) for n in config.get("ns", [2, 4, 8, 16, 32, 64])]
+    ps = _list_param(config, "ps", [1.0, 4.0 / 3.0, 1.5, 2.0], float, 1)
+    ns = _list_param(config, "ns", [2, 4, 8, 16, 32, 64], int, 1)
     report = Report("step-identities", config)
     for p in ps:
-        p = float(p)
-        _require(1.0 <= p, "ps", "exponents must be at least 1")
         worst_ratio = 0.0
         for n in ns:
             space = LpSpace(p, n)
@@ -406,9 +407,11 @@ def _exp_tent_scaling(config) -> Report:
     r = _float_param(config, "r", 1.05, 1.0)
     _require(r < 1.0 / (p / 2.0 + alpha * p), "r",
              "must stay below 1/(p/2 + alpha p) for the scaling regime")
-    holder_ns = [int(n) for n in config.get("holder_ns", [4, 8, 16, 32, 64, 128])]
-    slope_ns = [int(n) for n in config.get(
-        "slope_ns", [2 ** 16, 2 ** 17, 2 ** 18, 2 ** 19, 2 ** 20, 2 ** 21])]
+    holder_ns = _list_param(config, "holder_ns", [4, 8, 16, 32, 64, 128], int, 1)
+    # a slope fit needs at least two sizes
+    slope_ns = _list_param(config, "slope_ns",
+                           [2 ** 16, 2 ** 17, 2 ** 18, 2 ** 19, 2 ** 20, 2 ** 21],
+                           int, 2, min_items=2)
     slope_tol = _float_param(config, "slope_tolerance", 0.10, 0.0)
     c = zeta_sum(r)
     report = Report("tent-scaling", config)
@@ -446,86 +449,55 @@ def _exp_tent_scaling(config) -> Report:
     return report
 
 
-def _exp_type_constant(config) -> Report:
+# direction -> (exponent of the swept l^p space, the constant-1 case on that
+# space as (type/cotype exponent, case label), case prefix of the sweep rows,
+# summary-key format, Rademacher ratio)
+_CONSTANT_SEARCHES = {
+    "type": (INF, (1.0, "any-type1"), "linf-type2", "linf{dim}_type2", type_ratio),
+    "cotype": (1.0, (INF, "any-cotypeinf"), "l1-cotype2", "l1_{dim}_cotype2", cotype_ratio),
+}
+
+
+def _exp_constant(direction, config) -> Report:
+    space_p, (exponent_1, case_1), prefix, key_format, ratio = _CONSTANT_SEARCHES[direction]
     seed = _int_param(config, "seed", 0, 0)
     samples = _int_param(config, "samples", 2048, 320)
     budget = _int_param(config, "budget", 4000, 1)
     restarts = _int_param(config, "restarts", 12, 1)
     n_vectors = _int_param(config, "n_vectors", 8, 1)
-    dims = [int(d) for d in config.get("dims", [2, 4, 8])]
-    report = Report("type-constant", config)
+    dims = _list_param(config, "dims", [2, 4, 8], int, 1)
+    report = Report(f"{direction}-constant", config)
 
-    hil = estimate_constant(LpSpace(2, 4), "type", 2.0, n_vectors, budget=budget, seed=seed)
-    report.add(case="hilbert-type2", inputs=format_inputs(dim=4),
-               lhs=hil.value, rhs=1.0, tolerance=0.0, asserted=True,
-               margin=-abs(hil.value - 1.0))
-    t1 = estimate_constant(LpSpace(INF, 4), "type", 1.0, n_vectors, budget=budget, seed=seed)
-    report.add(case="any-type1", inputs=format_inputs(dim=4),
-               lhs=t1.value, rhs=1.0, tolerance=0.0, asserted=True,
-               margin=-abs(t1.value - 1.0))
+    # analytic constant-1 cases: every Hilbert constant, and the trivial exponent
+    for case, p, exponent in ((f"hilbert-{direction}2", 2, 2.0),
+                              (case_1, space_p, exponent_1)):
+        est = estimate_constant(LpSpace(p, 4), direction, exponent, n_vectors,
+                                budget=budget, seed=seed)
+        report.add(case=case, inputs=format_inputs(dim=4),
+                   lhs=est.value, rhs=1.0, tolerance=0.0, asserted=True,
+                   margin=-abs(est.value - 1.0))
 
     prev_value, prev_witness = 0.0, None
     for dim in dims:
-        space = LpSpace(INF, dim)
+        space = LpSpace(space_p, dim)
         warm = None
         if prev_witness is not None:
             warm = np.zeros((n_vectors, dim))
             warm[:, :prev_witness.shape[1]] = prev_witness
-        est = estimate_constant(space, "type", 2.0, n_vectors, budget=budget,
+        est = estimate_constant(space, direction, 2.0, n_vectors, budget=budget,
                                 seed=seed, samples=samples, restarts=restarts,
                                 warm_start=warm)
-        rad = type_ratio(space, 2.0, est.witness, est.eval_config(), variant="rademacher")
-        report.add(case=f"linf-type2;dim={dim}",
+        rad = ratio(space, 2.0, est.witness, est.eval_config(), variant="rademacher")
+        report.add(case=f"{prefix};dim={dim}",
                    inputs=format_inputs(dim=dim, n_vectors=n_vectors, budget=budget,
                                         samples=samples, restarts=restarts, seed=seed),
                    lhs=est.value, rhs=prev_value, constant=est.value,
                    asserted=True, margin=est.value - prev_value)
-        report.summary[f"linf{dim}_type2_lower_bound"] = est.value
-        report.summary[f"linf{dim}_type2_rademacher_ratio"] = rad
-        report.summary[f"linf{dim}_type2_restarts_run"] = est.restarts_run
-        report.summary[f"linf{dim}_type2_budget_exhausted"] = est.budget_exhausted
-        prev_value, prev_witness = est.value, est.witness
-    return report
-
-
-def _exp_cotype_constant(config) -> Report:
-    seed = _int_param(config, "seed", 0, 0)
-    samples = _int_param(config, "samples", 2048, 320)
-    budget = _int_param(config, "budget", 4000, 1)
-    restarts = _int_param(config, "restarts", 12, 1)
-    n_vectors = _int_param(config, "n_vectors", 8, 1)
-    dims = [int(d) for d in config.get("dims", [2, 4, 8])]
-    report = Report("cotype-constant", config)
-
-    hil = estimate_constant(LpSpace(2, 4), "cotype", 2.0, n_vectors, budget=budget, seed=seed)
-    report.add(case="hilbert-cotype2", inputs=format_inputs(dim=4),
-               lhs=hil.value, rhs=1.0, tolerance=0.0, asserted=True,
-               margin=-abs(hil.value - 1.0))
-    cinf = estimate_constant(LpSpace(1, 4), "cotype", INF, n_vectors, budget=budget, seed=seed)
-    report.add(case="any-cotypeinf", inputs=format_inputs(dim=4),
-               lhs=cinf.value, rhs=1.0, tolerance=0.0, asserted=True,
-               margin=-abs(cinf.value - 1.0))
-
-    prev_value, prev_witness = 0.0, None
-    for dim in dims:
-        space = LpSpace(1, dim)
-        warm = None
-        if prev_witness is not None:
-            warm = np.zeros((n_vectors, dim))
-            warm[:, :prev_witness.shape[1]] = prev_witness
-        est = estimate_constant(space, "cotype", 2.0, n_vectors, budget=budget,
-                                seed=seed, samples=samples, restarts=restarts,
-                                warm_start=warm)
-        rad = cotype_ratio(space, 2.0, est.witness, est.eval_config(), variant="rademacher")
-        report.add(case=f"l1-cotype2;dim={dim}",
-                   inputs=format_inputs(dim=dim, n_vectors=n_vectors, budget=budget,
-                                        samples=samples, restarts=restarts, seed=seed),
-                   lhs=est.value, rhs=prev_value, constant=est.value,
-                   asserted=True, margin=est.value - prev_value)
-        report.summary[f"l1_{dim}_cotype2_lower_bound"] = est.value
-        report.summary[f"l1_{dim}_cotype2_rademacher_ratio"] = rad
-        report.summary[f"l1_{dim}_cotype2_restarts_run"] = est.restarts_run
-        report.summary[f"l1_{dim}_cotype2_budget_exhausted"] = est.budget_exhausted
+        key = key_format.format(dim=dim)
+        report.summary[f"{key}_lower_bound"] = est.value
+        report.summary[f"{key}_rademacher_ratio"] = rad
+        report.summary[f"{key}_restarts_run"] = est.restarts_run
+        report.summary[f"{key}_budget_exhausted"] = est.budget_exhausted
         prev_value, prev_witness = est.value, est.witness
     return report
 
@@ -538,8 +510,8 @@ EXPERIMENTS = {
     "dilation": _exp_dilation,
     "step-identities": _exp_step_identities,
     "tent-scaling": _exp_tent_scaling,
-    "type-constant": _exp_type_constant,
-    "cotype-constant": _exp_cotype_constant,
+    "type-constant": partial(_exp_constant, "type"),
+    "cotype-constant": partial(_exp_constant, "cotype"),
 }
 
 EXPERIMENT_INFO = {

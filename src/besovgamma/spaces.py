@@ -10,7 +10,7 @@ inf, or the string "inf" and normalize to `INF` at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -51,10 +51,6 @@ def as_exponent(p) -> Exponent:
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     return p
-
-
-def exponent_to_json(p: Exponent):
-    return "inf" if p is INF else float(p)
 
 
 @dataclass(frozen=True)
@@ -104,17 +100,6 @@ class LpSpace:
         # np.power, not **: a 1-D input sums to a NumPy scalar, whose ** takes
         # a different pow path than the array ufunc and can differ in the last bit
         return np.power(np.power(np.abs(arr), self.p).sum(axis=-1), 1.0 / self.p)
-
-    def to_json(self) -> dict:
-        return {"p": exponent_to_json(self.p), "dim": self.dim}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LpSpace":
-        return LpSpace(p=obj["p"], dim=obj["dim"])
-
-
-def norm(space: LpSpace, x) -> float:
-    return space.norm(x)
 
 
 def gaussian_p_moment(sigma: float, p: float) -> float:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,14 +5,14 @@ import pytest
 from scipy import special
 
 from besovgamma.besov import besov_norm_fourier, build_filter_bank, lp_block
-from besovgamma.constructions import (ConstructionSpec, make_psi_system,
-                                      make_single_band, make_step,
-                                      make_tent_family, psi_profiles,
-                                      tent_l2_sigmas, tent_widths, zeta_sum)
+from besovgamma.constructions import (make_psi_system, make_single_band,
+                                      make_step, make_tent_family,
+                                      psi_profiles, tent_l2_sigmas,
+                                      tent_widths, zeta_sum)
 from besovgamma.functions import (Interpolation, dilate, grid_lp_norm,
                                   l2_norm_squared, lp_norm)
 from besovgamma.montecarlo import gaussian_array
-from besovgamma.spaces import INF, LpSpace
+from besovgamma.spaces import LpSpace
 
 
 def test_zeta_sum_against_scipy():
@@ -175,49 +174,3 @@ def test_single_band_vector_direction():
     assert grid_lp_norm(f, 2) == pytest.approx(1.0, rel=1e-12)
     col_energy = (f.values ** 2).sum(axis=0)
     assert col_energy[1] / col_energy[0] == pytest.approx((0.8 / 0.6) ** 2, rel=1e-12)
-
-
-def test_construction_spec_roundtrip_step():
-    spec = ConstructionSpec(family="step",
-                            params={"n": 3,
-                                    "vectors": np.eye(3).tolist(),
-                                    "p": 1.5})
-    f = spec.build()
-    assert lp_norm(f, 1.5) > 0.0
-    text = spec.dumps()
-    back = ConstructionSpec.loads(text)
-    g = back.build()
-    assert np.array_equal(g.values, f.values)
-    assert json.loads(text)["family"] == "step"
-
-
-def test_construction_spec_roundtrip_tent_and_psi():
-    tent_spec = ConstructionSpec(family="tent", params={"n": 4, "r": 1.3, "p": 2.0})
-    f = tent_spec.build()
-    assert f.interpolation is Interpolation.LINEAR
-    again = ConstructionSpec.loads(tent_spec.dumps()).build()
-    assert np.array_equal(again.values, f.values)
-
-    psi_spec = ConstructionSpec(
-        family="psi_system",
-        params={"vectors": np.eye(2).tolist(), "p": 2.0,
-                "period": 8.0, "grid_n": 4096, "d": 1, "levels": 10})
-    h = psi_spec.build()
-    assert grid_lp_norm(h, 2) == pytest.approx(math.sqrt(2.0), rel=1e-10)
-    again = ConstructionSpec.loads(psi_spec.dumps()).build()
-    assert np.array_equal(again.values, h.values)
-
-
-def test_construction_spec_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        ConstructionSpec(family="mystery", params={})
-
-
-def test_inf_exponent_serializes():
-    spec = ConstructionSpec(family="step",
-                            params={"n": 1, "vectors": [[1.0]],
-                                    "p": "inf"})
-    f = spec.build()
-    assert f.space.p is INF
-    back = ConstructionSpec.loads(spec.dumps())
-    assert back.build().space.p is INF

@@ -192,14 +192,6 @@ def test_integral_matches_riemann():
         assert f.integral(lo, hi) == pytest.approx(dense_sub, abs=5e-5)
 
 
-def test_piecewise_json_roundtrip():
-    f = random_piecewise(37, Interpolation.LINEAR)
-    g = PiecewiseFunction.from_json(f.to_json())
-    assert np.array_equal(g.breakpoints, f.breakpoints)
-    assert np.array_equal(g.values, f.values)
-    assert g.interpolation is f.interpolation
-
-
 # ---------------------------------------------------------------------------
 # periodic grid functions
 
@@ -307,10 +299,3 @@ def test_dilate_localized_bump_matches_pointwise():
     g = dilate(f, 4.0)
     expect = np.exp(-(4.0 * xc) ** 2)
     assert np.abs(g.values[:, 0] - expect).max() < 1e-9
-
-
-def test_grid_json_roundtrip():
-    f = make_tone()
-    g = GridFunction.from_json(f.to_json())
-    assert g.period == f.period
-    assert np.array_equal(g.values, f.values)

@@ -92,10 +92,10 @@ def test_cli_pass_run_writes_csv(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", SMALL_PARTITION)
     out = tmp_path / "r.csv"
     rc = cli.main(["run", "partition", "--config", cfg, "--out", str(out)])
-    stdout = capsys.readouterr().out
+    stderr = capsys.readouterr().err
     assert rc == 0
     assert out.read_text(encoding="utf-8").startswith("# schema_version=1")
-    assert "PASS" in stdout
+    assert "PASS" in stderr
 
 
 def test_cli_failing_assertion_returns_one(tmp_path, capsys):
@@ -103,9 +103,17 @@ def test_cli_failing_assertion_returns_one(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json",
                         {"slope_ns": [4, 8, 16, 32, 64, 128]})
     rc = cli.main(["run", "tent-scaling", "--config", cfg])
-    stdout = capsys.readouterr().out
+    stderr = capsys.readouterr().err
     assert rc == 1
-    assert "FAIL" in stdout
+    assert "FAIL" in stderr
+
+
+def test_cli_stdout_is_exactly_the_csv(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", SMALL_PARTITION)
+    assert cli.main(["run", "partition", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == render_csv(run("partition", SMALL_PARTITION))
+    assert "partition: PASS" in captured.err
 
 
 def test_cli_usage_errors_return_two(tmp_path, capsys):
@@ -126,6 +134,53 @@ def test_cli_rejects_bad_dilation_lambdas(tmp_path, capsys, lambdas):
     captured = capsys.readouterr()
     assert "lambdas" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("experiment, payload, field_name", [
+    ("embedding-type", {"ns": [2.5], "ps": [1.5], "samples": 320}, "ns"),
+    ("step-identities", {"ps": "1.5"}, "ps"),
+    ("embedding-cotype", {"qs": "3"}, "qs"),
+    ("type-constant", {"dims": [2.7]}, "dims"),
+    ("tent-scaling", {"holder_ns": [0]}, "holder_ns"),
+    ("tent-scaling", {"slope_ns": []}, "slope_ns"),
+])
+def test_cli_rejects_bad_list_parameters(tmp_path, capsys, experiment, payload, field_name):
+    # a non-integer size, a string for a list, an item below its minimum,
+    # too few sizes for a slope fit
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert cli.main(["run", experiment, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"besovgamma: {field_name}:" in captured.err
+    assert captured.out == ""
+
+
+def test_band_limited_runs_at_p_infinity():
+    # JSON's Infinity literal is the one way to ask for p = inf
+    report = run("band-limited", {"ps": [math.inf], "samples": 640})
+    assert [r.case for r in report.rows] == ["p=inf"]
+    assert "p=inf" in report.rows[0].inputs
+    assert list(report.summary) == ["gamma_over_lp_p=inf"]
+
+
+SMALL_SEARCH = {"budget": 300, "restarts": 2, "samples": 320, "dims": [2, 3]}
+
+
+@pytest.mark.parametrize("direction, cases, key_head", [
+    ("type", ["hilbert-type2", "any-type1", "linf-type2;dim=2", "linf-type2;dim=3"],
+     ["linf2_type2", "linf3_type2"]),
+    ("cotype", ["hilbert-cotype2", "any-cotypeinf", "l1-cotype2;dim=2", "l1-cotype2;dim=3"],
+     ["l1_2_cotype2", "l1_3_cotype2"]),
+])
+def test_constant_searches_keep_their_cases_and_summary_keys(direction, cases, key_head):
+    report = run(f"{direction}-constant", SMALL_SEARCH)
+    assert report.experiment == f"{direction}-constant"
+    assert report.passed
+    assert [r.case for r in report.rows] == cases
+    assert sorted(report.summary) == sorted(
+        f"{head}_{tail}" for head in key_head
+        for tail in ("lower_bound", "rademacher_ratio", "restarts_run", "budget_exhausted"))
+    sweep = report.rows[2:]
+    assert sweep[0].rhs == 0.0 and sweep[1].rhs == sweep[0].lhs
 
 
 def test_cli_list_names_every_experiment(capsys):

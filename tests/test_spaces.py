@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from besovgamma.montecarlo import MCConfig, gaussian_array
-from besovgamma.spaces import (INF, LpSpace, as_exponent, exponent_to_json,
-                               gaussian_p_moment, gaussian_second_moment)
+from besovgamma.spaces import (INF, LpSpace, as_exponent, gaussian_p_moment,
+                               gaussian_second_moment)
 
 
 def test_as_exponent_accepts_numbers_and_inf():
@@ -23,11 +23,6 @@ def test_as_exponent_accepts_numbers_and_inf():
 def test_as_exponent_rejects_below_one():
     with pytest.raises(ValueError):
         as_exponent(0.9)
-
-
-def test_exponent_json_roundtrip():
-    for p in (1.0, 1.5, 2.0, INF):
-        assert as_exponent(exponent_to_json(p)) == p or as_exponent(exponent_to_json(p)) is p
 
 
 def test_lp_norms_against_numpy():
@@ -160,11 +155,3 @@ def test_second_moment_force_mc_agrees_with_exact():
     est = gaussian_second_moment(space, vecs, MCConfig(samples=200000, seed=9),
                                  force_mc=True)
     assert abs(est.mean - exact) < 4.0 * est.std_error
-
-
-def test_space_json_roundtrip():
-    for p in (1, 1.5, 2, INF):
-        space = LpSpace(p, 6)
-        back = LpSpace.from_json(space.to_json())
-        assert back.dim == 6
-        assert back.p == space.p or back.p is space.p
