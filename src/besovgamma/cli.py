@@ -1,7 +1,9 @@
 """Command-line front end for the experiment harness.
 
 Exit status: 0 when every asserted row passed, 1 when an assertion failed,
-2 for usage problems (unknown experiment, malformed config, bad flag).
+2 for usage problems: an unknown experiment, a malformed config, a bad flag,
+a key or override the experiment does not take (`--seed` on an unseeded
+one), or a value the experiment's parameter table or the library rejects.
 The CSV report goes to stdout unless --out is given, and nothing else
 does; summaries, failed rows and the verdict go to stderr.
 """
@@ -12,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .harness import EXPERIMENT_INFO, UsageError, render_csv, run, write_report_csv
+from .harness import EXPERIMENTS, UsageError, render_csv, run, write_report_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,12 +52,9 @@ def _load_config(path: str | None) -> dict:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.samples is not None:
-        config["samples"] = args.samples
-    if args.grid is not None:
-        config["grid_n"] = args.grid
+    for key, value in (("seed", args.seed), ("samples", args.samples), ("grid_n", args.grid)):
+        if value is not None:
+            config[key] = value
     report = run(args.experiment, config)
     if args.out:
         write_report_csv(report, args.out)
@@ -77,9 +76,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list() -> int:
-    width = max(len(k) for k in EXPERIMENT_INFO)
-    for key in sorted(EXPERIMENT_INFO):
-        print(f"{key.ljust(width)}  {EXPERIMENT_INFO[key]}")
+    width = max(len(k) for k in EXPERIMENTS)
+    for key in sorted(EXPERIMENTS):
+        print(f"{key.ljust(width)}  {EXPERIMENTS[key].description}")
     return 0
 
 

@@ -1,11 +1,11 @@
 """Named, reproducible experiments wiring the library together.
 
-Each experiment takes a config mapping, runs a fixed sweep, and returns a
-Report whose rows carry both sides of every comparison, the constant used,
-the margin, a standard-error budget, and (for asserted rows) the tolerance
-the row was judged with.  Reports serialize to CSV with a schema-version
-header and 17-significant-digit floats, so re-running a config produces a
-byte-identical file.
+Each experiment declares its config keys once, as `Param`s in `EXPERIMENTS`;
+`run` rejects unknown keys and bad values, then passes the checked values as
+keyword arguments.  Report rows carry both sides of every comparison, the
+constant, the margin, a standard-error budget and, for asserted rows, the
+tolerance.  CSV reports carry a schema version and 17-significant-digit
+floats, so re-running a config produces a byte-identical file.
 
 Randomness policy: every random object is drawn from a counter-based
 generator keyed by `derive_seed(seed, labels...)`, never from global
@@ -17,8 +17,10 @@ each row is recomputable by library calls alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -41,6 +43,25 @@ CSV_COLUMNS = ("experiment", "case", "inputs", "lhs", "rhs", "constant",
 
 class UsageError(ValueError):
     """Invalid experiment id or parameter; maps to process exit status 2."""
+
+
+class Param(NamedTuple):
+    """One config key: its kind (int, float, list[int] or list[float]), its
+    default and its bounds.  `minimum` is inclusive, `above` and `below` are
+    exclusive; on a list they bound every entry and `min_items` its length."""
+    kind: object
+    default: object
+    minimum: float | None = None
+    above: float | None = None
+    below: float | None = None
+    min_items: int = 0
+
+
+class Experiment(NamedTuple):
+    """A registry entry: `func(report, **params)` fills the report."""
+    func: Callable
+    description: str
+    params: dict
 
 
 @dataclass(frozen=True)
@@ -129,51 +150,34 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise UsageError(f"{field_name}: {message}")
 
 
-def _int_param(config, key, default, minimum=None):
-    value = config.get(key, default)
-    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-             key, "must be an integer")
-    if minimum is not None:
-        _require(value >= minimum, key, f"must be at least {minimum}")
-    return int(value)
+_KIND_NAMES = {int: "an integer", float: "a number",
+               list[int]: "a list of integers", list[float]: "a list of numbers"}
 
 
-def _float_param(config, key, default, lo=None, hi=None):
-    value = config.get(key, default)
-    _require(isinstance(value, (int, float, np.floating)) and not isinstance(value, bool),
-             key, "must be a number")
-    value = float(value)
-    if lo is not None:
-        _require(value > lo, key, f"must exceed {lo}")
-    if hi is not None:
-        _require(value < hi, key, f"must be below {hi}")
-    return value
-
-
-def _list_param(config, key, default, kind, minimum, min_items=0):
-    """At least `min_items` entries of `kind` (int or float), each >= `minimum`."""
-    value = config.get(key, default)
+def _check(key: str, param: Param, value):
+    """`value` cast to the declared kind of `key`, or a UsageError naming `key`."""
+    many = get_origin(param.kind) is list
+    kind = get_args(param.kind)[0] if many else param.kind
     types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
-    _require(isinstance(value, (list, tuple))
-             and all(isinstance(v, types) and not isinstance(v, bool) for v in value),
-             key, "must be a list of integers" if kind is int else "must be a list of numbers")
-    _require(len(value) >= min_items, key, f"length must be at least {min_items}")
-    _require(all(v >= minimum for v in value), key, f"entries must be at least {minimum}")
-    return [kind(v) for v in value]
+    items = value if many and isinstance(value, (list, tuple)) else [value]
+    _require(isinstance(value, (list, tuple)) == many
+             and all(isinstance(v, types) and not isinstance(v, bool) for v in items),
+             key, f"must be {_KIND_NAMES[param.kind]}")
+    _require(len(items) >= param.min_items, key, f"length must be at least {param.min_items}")
+    for bound, holds, words in ((param.minimum, operator.ge, "be at least"),
+                                (param.above, operator.gt, "exceed"),
+                                (param.below, operator.lt, "be below")):
+        _require(bound is None or all(holds(v, bound) for v in items), key,
+                 f"{'entries ' if many else ''}must {words} {bound}")
+    return [kind(v) for v in items] if many else kind(value)
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _exp_embedding_type(config) -> Report:
-    seed = _int_param(config, "seed", 0, 0)
-    samples = _int_param(config, "samples", 20000, 320)
-    ps = _list_param(config, "ps", [4.0 / 3.0, 1.5], float, 1)
-    ns = _list_param(config, "ns", [2, 4, 8, 16], int, 1)
-    report = Report("embedding-type", config)
+def _exp_embedding_type(report, *, seed, samples, ps, ns) -> None:
     for p in ps:
-        _require(1.0 < p < 2.0, "ps", "difference-route exponents must lie in (1, 2)")
         s = 1.0 / p - 0.5
         best = 0.0
         for n in ns:
@@ -190,24 +194,15 @@ def _exp_embedding_type(config) -> Report:
                        lhs=est.mean, rhs=besov, constant=ratio,
                        std_error=est.std_error)
         report.summary[f"max_gamma_over_besov_p={p:g}"] = best
-    return report
 
 
-def _exp_embedding_cotype(config) -> Report:
-    seed = _int_param(config, "seed", 0, 0)
-    samples = _int_param(config, "samples", 20000, 320)
-    grid_n = _int_param(config, "grid_n", 2048, 64)
-    period = _float_param(config, "period", 4.0, 0.0)
-    levels = _int_param(config, "levels", 8, 4)
-    qs = _list_param(config, "qs", [2.0, 3.0], float, 2)
-    counts = _list_param(config, "ns", [1, 2], int, 1)
+def _exp_embedding_cotype(report, *, seed, samples, grid_n, period, levels, qs, ns) -> None:
+    _require(all(3 * count < levels for count in ns), "ns", "needs 3n below the bank levels")
     bank = build_filter_bank(period, grid_n, 1, levels)
-    report = Report("embedding-cotype", config)
     for q in qs:
         s = 1.0 / q - 0.5
         best = 0.0
-        for count in counts:
-            _require(3 * count < levels, "ns", "needs 3n below the bank levels")
+        for count in ns:
             space = LpSpace(q, count)
             vec_seed = derive_seed(seed, "embedding-cotype", _fmt(q), count)
             vectors = _unit_tuple(space, count, vec_seed)
@@ -226,19 +221,10 @@ def _exp_embedding_cotype(config) -> Report:
                                             levels=levels, vector_seed=vec_seed),
                        lhs=besov, rhs=gam, constant=ratio, std_error=se)
         report.summary[f"max_besov_over_gamma_q={q:g}"] = best
-    return report
 
 
-def _exp_band_limited(config) -> Report:
-    seed = _int_param(config, "seed", 0, 0)
-    samples = _int_param(config, "samples", 20000, 320)
-    grid_n = _int_param(config, "grid_n", 4096, 256)
-    period = _float_param(config, "period", 128.0, 0.0)
-    width = _float_param(config, "width", 5.0, 0.0)
-    dim = _int_param(config, "dim", 3, 1)
-    ps = _list_param(config, "ps", [2.0, 1.5, 1.0], float, 1)
+def _exp_band_limited(report, *, seed, samples, grid_n, period, width, dim, ps) -> None:
     bank = build_filter_bank(period, grid_n, 1, 2)
-    report = Report("band-limited", config)
     # shell 2 with a wide envelope: spectrum lives in ~[1, 3], inside [-pi, pi]
     for p in ps:
         space = LpSpace(p, dim)
@@ -262,15 +248,9 @@ def _exp_band_limited(config) -> Report:
                                             vector_seed=vec_seed),
                        lhs=gam, rhs=lp_val, constant=gam / lp_val, std_error=se)
         report.summary[f"gamma_over_lp_p={p:g}"] = gam / lp_val
-    return report
 
 
-def _exp_partition(config) -> Report:
-    seed = _int_param(config, "seed", 0, 0)
-    samples = _int_param(config, "samples", 20000, 320)
-    cases = _int_param(config, "cases", 20, 1)
-    dim = _int_param(config, "dim", 4, 2)
-    report = Report("partition", config)
+def _exp_partition(report, *, seed, samples, cases, dim) -> None:
     worst_gap = 0.0
     for i in range(cases):
         case_seed = derive_seed(seed, "partition", i)
@@ -306,22 +286,11 @@ def _exp_partition(config) -> Report:
                        std_error=chk.std_error_budget, tolerance=tol,
                        asserted=True, margin=chk.margin)
     report.summary["worst_hilbert_squared_gap"] = worst_gap
-    return report
 
 
-def _exp_dilation(config) -> Report:
-    seed = _int_param(config, "seed", 0, 0)  # unused randomness; kept for the schema
-    grid_n = _int_param(config, "grid_n", 32768, 4096)
-    period = _float_param(config, "period", 64.0, 0.0)
-    levels = _int_param(config, "levels", 10, 6)
-    k0 = _int_param(config, "k0", 5, 1)
-    width = _float_param(config, "width", 0.35, 0.0)
-    s = _float_param(config, "s", 0.5)
-    p = _float_param(config, "p", 4.0 / 3.0, 1.0 - 1e-12)
-    q = _float_param(config, "q", 4.0 / 3.0, 1.0 - 1e-12)
-    lambdas = _list_param(config, "lambdas", [2, 4, 8, 16], int, 2, min_items=1)
+def _exp_dilation(report, *, grid_n, period, levels, k0, width, s, p, q, lambdas,
+                  tolerance) -> None:
     _require(all(v & (v - 1) == 0 for v in lambdas), "lambdas", "entries must be powers of two")
-    tol = _float_param(config, "tolerance", 0.2, 0.0)
     bank = build_filter_bank(period, grid_n, 1, levels)
     f = make_single_band(k0, bank, width=width)
     base = besov_norm_fourier(f, s, p, q, bank)
@@ -331,28 +300,17 @@ def _exp_dilation(config) -> Report:
         val = besov_norm_fourier(f_lam, s, p, q, bank)
         ratios.append(val / (lam ** (s - 1.0 / p) * base))
     gmean = float(np.exp(np.mean(np.log(ratios))))
-    report = Report("dilation", config)
     for lam, ratio in zip(lambdas, ratios):
         report.add(case=f"lambda={lam}",
                    inputs=format_inputs(k0=k0, width=width, s=s, p=p, q=q,
                                         grid_n=grid_n, period=period, levels=levels),
-                   lhs=ratio, rhs=gmean, constant=gmean, tolerance=tol,
-                   asserted=True, margin=tol - abs(ratio / gmean - 1.0))
+                   lhs=ratio, rhs=gmean, constant=gmean, tolerance=tolerance,
+                   asserted=True, margin=tolerance - abs(ratio / gmean - 1.0))
     report.summary["dilation_constant_gmean"] = gmean
     report.summary["max_relative_spread"] = max(abs(r / gmean - 1.0) for r in ratios)
-    return report
 
 
-def _step_besov_constant(p: float) -> float:
-    return 1.0 + 2.0 ** (1.0 / p + 1.0) + 2.0 / (1.0 / p - 0.5)
-
-
-def _exp_step_identities(config) -> Report:
-    seed = _int_param(config, "seed", 0, 0)
-    samples = _int_param(config, "samples", 20000, 320)
-    ps = _list_param(config, "ps", [1.0, 4.0 / 3.0, 1.5, 2.0], float, 1)
-    ns = _list_param(config, "ns", [2, 4, 8, 16, 32, 64], int, 1)
-    report = Report("step-identities", config)
+def _exp_step_identities(report, *, seed, samples, ps, ns) -> None:
     for p in ps:
         worst_ratio = 0.0
         for n in ns:
@@ -389,7 +347,7 @@ def _exp_step_identities(config) -> Report:
 
             if 1.0 < p < 2.0:
                 s = 1.0 / p - 0.5
-                bound_c = _step_besov_constant(p)
+                bound_c = 1.0 + 2.0 ** (1.0 / p + 1.0) + 2.0 / s
                 besov = besov_norm_difference(f, s, p, 1.0)
                 rhs = bound_c * (2 * n) ** -0.5 * s_p
                 worst_ratio = max(worst_ratio, besov / rhs)
@@ -398,23 +356,12 @@ def _exp_step_identities(config) -> Report:
                            asserted=True)
         if 1.0 < p < 2.0:
             report.summary[f"besov_bound_utilization_p={p:g}"] = worst_ratio
-    return report
 
 
-def _exp_tent_scaling(config) -> Report:
-    p = _float_param(config, "p", 1.5, 1.0 - 1e-12)
-    alpha = _float_param(config, "alpha", 0.1, 0.0, 1.0)
-    r = _float_param(config, "r", 1.05, 1.0)
+def _exp_tent_scaling(report, *, p, alpha, r, holder_ns, slope_ns, slope_tolerance) -> None:
     _require(r < 1.0 / (p / 2.0 + alpha * p), "r",
              "must stay below 1/(p/2 + alpha p) for the scaling regime")
-    holder_ns = _list_param(config, "holder_ns", [4, 8, 16, 32, 64, 128], int, 1)
-    # a slope fit needs at least two sizes
-    slope_ns = _list_param(config, "slope_ns",
-                           [2 ** 16, 2 ** 17, 2 ** 18, 2 ** 19, 2 ** 20, 2 ** 21],
-                           int, 2, min_items=2)
-    slope_tol = _float_param(config, "slope_tolerance", 0.10, 0.0)
     c = zeta_sum(r)
-    report = Report("tent-scaling", config)
 
     for n in holder_ns:
         g = make_tent_family(n, r, p)
@@ -438,15 +385,14 @@ def _exp_tent_scaling(config) -> Report:
     target = (1.0 - p * r / 2.0) / p
     report.add(case="slope",
                inputs=format_inputs(p=p, r=r, n_min=slope_ns[0], n_max=slope_ns[-1]),
-               lhs=slope, rhs=target, tolerance=slope_tol * target,
-               asserted=True, margin=slope_tol * target - abs(slope - target))
+               lhs=slope, rhs=target, tolerance=slope_tolerance * target,
+               asserted=True, margin=slope_tolerance * target - abs(slope - target))
     report.add(case="contradiction-exponents",
                inputs=format_inputs(p=p, r=r, alpha=alpha),
                lhs=r * alpha, rhs=slope, asserted=True)
     report.summary["fitted_slope"] = slope
     report.summary["target_slope"] = target
     report.summary["holder_exponent"] = r * alpha
-    return report
 
 
 # direction -> (exponent of the swept l^p space, the constant-1 case on that
@@ -458,15 +404,9 @@ _CONSTANT_SEARCHES = {
 }
 
 
-def _exp_constant(direction, config) -> Report:
+def _exp_constant(direction, report, *, seed, samples, budget, restarts, n_vectors,
+                  dims) -> None:
     space_p, (exponent_1, case_1), prefix, key_format, ratio = _CONSTANT_SEARCHES[direction]
-    seed = _int_param(config, "seed", 0, 0)
-    samples = _int_param(config, "samples", 2048, 320)
-    budget = _int_param(config, "budget", 4000, 1)
-    restarts = _int_param(config, "restarts", 12, 1)
-    n_vectors = _int_param(config, "n_vectors", 8, 1)
-    dims = _list_param(config, "dims", [2, 4, 8], int, 1)
-    report = Report(f"{direction}-constant", config)
 
     # analytic constant-1 cases: every Hilbert constant, and the trivial exponent
     for case, p, exponent in ((f"hilbert-{direction}2", 2, 2.0),
@@ -499,47 +439,107 @@ def _exp_constant(direction, config) -> Report:
         report.summary[f"{key}_restarts_run"] = est.restarts_run
         report.summary[f"{key}_budget_exhausted"] = est.budget_exhausted
         prev_value, prev_witness = est.value, est.witness
-    return report
 
 
-EXPERIMENTS = {
-    "embedding-type": _exp_embedding_type,
-    "embedding-cotype": _exp_embedding_cotype,
-    "band-limited": _exp_band_limited,
-    "partition": _exp_partition,
-    "dilation": _exp_dilation,
-    "step-identities": _exp_step_identities,
-    "tent-scaling": _exp_tent_scaling,
-    "type-constant": partial(_exp_constant, "type"),
-    "cotype-constant": partial(_exp_constant, "cotype"),
+_SEED = Param(int, 0, minimum=0)
+_MC_SAMPLES = Param(int, 20000, minimum=320)
+_CONSTANT_PARAMS = {
+    "seed": _SEED,
+    "samples": Param(int, 2048, minimum=320),
+    "budget": Param(int, 4000, minimum=1),
+    "restarts": Param(int, 12, minimum=1),
+    "n_vectors": Param(int, 8, minimum=1),
+    "dims": Param(list[int], [2, 4, 8], minimum=1),
 }
 
-EXPERIMENT_INFO = {
-    "embedding-type": "Gaussian-sum norm against the difference-route smoothness "
-                      "norm on random step families (ratios reported)",
-    "embedding-cotype": "frequency-route smoothness norm against the Gaussian-sum "
-                        "norm for orthonormal band-bump systems (ratios reported)",
-    "band-limited": "Gaussian-sum norm vs L^p norm for functions with spectrum "
-                    "inside [-pi, pi] (exact Hilbert case asserted)",
-    "partition": "partition inequalities for restricted operators: exact Hilbert "
-                 "Pythagoras plus constant-1 type/cotype cases under MC",
-    "dilation": "dilation covariance of the frequency-route norm on single-band "
-                "bumps: scaled ratios stay within a band around their geometric mean",
-    "step-identities": "closed-form L^p and Gaussian-sum identities plus the "
-                       "difference-norm upper bound for alternating steps",
-    "tent-scaling": "exact Holder bound and closed-form Gaussian moment growth "
-                    "for shrinking tent families; log-log slope vs target",
-    "type-constant": "randomized lower bounds for Gaussian type constants with "
-                     "exact constant-1 shortcuts and a monotone dimension sweep",
-    "cotype-constant": "randomized lower bounds for Gaussian cotype constants, "
-                       "mirror of type-constant",
+EXPERIMENTS = {
+    "embedding-type": Experiment(
+        _exp_embedding_type,
+        "Gaussian-sum norm vs difference-route Besov norm of random step families (ratios)",
+        {"seed": _SEED, "samples": _MC_SAMPLES,
+         "ps": Param(list[float], [4.0 / 3.0, 1.5], above=1.0, below=2.0),
+         "ns": Param(list[int], [2, 4, 8, 16], minimum=1)}),
+    "embedding-cotype": Experiment(
+        _exp_embedding_cotype,
+        "frequency-route Besov norm vs Gaussian-sum norm of orthonormal bump systems (ratios)",
+        {"seed": _SEED, "samples": _MC_SAMPLES,
+         "grid_n": Param(int, 2048, minimum=64),
+         "period": Param(float, 4.0, above=0.0),
+         "levels": Param(int, 8, minimum=4),
+         "qs": Param(list[float], [2.0, 3.0], minimum=2),
+         "ns": Param(list[int], [1, 2], minimum=1)}),
+    "band-limited": Experiment(
+        _exp_band_limited,
+        "Gaussian-sum vs L^p norm for spectra inside [-pi, pi] (exact Hilbert case asserted)",
+        {"seed": _SEED, "samples": _MC_SAMPLES,
+         "grid_n": Param(int, 4096, minimum=256),
+         "period": Param(float, 128.0, above=0.0),
+         "width": Param(float, 5.0, above=0.0),
+         "dim": Param(int, 3, minimum=1),
+         "ps": Param(list[float], [2.0, 1.5, 1.0], minimum=1)}),
+    "partition": Experiment(
+        _exp_partition,
+        "partition inequalities: exact Hilbert Pythagoras, constant-1 type/cotype cases by MC",
+        {"seed": _SEED, "samples": _MC_SAMPLES,
+         "cases": Param(int, 20, minimum=1),
+         "dim": Param(int, 4, minimum=2)}),
+    "dilation": Experiment(
+        _exp_dilation,
+        "dilation covariance of the frequency-route norm: ratios near their geometric mean",
+        {"grid_n": Param(int, 32768, minimum=4096),
+         "period": Param(float, 64.0, above=0.0),
+         "levels": Param(int, 10, minimum=6),
+         "k0": Param(int, 5, minimum=1),
+         "width": Param(float, 0.35, above=0.0),
+         "s": Param(float, 0.5),
+         "p": Param(float, 4.0 / 3.0, minimum=1),
+         "q": Param(float, 4.0 / 3.0, minimum=1),
+         "lambdas": Param(list[int], [2, 4, 8, 16], minimum=2, min_items=1),
+         "tolerance": Param(float, 0.2, above=0.0)}),
+    "step-identities": Experiment(
+        _exp_step_identities,
+        "closed-form L^p and Gaussian-sum identities and the difference-norm bound of steps",
+        {"seed": _SEED, "samples": _MC_SAMPLES,
+         "ps": Param(list[float], [1.0, 4.0 / 3.0, 1.5, 2.0], minimum=1),
+         "ns": Param(list[int], [2, 4, 8, 16, 32, 64], minimum=1)}),
+    "tent-scaling": Experiment(
+        _exp_tent_scaling,
+        "Holder bound and Gaussian moment growth of shrinking tents; log-log slope vs target",
+        {"p": Param(float, 1.5, minimum=1),
+         "alpha": Param(float, 0.1, above=0.0, below=1.0),
+         "r": Param(float, 1.05, above=1.0),
+         "holder_ns": Param(list[int], [4, 8, 16, 32, 64, 128], minimum=1),
+         "slope_ns": Param(list[int], [2 ** k for k in range(16, 22)], minimum=2, min_items=2),
+         "slope_tolerance": Param(float, 0.10, above=0.0)}),
+    "type-constant": Experiment(
+        partial(_exp_constant, "type"),
+        "randomized lower bounds for Gaussian type constants, with exact constant-1 cases",
+        _CONSTANT_PARAMS),
+    "cotype-constant": Experiment(
+        partial(_exp_constant, "cotype"),
+        "randomized lower bounds for Gaussian cotype constants, mirror of type-constant",
+        _CONSTANT_PARAMS),
 }
 
 
 def run(experiment_id: str, config: dict | None = None) -> Report:
-    """Run one named experiment; unknown ids are rejected before any work."""
-    if experiment_id not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise UsageError(f"experiment: unknown id {experiment_id!r} (known: {known})")
+    """Run one named experiment on `config`.  An unknown id or key, or a value
+    its Param does not admit, is rejected before any work; a ValueError the
+    library raises for the values given becomes a UsageError too."""
+    _require(experiment_id in EXPERIMENTS, "experiment",
+             f"unknown id {experiment_id!r} (known: {', '.join(sorted(EXPERIMENTS))})")
+    experiment = EXPERIMENTS[experiment_id]
     config = dict(config or {})
-    return EXPERIMENTS[experiment_id](config)
+    unknown = sorted(set(config) - set(experiment.params))
+    _require(not unknown, ", ".join(unknown),
+             f"not a parameter of {experiment_id} (known: {', '.join(experiment.params)})")
+    params = {key: _check(key, param, config.get(key, param.default))
+              for key, param in experiment.params.items()}
+    report = Report(experiment_id, config)
+    try:
+        experiment.func(report, **params)
+    except ValueError as exc:
+        if isinstance(exc, UsageError) or not config:
+            raise  # already a usage error, or a fault: the defaults must run
+        raise UsageError(f"{', '.join(sorted(config))}: {exc}") from exc
+    return report

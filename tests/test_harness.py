@@ -1,12 +1,14 @@
 import json
 import math
+from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
 
 from besovgamma import cli
 from besovgamma.functions import lp_norm
-from besovgamma.harness import (CSV_COLUMNS, EXPERIMENTS, UsageError,
+from besovgamma.harness import (CSV_COLUMNS, EXPERIMENTS, UsageError, _check,
                                 render_csv, run, write_report_csv)
 from besovgamma.montecarlo import gaussian_array
 from besovgamma.spaces import LpSpace
@@ -201,3 +203,136 @@ def test_cli_overrides_reach_the_experiment(tmp_path, capsys):
     assert "grid_n=1024" in text_a
     assert "samples=640" in text_a
     assert text_a != out_b.read_text(encoding="utf-8")
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs"
+                     / "experiment_config.schema.json").read_text(encoding="utf-8"))
+
+
+def _declarations():
+    """Config key -> every Param declared for it, across the experiments."""
+    out = {}
+    for experiment in EXPERIMENTS.values():
+        for key, param in experiment.params.items():
+            out.setdefault(key, []).append(param)
+    return out
+
+
+def test_schema_lists_exactly_the_declared_keys():
+    assert SCHEMA["additionalProperties"] is False
+    assert set(SCHEMA["properties"]) == set(_declarations())
+
+
+@pytest.mark.parametrize("key", sorted(_declarations()))
+def test_schema_entry_matches_the_declarations(key):
+    params = _declarations()[key]
+    entry = SCHEMA["properties"][key]
+    (kind,) = {p.kind for p in params}
+    many = get_origin(kind) is list
+    json_type = {int: "integer", float: "number"}[get_args(kind)[0] if many else kind]
+    bounded = entry["items"] if many else entry
+    assert entry["type"] == ("array" if many else json_type)
+    assert bounded["type"] == json_type
+    # the schema states the loosest bound any experiment accepts
+    lower = [(p.minimum, True) if p.minimum is not None else (p.above, False)
+             for p in params]
+    if any(value is None for value, _ in lower):
+        assert "minimum" not in bounded and "exclusiveMinimum" not in bounded
+    else:
+        value, inclusive = min(lower, key=lambda b: (b[0], not b[1]))
+        assert bounded.get("minimum" if inclusive else "exclusiveMinimum") == value
+        assert ("exclusiveMinimum" if inclusive else "minimum") not in bounded
+    uppers = [p.below for p in params]
+    assert bounded.get("exclusiveMaximum") == (None if None in uppers else max(uppers))
+    assert entry.get("minItems", 0) == min(p.min_items for p in params)
+    if "default" in entry:
+        assert all(p.default == entry["default"] for p in params)
+    for param in params:
+        assert _check(key, param, param.default) == param.default
+
+
+@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+def test_cli_rejects_an_unknown_key(tmp_path, capsys, experiment_id):
+    first = next(iter(EXPERIMENTS[experiment_id].params))
+    typo = first + first[-1]
+    assert typo not in EXPERIMENTS[experiment_id].params
+    cfg = _write_config(tmp_path, "c.json", {typo: 1})
+    assert cli.main(["run", experiment_id, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"besovgamma: {typo}: not a parameter of {experiment_id}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, field_name", [
+    (["run", "tent-scaling", "--seed", "3"], "seed"),   # tent-scaling draws nothing at random
+    (["run", "dilation", "--grid", "4096"], "grid_n"),  # 2^10 bands need a finer grid
+])
+def test_cli_overrides_an_experiment_cannot_use_return_two(capsys, argv, field_name):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"besovgamma: {field_name}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("experiment, payload, message", [
+    ("embedding-cotype", {"levels": 20}, "must stay below the Nyquist frequency"),
+    ("embedding-cotype", {"grid_n": 100}, "must stay below the Nyquist frequency"),
+    ("band-limited", {"width": 100}, "envelope width too large for the period"),
+    ("band-limited", {"grid_n": 300}, "points per axis must be a power of two"),
+    ("dilation", {"k0": 11}, "k0 must be in 1..10"),
+    ("dilation", {"levels": 30}, "must stay below the Nyquist frequency"),
+])
+def test_cli_library_rejections_of_config_values_return_two(tmp_path, capsys, experiment,
+                                                            payload, message):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert cli.main(["run", experiment, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    (key,) = payload
+    assert captured.err.startswith(f"besovgamma: {key}: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_usage_errors_from_an_experiment_are_not_wrapped_twice():
+    with pytest.raises(UsageError) as info:
+        run("embedding-cotype", {"ns": [3]})
+    assert str(info.value) == "ns: needs 3n below the bank levels"
+
+
+def test_a_value_error_at_the_defaults_stays_a_fault(monkeypatch):
+    def broken(report, **params):
+        raise ValueError("broken")
+
+    monkeypatch.setitem(EXPERIMENTS, "partition", EXPERIMENTS["partition"]._replace(func=broken))
+    with pytest.raises(ValueError, match="broken") as info:
+        run("partition")
+    assert not isinstance(info.value, UsageError)
+    with pytest.raises(UsageError, match="^cases: broken$"):
+        run("partition", {"cases": 1})
+
+
+@pytest.mark.parametrize("experiment, payload, message", [
+    ("tent-scaling", {"alpha": 1.0}, "alpha: must be below 1.0"),
+    ("tent-scaling", {"r": 1.0}, "r: must exceed 1.0"),
+    ("embedding-type", {"ps": [1.5, 1.0]}, "ps: entries must exceed 1.0"),
+    ("embedding-type", {"ps": [2.0]}, "ps: entries must be below 2.0"),
+    ("partition", {"dim": 1}, "dim: must be at least 2"),
+    ("partition", {"cases": True}, "cases: must be an integer"),
+    ("dilation", {"s": "0.5"}, "s: must be a number"),
+    ("dilation", {"lambdas": 2}, "lambdas: must be a list of integers"),
+])
+def test_declared_bounds_hold_at_their_edges(experiment, payload, message):
+    with pytest.raises(UsageError) as info:
+        run(experiment, payload)
+    assert str(info.value) == message
+
+
+def test_an_inclusive_minimum_admits_its_edge_and_values_arrive_cast():
+    report = run("dilation", {"p": 1, "q": 1.0, "lambdas": [2]})
+    assert ";p=1;" in report.rows[0].inputs and ";q=1;" in report.rows[0].inputs
+    params = EXPERIMENTS["dilation"].params
+    assert type(_check("p", params["p"], 1)) is float
+    assert _check("lambdas", params["lambdas"], (np.int64(2), 4)) == [2, 4]
+    assert [type(v) for v in _check("lambdas", params["lambdas"], (np.int64(2), 4))] == [int, int]
