@@ -15,9 +15,13 @@ inverse transform per level.
 
 Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
-continuity, exact for steps up to quadrature roundoff (the modulus is
-read off the kinks of the shift profile, see `_step_seminorm`).  Linear
-sources use midpoint quadrature on a geometric t-grid over sampled moduli.
+continuity.  One algorithm serves steps and linear sources: the shift
+profile F(h) = ||f(.+h) - f||_p^p is evaluated at a set of shifts in one
+vectorised pass (`_shift_powers`), and the modulus and the integral are
+read off those values (`_seminorm`).  The source kind decides only which
+shifts are sampled: for steps the breakpoint differences, where F has its
+kinks, so the result is exact up to quadrature roundoff; for linear
+sources those plus a fixed geometric grid.
 
 Holder route (piecewise linear only): the sup norm plus the difference
 quotient maximized over breakpoint pairs.  That maximum is exact, not a
@@ -34,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (GridFunction, Interpolation, PiecewiseFunction,
-                        _gl_rule, grid_lp_norm, lp_norm, translate_diff_norm)
-from .spaces import INF, as_exponent
+from .functions import (GL_NODES, GridFunction, Interpolation, PiecewiseFunction,
+                        _frequency_radii, _gl_rule, grid_lp_norm, lp_norm)
+from .spaces import INF, as_exponent, lq_norm
 
 
 def smoothstep(u):
@@ -54,20 +58,6 @@ def chi(r):
 def band_profile(r):
     """chi(r) - chi(2r): nonnegative, supported on 1/2 <= r <= 2."""
     return chi(r) - chi(2.0 * np.asarray(r, dtype=float))
-
-
-def lq_norm(seq, q) -> float:
-    """l^q norm of a nonnegative sequence, max-factored so that a single
-    dominant entry returns that entry to the bit (monotonicity in q then
-    survives floating point)."""
-    q = as_exponent(q)
-    seq = np.asarray(seq, dtype=float)
-    top = float(seq.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    if q is INF:
-        return top
-    return top * float(((seq / top) ** q).sum()) ** (1.0 / q)
 
 
 @dataclass
@@ -100,13 +90,6 @@ class FilterBank:
     def kernel_l1(self, k: int) -> float:
         dx = self.period / self.n
         return float(np.abs(self.kernel(k)).sum() * dx ** self.d)
-
-
-def _frequency_radii(period: float, n: int, d: int) -> np.ndarray:
-    xi = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
-    if d == 1:
-        return np.abs(xi)
-    return np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
 
 
 def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
@@ -171,64 +154,95 @@ def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> flo
     return lq_norm(weights * blocks, q)
 
 
-def _gaps(b: np.ndarray) -> np.ndarray:
-    """The distinct positive breakpoint differences, sorted."""
-    diffs = (b[None, :] - b[:, None]).ravel()
-    return np.unique(diffs[diffs > 0])
+def _shifts(f: PiecewiseFunction) -> np.ndarray:
+    """The shifts h at which the difference route samples F, sorted: the
+    distinct positive breakpoint differences, where F has its kinks, and for
+    linear sources also the geometric grid 2^{-k/32}, k = 0..960 (30 octaves)."""
+    diffs = (f.breakpoints[None, :] - f.breakpoints[:, None]).ravel()
+    gaps = np.unique(diffs[diffs > 0])
+    if f.interpolation is Interpolation.STEP:
+        return gaps
+    return np.union1d(gaps, 2.0 ** (-np.arange(30 * 32 + 1) / 32))
 
 
-def _step_shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndarray:
-    """F(h) = ||f(.+h) - f||_p^p of a step f at every shift h: per row, the
-    merged breakpoints of f and f(.+h) cut cells where both are constant.
-    Chunks keep each temporary array near 2^18 floats."""
+def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndarray:
+    """F(h) = ||f(.+h) - f||_p^p at every shift h: per row, the merged
+    breakpoints of f and f(.+h) cut cells where both are constant (steps) or
+    affine (linear sources: the module Gauss-Legendre rule, with the
+    difference interpolated to the nodes from its cell-end values).  Chunks
+    keep each temporary array near 2^18 floats."""
     b = f.breakpoints
-    table = np.pad(f.values[1:], ((1, 1), (0, 0)))  # row i: the value on (b_{i-1}, b_i]
-    rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim))
+    step = f.interpolation is Interpolation.STEP
+    if step:
+        table = np.pad(f.values[1:], ((1, 1), (0, 0)))  # row i: the value on (b_{i-1}, b_i]
+    else:
+        # row i: the affine piece on (b_{i-1}, b_i], start + (x - origin) slope; zero outside
+        start, origin = np.pad(f.values[:-1], ((1, 1), (0, 0))), np.pad(b[:-1], 1)
+        slope = np.pad(np.diff(f.values, axis=0) / np.diff(b)[:, None], ((1, 1), (0, 0)))
+        nodes, weights = _gl_rule(GL_NODES)
+        theta = (0.5 * (nodes + 1.0))[:, None]
+    rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim * (1 if step else GL_NODES)))
     out = np.empty(shifts.size)
     for lo in range(0, shifts.size, rows):
         h = shifts[lo:lo + rows, None]
         pts = np.sort(np.hstack([np.broadcast_to(b, (h.shape[0], b.size)), b - h]), axis=1)
         mids = 0.5 * (pts[:, 1:] + pts[:, :-1])
-        diff = table[np.searchsorted(b, mids + h)] - table[np.searchsorted(b, mids)]
-        out[lo:lo + rows] = (np.diff(pts, axis=1) * f.space.norms(diff) ** p).sum(axis=1)
+        here, there = np.searchsorted(b, mids), np.searchsorted(b, mids + h)
+        if step:
+            diff = table[there] - table[here]
+            out[lo:lo + rows] = (np.diff(pts, axis=1) * f.space.norms(diff) ** p).sum(axis=1)
+            continue
+        d0, d1 = (start[there] + (x + h - origin[there])[..., None] * slope[there]
+                  - start[here] - (x - origin[here])[..., None] * slope[here]
+                  for x in (pts[:, :-1], pts[:, 1:]))
+        powered = f.space.norms(d0[:, :, None] + theta * (d1 - d0)[:, :, None]) ** p
+        out[lo:lo + rows] = 0.5 * (np.diff(pts, axis=1) * (powered @ weights)).sum(axis=1)
     return out
 
 
-def modulus_of_continuity(f: PiecewiseFunction, t: float, p: float,
-                          h_grid: int = 64) -> float:
+def modulus_of_continuity(f: PiecewiseFunction, t: float, p: float) -> float:
     """sup_{|h| <= t} ||f(.+h) - f||_p; positive h suffice (t -> t - h).
 
     Exact for steps up to roundoff: F(h) = ||f(.+h) - f||_p^p is piecewise
     linear in h with kinks at breakpoint differences, so its sup over (0, t]
-    sits at a kink or at t.  A lower bound for linear sources: the max over
-    the grid t j / h_grid (j = 1..h_grid) and breakpoint differences <= t.
+    sits at a kink or at t.  A lower bound for linear sources: the max of F
+    over the shifts of `_shifts` up to t, nondecreasing in t by construction
+    (F(t) itself when t lies below all of them).
     """
     t = float(t)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    gaps = _gaps(f.breakpoints)
-    if f.interpolation is Interpolation.STEP:
-        return float(_step_shift_powers(f, np.append(gaps[gaps < t], t), p).max()) ** (1.0 / p)
-    grid = t * np.arange(1, h_grid + 1) / h_grid
-    candidates = np.unique(np.concatenate([grid, gaps[gaps <= t]]))
-    return max(translate_diff_norm(f, h, p) for h in candidates)
+    h = _shifts(f)
+    if f.interpolation is Interpolation.STEP or t < h[0]:
+        h = np.append(h[h < t], t)
+    else:
+        h = h[h <= t]
+    return float(_shift_powers(f, h, p).max()) ** (1.0 / p)
 
 
-def _step_seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
-    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} for a step f: rho^p = max(M, F),
-    M the running max of F over the kinks, F linear between them.  Below the
-    smallest kink g, F(h) = (F(g)/g) h: closed form.  Later pieces split where
-    F overtakes M; each half gets 20-point Gauss-Legendre in log t.  For
-    q = inf the sup is the max of t^{-s} F^{1/p} over the kinks: on a piece
-    t^{-s} M^{1/p} decreases and t^{-s} F^{1/p} has no interior maximum."""
-    gaps = _gaps(f.breakpoints)
-    kinks = np.append(gaps[gaps < 1.0], 1.0)
-    F = _step_shift_powers(f, kinks, p)
+def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
+    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} from F at the shifts of
+    `_shifts` below 1 and at 1: rho^p = max(M, F), M the running max of F
+    over those shifts, F linear between them (exact for steps, whose F is
+    piecewise linear with kinks at the breakpoint differences).  Below the
+    smallest shift g, F(h) = F(g) (h/g)^a, with a = 1 where f jumps (steps,
+    linear sources nonzero at an end) and a = p for continuous ones: closed
+    form, +inf for s >= a/p.  Later pieces split where F overtakes M; each
+    half gets 20-point Gauss-Legendre in log t.  For q = inf the sup is the
+    max of t^{-s} F^{1/p} over the shifts: on a piece t^{-s} M^{1/p}
+    decreases, and for s < 1/p, t^{-s} F^{1/p} has no interior maximum."""
+    jumps = f.interpolation is Interpolation.STEP or f.space.norms(f.values[[0, -1]]).any()
+    order = 1.0 if jumps else p
+    if s >= order / p:
+        return math.inf
+    h = _shifts(f)
+    kinks = np.append(h[h < 1.0], 1.0)
+    F = _shift_powers(f, kinks, p)
     if q is INF:
         return float((kinks ** -s * F ** (1.0 / p)).max())
     best = np.maximum.accumulate(F)
-    expo = (1.0 / p - s) * q
-    total = float((F[0] / kinks[0]) ** (q / p) * kinks[0] ** expo / expo)
+    expo = (order / p - s) * q
+    total = float((F[0] / kinks[0] ** order) ** (q / p) * kinks[0] ** expo / expo)
     lo, hi, r0, r1, top = kinks[:-1], kinks[1:], F[:-1], F[1:], best[:-1]
     rising = r1 > top
     cross = lo + (hi - lo) * np.where(rising, (top - r0) / np.where(rising, r1 - r0, 1.0), 1.0)
@@ -242,33 +256,23 @@ def _step_seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
     return total ** (1.0 / q)
 
 
-def besov_norm_difference(f: PiecewiseFunction, s: float, p: float, q,
-                          quad: int = 256, h_grid: int = 64) -> float:
+def besov_norm_difference(f: PiecewiseFunction, s: float, p: float, q) -> float:
     """L^p norm plus (int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q}, rho the modulus.
 
-    s must lie in (0, 1).  Steps: exact up to quadrature roundoff, +inf for
-    s >= 1/p.  Linear sources: midpoint rule in log t on `quad` geometric
-    cells from t_min = 1/(4 m)^2 (m = breakpoint count) to 1 over moduli
-    sampled with `h_grid`, omitting the O(t_min^{(1-s)q}) mass below t_min.
+    s must lie in (0, 1) and p in [1, inf).  Steps: exact up to quadrature
+    roundoff.  Linear sources: F(h) = ||f(.+h) - f||_p^p sampled at the
+    breakpoint differences and on a geometric grid of 32 shifts per octave
+    over 30 octaves, interpolated linearly between them.  +inf for s >= 1/p
+    where f jumps: every step, and a linear source nonzero at an end.
     """
     s = float(s)
     if not (0.0 < s < 1.0):
         raise ValueError("smoothness s must lie in (0, 1)")
     p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError("the difference route needs a finite p >= 1")
     q = as_exponent(q)
-    if f.interpolation is Interpolation.STEP:
-        if s >= 1.0 / p:
-            return math.inf
-        return lp_norm(f, p) + _step_seminorm(f, s, p, q)
-    t_min = 1.0 / (4.0 * f.breakpoints.size) ** 2
-    edges = np.exp(np.linspace(math.log(t_min), 0.0, quad + 1))
-    mids = np.sqrt(edges[1:] * edges[:-1])
-    widths = np.log(edges[1:]) - np.log(edges[:-1])
-    rho = np.array([modulus_of_continuity(f, t, p, h_grid) for t in mids])
-    integrand = mids ** (-s) * rho
-    if q is INF:
-        return lp_norm(f, p) + float(integrand.max())
-    return lp_norm(f, p) + float((integrand ** q * widths).sum()) ** (1.0 / q)
+    return lp_norm(f, p) + _seminorm(f, s, p, q)
 
 
 def holder_norm(f: PiecewiseFunction, alpha: float) -> float:

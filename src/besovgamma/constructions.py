@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .besov import FilterBank, _frequency_radii
-from .functions import GridFunction, Interpolation, PiecewiseFunction
+from .besov import FilterBank
+from .functions import GridFunction, Interpolation, PiecewiseFunction, _frequency_radii
 from .spaces import LpSpace
 
 ZETA_TERMS = 10 ** 6

@@ -260,6 +260,14 @@ def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
     return _segment_pth_power(f, h, p, pts) ** (1.0 / p)
 
 
+def _frequency_radii(period: float, n: int, d: int) -> np.ndarray:
+    """|xi| at every bin of an n-point-per-axis grid of the given period."""
+    xi = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
+    if d == 1:
+        return np.abs(xi)
+    return np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+
+
 @dataclass
 class GridFunction:
     """Vector-valued samples on a uniform periodic grid of [0, period)^d."""
@@ -297,20 +305,9 @@ class GridFunction:
     def dx(self) -> float:
         return self.period / self.n
 
-    @property
-    def nyquist(self) -> float:
-        return math.pi / self.dx
-
-    def axis_frequencies(self) -> np.ndarray:
-        """Angular frequencies 2 pi m / period in FFT layout."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
-
     def frequency_radii(self) -> np.ndarray:
         """|xi| at every spectral bin, same leading shape as the spectrum."""
-        xi = self.axis_frequencies()
-        if self.d == 1:
-            return np.abs(xi)
-        return np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+        return _frequency_radii(self.period, self.n, self.d)
 
     def spectrum(self) -> np.ndarray:
         """Continuous-convention transform values at the grid frequencies."""

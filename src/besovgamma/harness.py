@@ -54,7 +54,7 @@ class Param(NamedTuple):
     minimum: float | None = None
     above: float | None = None
     below: float | None = None
-    min_items: int = 0
+    min_items: int = 1
 
 
 class Experiment(NamedTuple):
@@ -163,6 +163,7 @@ def _check(key: str, param: Param, value):
     _require(isinstance(value, (list, tuple)) == many
              and all(isinstance(v, types) and not isinstance(v, bool) for v in items),
              key, f"must be {_KIND_NAMES[param.kind]}")
+    _require(all(v == v for v in items), key, "must not be NaN")
     _require(len(items) >= param.min_items, key, f"length must be at least {param.min_items}")
     for bound, holds, words in ((param.minimum, operator.ge, "be at least"),
                                 (param.above, operator.gt, "exceed"),
@@ -290,6 +291,7 @@ def _exp_partition(report, *, seed, samples, cases, dim) -> None:
 
 def _exp_dilation(report, *, grid_n, period, levels, k0, width, s, p, q, lambdas,
                   tolerance) -> None:
+    _require(math.isfinite(s), "s", "must be finite")
     _require(all(v & (v - 1) == 0 for v in lambdas), "lambdas", "entries must be powers of two")
     bank = build_filter_bank(period, grid_n, 1, levels)
     f = make_single_band(k0, bank, width=width)
@@ -494,7 +496,7 @@ EXPERIMENTS = {
          "s": Param(float, 0.5),
          "p": Param(float, 4.0 / 3.0, minimum=1),
          "q": Param(float, 4.0 / 3.0, minimum=1),
-         "lambdas": Param(list[int], [2, 4, 8, 16], minimum=2, min_items=1),
+         "lambdas": Param(list[int], [2, 4, 8, 16], minimum=2),
          "tolerance": Param(float, 0.2, above=0.0)}),
     "step-identities": Experiment(
         _exp_step_identities,

@@ -102,6 +102,20 @@ class LpSpace:
         return np.power(np.power(np.abs(arr), self.p).sum(axis=-1), 1.0 / self.p)
 
 
+def lq_norm(seq, q) -> float:
+    """l^q norm of a nonnegative sequence, max-factored so that a single
+    dominant entry returns that entry to the bit (monotonicity in q then
+    survives floating point)."""
+    q = as_exponent(q)
+    seq = np.asarray(seq, dtype=float)
+    top = float(seq.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    if q is INF:
+        return top
+    return top * float(((seq / top) ** q).sum()) ** (1.0 / q)
+
+
 def gaussian_p_moment(sigma: float, p: float) -> float:
     """E|N(0, sigma^2)|^p = sigma^p * 2^{p/2} Gamma((p+1)/2) / sqrt(pi).
 

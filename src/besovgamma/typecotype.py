@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MCConfig, derive_seed, gaussian_array, rademacher_array
-from .spaces import INF, LpSpace, as_exponent
+from .spaces import INF, LpSpace, as_exponent, lq_norm
 
 DEFAULT_RESTARTS = 64
 CLIMB_SCALES = (0.5, 0.2, 0.08, 0.03)
@@ -58,58 +58,35 @@ def check_exponent(direction: str, exponent):
     return exponent
 
 
-def _second_moment(space: LpSpace, vectors: np.ndarray, cfg: MCConfig | None,
-                   variant: str) -> float:
-    """E || sum_n xi_n x_n ||^2 for Gaussian or Rademacher signs xi.
-
-    Hilbert targets are exact (both variants give sum ||x_n||^2); other
-    targets average over cfg.samples draws.
-    """
+def _ratio(space: LpSpace, direction: str, exponent, vectors, cfg: MCConfig | None,
+           variant: str) -> float:
+    """`_objective` of one tuple over xi = cfg.samples rows of Gaussian or
+    Rademacher signs, or xi = None (exact) for a Hilbert target."""
     if variant not in ("gaussian", "rademacher"):
         raise ValueError("variant must be 'gaussian' or 'rademacher'")
-    if space.is_hilbert:
-        return float((vectors ** 2).sum())
-    if cfg is None:
-        raise ValueError("non-Hilbert spaces need an MC config")
-    draw = gaussian_array if variant == "gaussian" else rademacher_array
-    xi = draw((cfg.samples, vectors.shape[0]), cfg.seed)
-    # Not spaces.gaussian_second_moment: ConstantEstimate.value must be
-    # reproduced bit for bit here, and it is a plain np.mean like
-    # `_objective`'s, which can differ in the last bit from a batch-means mean.
-    return float(np.mean(space.norms(xi @ vectors) ** 2))
-
-
-def _deterministic_sum(space: LpSpace, vectors: np.ndarray, exponent) -> float:
-    norms = space.norms(vectors)
-    if exponent is INF:
-        return float(norms.max())
-    p = float(exponent)
-    top = float(norms.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    return top * float(((norms / top) ** p).sum()) ** (1.0 / p)
+    vectors = np.asarray(vectors, dtype=float)
+    xi = None
+    if not space.is_hilbert:
+        if cfg is None:
+            raise ValueError("non-Hilbert spaces need an MC config")
+        draw = gaussian_array if variant == "gaussian" else rademacher_array
+        xi = draw((cfg.samples, vectors.shape[0]), cfg.seed)
+    value = _objective(space, direction, exponent, vectors, xi)
+    if value == -math.inf:
+        raise ValueError("the tuple must contain a nonzero vector")
+    return value
 
 
 def type_ratio(space: LpSpace, p, vectors, cfg: MCConfig | None = None,
                variant: str = "gaussian") -> float:
     """(E ||sum gamma_n x_n||^2)^{1/2} / (sum ||x_n||^p)^{1/p}."""
-    p = check_exponent("type", p)
-    vectors = np.asarray(vectors, dtype=float)
-    den = _deterministic_sum(space, vectors, p)
-    if den == 0.0:
-        raise ValueError("the tuple must contain a nonzero vector")
-    return math.sqrt(_second_moment(space, vectors, cfg, variant)) / den
+    return _ratio(space, "type", check_exponent("type", p), vectors, cfg, variant)
 
 
 def cotype_ratio(space: LpSpace, q, vectors, cfg: MCConfig | None = None,
                  variant: str = "gaussian") -> float:
     """(sum ||x_n||^q)^{1/q} / (E ||sum gamma_n x_n||^2)^{1/2} (max at q = inf)."""
-    q = check_exponent("cotype", q)
-    vectors = np.asarray(vectors, dtype=float)
-    num = _deterministic_sum(space, vectors, q)
-    if num == 0.0:
-        raise ValueError("the tuple must contain a nonzero vector")
-    return num / math.sqrt(_second_moment(space, vectors, cfg, variant))
+    return _ratio(space, "cotype", check_exponent("cotype", q), vectors, cfg, variant)
 
 
 @dataclass(frozen=True)
@@ -140,7 +117,7 @@ def _objective(space, direction, exponent, X, xi, rows=None) -> float:
     """Ratio with the second moment averaged over the fixed draw matrix xi
     (None for the exact Hilbert path); `rows`, when given, stands in for
     the row norms space.norms(xi @ X)."""
-    den = _deterministic_sum(space, X, exponent)
+    den = lq_norm(space.norms(X), exponent)
     if den == 0.0:
         return -math.inf
     if xi is None:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovgamma.besov import (FilterBank, _step_shift_powers, apply_multiplier,
+from besovgamma.besov import (FilterBank, _shift_powers, apply_multiplier,
                               band_profile, besov_norm_difference,
                               besov_norm_fourier, build_filter_bank, chi,
                               holder_norm, lp_block, lq_norm,
                               modulus_of_continuity, smoothstep)
+from besovgamma.constructions import make_tent_family
 from besovgamma.functions import (GridFunction, Interpolation,
                                   PiecewiseFunction, grid_lp_norm, lp_norm,
                                   translate_diff_norm)
@@ -254,15 +255,22 @@ def test_besov_difference_monotone_in_s():
 
 
 def test_besov_difference_divergence_for_rough_steps():
-    # at s >= 1/p the jump contribution is non-integrable
+    # at s >= 1/p the jump contribution is non-integrable; a linear source
+    # that is nonzero at an end of its support jumps there too, while a
+    # continuous one has rho(t) ~ t and stays finite for every s < 1
     assert besov_norm_difference(indicator(1.5), 0.7, 1.5, 1.0) == math.inf
+    ramp = PiecewiseFunction([0.0, 1.0], [[0.0], [1.0]], Interpolation.LINEAR, LpSpace(1.5, 1))
+    assert besov_norm_difference(ramp, 0.7, 1.5, 1.0) == math.inf
+    assert math.isfinite(besov_norm_difference(make_tent_family(4, 1.05, 1.5), 0.7, 1.5, 1.0))
     with pytest.raises(ValueError):
         besov_norm_difference(indicator(1.5), 1.2, 1.5, 1.0)
 
 
 @st.composite
-def random_steps(draw):
-    """A step with non-uniform breakpoints into l^p_dim, p in [1, 3], dim 1..3."""
+def random_steps(draw, kinds=(Interpolation.STEP,)):
+    """A step (or another of `kinds`) with non-uniform breakpoints into
+    l^p_dim, p in [1, 3], dim 1..3."""
+    kind = draw(st.sampled_from(kinds))
     dim = draw(st.integers(1, 3))
     m = draw(st.integers(2, 8))
     gaps = draw(st.lists(st.floats(0.02, 0.8), min_size=m - 1, max_size=m - 1))
@@ -270,20 +278,20 @@ def random_steps(draw):
     entry = st.floats(-2.0, 2.0).map(lambda x: round(x, 6))
     vals = draw(st.lists(entry, min_size=m * dim, max_size=m * dim))
     p = draw(st.floats(1.0, 3.0))
-    f = PiecewiseFunction(breaks, np.reshape(vals, (m, dim)), Interpolation.STEP,
-                          LpSpace(p, dim))
+    f = PiecewiseFunction(breaks, np.reshape(vals, (m, dim)), kind, LpSpace(p, dim))
     return f, p
 
 
 @settings(max_examples=60)
-@given(random_steps(), st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12))
+@given(random_steps(tuple(Interpolation)), st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12))
 def test_step_shift_powers_match_translate_diff_norm(step, shifts):
-    # arbitrary shifts plus every breakpoint difference, where cells degenerate
+    # arbitrary shifts plus every breakpoint difference, where cells degenerate;
+    # steps and linear sources alike
     f, p = step
     b = f.breakpoints
     diffs = (b[None, :] - b[:, None]).ravel()
     h = np.concatenate([shifts, diffs[diffs > 0]])
-    got = _step_shift_powers(f, h, p)
+    got = _shift_powers(f, h, p)
     want = np.array([translate_diff_norm(f, x, p) ** p for x in h])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -356,6 +364,56 @@ def test_besov_difference_closed_form_for_long_indicator():
         tail = 1.0 if q is INF else ((1.0 / p - s) * q) ** (-1.0 / q)
         closed = 2.0 ** (1.0 / p) * (1.0 + tail)
         assert besov_norm_difference(f, s, p, q) == pytest.approx(closed, rel=1e-13)
+
+
+def random_linear(jumps: bool):
+    """Linear on 7 random breakpoints into l^{1.7}_2; without `jumps` the end
+    values are zero, so the source is continuous."""
+    rng = np.random.Generator(np.random.Philox(key=5))
+    vals = rng.normal(size=(7, 2))
+    if not jumps:
+        vals[[0, -1]] = 0.0
+    return PiecewiseFunction(np.sort(rng.uniform(0.0, 1.0, size=7)), vals,
+                             Interpolation.LINEAR, LpSpace(1.7, 2))
+
+
+def dense_reference(f, s, p, qs):
+    """The norm for each q in qs from F on 256 shifts per octave over
+    2^-36..1, with no breakpoint differences among them: rho the running
+    max of the sampled F^{1/p}, the trapezoid rule in log t, and below
+    2^-36 rho ~ t^{1/p} where f jumps at an end, rho ~ t otherwise."""
+    h = 2.0 ** (-np.arange(36 * 256, -1, -1) / 256)
+    rho = np.maximum.accumulate(_shift_powers(f, h, p)) ** (1.0 / p)
+    rate = 1.0 / p if f.space.norms(f.values[[0, -1]]).any() else 1.0
+    out = []
+    for q in qs:
+        if q is INF:
+            out.append(lp_norm(f, p) + float((h ** -s * rho).max()))
+            continue
+        g = h ** (-s * q) * rho ** q
+        body = float((0.5 * (g[1:] + g[:-1]) * np.diff(np.log(h))).sum())
+        out.append(lp_norm(f, p) + (body + g[0] / ((rate - s) * q)) ** (1.0 / q))
+    return out
+
+
+@pytest.mark.parametrize("f, s, p", [
+    (make_tent_family(4, 1.05, 1.5), 0.2, 1.5),   # continuous: the paper's tents
+    (make_tent_family(4, 1.05, 1.5), 0.8, 1.5),   # continuous, s above 1/p
+    (random_linear(jumps=True), 0.2, 1.7),
+    (random_linear(jumps=True), 0.5, 1.7),
+    (random_linear(jumps=False), 0.4, 1.7),
+])
+def test_linear_difference_norm_matches_dense_reference(f, s, p):
+    qs = (1.0, 2.0, INF)
+    for q, want in zip(qs, dense_reference(f, s, p, qs)):
+        assert besov_norm_difference(f, s, p, q) == pytest.approx(want, rel=1e-4)
+
+
+def test_linear_modulus_is_nondecreasing_in_t():
+    # the sampled shifts are cut at t, so a larger t only adds candidates
+    f = random_linear(jumps=True)
+    rhos = [modulus_of_continuity(f, t, 1.7) for t in np.geomspace(1e-3, 1.0, 60)]
+    assert np.all(np.diff(rhos) >= 0.0)
 
 
 def test_holder_norm_single_tent():

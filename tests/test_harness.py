@@ -145,10 +145,15 @@ def test_cli_rejects_bad_dilation_lambdas(tmp_path, capsys, lambdas):
     ("type-constant", {"dims": [2.7]}, "dims"),
     ("tent-scaling", {"holder_ns": [0]}, "holder_ns"),
     ("tent-scaling", {"slope_ns": []}, "slope_ns"),
+    ("step-identities", {"ps": []}, "ps"),
+    ("embedding-cotype", {"qs": []}, "qs"),
+    ("embedding-type", {"ns": []}, "ns"),
+    ("cotype-constant", {"dims": []}, "dims"),
+    ("tent-scaling", {"holder_ns": []}, "holder_ns"),
 ])
 def test_cli_rejects_bad_list_parameters(tmp_path, capsys, experiment, payload, field_name):
     # a non-integer size, a string for a list, an item below its minimum,
-    # too few sizes for a slope fit
+    # too few sizes for a slope fit, a sweep over nothing
     cfg = _write_config(tmp_path, "c.json", payload)
     assert cli.main(["run", experiment, "--config", cfg]) == 2
     captured = capsys.readouterr()
@@ -162,6 +167,30 @@ def test_band_limited_runs_at_p_infinity():
     assert [r.case for r in report.rows] == ["p=inf"]
     assert "p=inf" in report.rows[0].inputs
     assert list(report.summary) == ["gamma_over_lp_p=inf"]
+
+
+@pytest.mark.parametrize("experiment, payload, message", [
+    ("dilation", {"s": math.nan}, "s: must not be NaN"),
+    ("dilation", {"s": math.inf}, "s: must be finite"),
+    ("dilation", {"s": -math.inf}, "s: must be finite"),
+    ("dilation", {"p": math.nan}, "p: must not be NaN"),
+    ("embedding-cotype", {"qs": [3.0, math.nan]}, "qs: must not be NaN"),
+])
+def test_cli_rejects_nan_and_an_infinite_smoothness(tmp_path, capsys, experiment, payload,
+                                                    message):
+    # json writes and reads the NaN and Infinity literals
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert cli.main(["run", experiment, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"besovgamma: {message}\n"
+    assert captured.out == ""
+
+
+def test_dilation_runs_at_infinite_p_and_q():
+    # only s must be finite; the norm exponents may be infinite
+    report = run("dilation", {"p": math.inf, "q": math.inf, "lambdas": [2]})
+    assert report.passed
+    assert ";p=inf;" in report.rows[0].inputs and ";q=inf;" in report.rows[0].inputs
 
 
 SMALL_SEARCH = {"budget": 300, "restarts": 2, "samples": 320, "dims": [2, 3]}
@@ -244,7 +273,7 @@ def test_schema_entry_matches_the_declarations(key):
         assert ("exclusiveMinimum" if inclusive else "minimum") not in bounded
     uppers = [p.below for p in params]
     assert bounded.get("exclusiveMaximum") == (None if None in uppers else max(uppers))
-    assert entry.get("minItems", 0) == min(p.min_items for p in params)
+    assert entry.get("minItems") == (min(p.min_items for p in params) if many else None)
     if "default" in entry:
         assert all(p.default == entry["default"] for p in params)
     for param in params:
