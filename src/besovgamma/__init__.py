@@ -28,11 +28,13 @@ from .gamma import (DisjointGammaNorm, GammaOperator, PartitionCheck,
 from .harness import Report, ReportRow, UsageError, run, write_report_csv
 from .montecarlo import (MCConfig, MCEstimate, batch_means, derive_seed,
                          gaussian_array, rademacher_array)
-from .spaces import INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment
+from .spaces import (INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment,
+                     l1_gaussian_second_moment)
 from .typecotype import ConstantEstimate, cotype_ratio, estimate_constant, type_ratio
 
 __all__ = [
     "INF", "LpSpace", "as_exponent", "gaussian_p_moment", "gaussian_second_moment",
+    "l1_gaussian_second_moment",
     "MCConfig", "MCEstimate", "batch_means", "derive_seed", "gaussian_array",
     "rademacher_array",
     "PiecewiseFunction", "GridFunction", "Interpolation", "lp_norm",

@@ -11,7 +11,9 @@ basis, so the norm is a function of Q alone.  `covariance` computes Q in
 closed form for step, linear and grid sources; `covariance_operator`
 turns it into the dim x dim coefficient matrix S = Q^{1/2}, whose rows
 play the part of the I_f(h_m).  Nothing is truncated, so every source
-gets its exact operator.
+gets its exact operator.  Hilbert and l^1 targets have closed-form norms
+(trace Q, and `l1_gaussian_second_moment` of Q); the partition check uses
+them, and every other target is sampled.
 """
 
 from __future__ import annotations
@@ -23,12 +25,18 @@ import numpy as np
 
 from .functions import GridFunction, Interpolation, PiecewiseFunction, l2_norm_squared
 from .montecarlo import MCConfig, MCEstimate, derive_seed
-from .spaces import INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment
+from .spaces import (INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment,
+                     l1_gaussian_second_moment)
 from .typecotype import check_exponent
 
 # Partition endpoints must sit this close (absolutely) to each other and to
 # the ends of the support for a user's partition to count as a tiling.
 ALIGNMENT_TOL = 1e-12
+
+# Relative roundoff allowance of an exact non-Hilbert partition check: its
+# budget is this times lhs + rhs, so a check whose two sides agree in exact
+# arithmetic passes however the last bits round.
+ROUNDOFF_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,13 @@ def ideal_compose(op: GammaOperator, matrix) -> GammaOperator:
 
 @dataclass(frozen=True)
 class PartitionCheck:
-    """Both sides of a type/cotype partition inequality with error budget."""
+    """Both sides of a type/cotype partition inequality with error budget.
+
+    std_error_budget is 0 for a Hilbert target (exact, and Pythagoras holds
+    to roundoff), ROUNDOFF_RTOL * (lhs + rhs) for an l^1 target (exact, up to
+    roundoff in the closed form), and otherwise the first-order bound on the
+    Monte Carlo standard error of the margin.
+    """
 
     direction: str            # "type" | "cotype"
     exponent: object          # p in [1, 2] or q in [2, inf]
@@ -181,8 +195,8 @@ class PartitionCheck:
     part_norms: tuple
     lhs: float
     rhs: float
-    margin: float             # rhs - lhs; expected >= 0 up to MC noise
-    std_error_budget: float   # first-order bound on the margin's std error
+    margin: float             # rhs - lhs; expected >= 0 up to the budget
+    std_error_budget: float
     exact: bool
 
 
@@ -208,22 +222,28 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
     type direction (p in [1, 2]):    ||R|| <= T_p (sum_j ||R_j||^p)^{1/p}
     cotype direction (q in [2, inf]): (sum_j ||R_j||^q)^{1/q} <= C_q ||R||
 
-    Hilbert targets use the exact path (zero error budget); otherwise each
-    norm is estimated by MC with a seed derived per part, and the budget is
-    the conservative first-order combination of the standard errors.
+    Hilbert and l^1 targets use exact paths: the L^2(S; E) norm, and the
+    closed form `l1_gaussian_second_moment` of each covariance; `cfg` is
+    then unused.  Otherwise each norm is estimated by MC with a seed derived
+    per part, and the budget is the conservative first-order combination of
+    the standard errors.
     """
     parts = _partition_boundaries(f, partition)
     exponent = check_exponent(direction, exponent)
     constant = float(getattr(constant, "value", constant))
 
-    exact = f.space.is_hilbert
-    if exact:
+    l1 = f.space.p == 1.0
+    exact = f.space.is_hilbert or l1
+    whole_se, part_ses = 0.0, [0.0] * len(parts)
+    if f.space.is_hilbert:
         whole = gamma_norm_hilbert(f)
         part_norms = [math.sqrt(l2_norm_squared(f.restrict([iv]))) for iv in parts]
-        whole_se, part_ses = 0.0, [0.0] * len(parts)
+    elif l1:
+        whole, *part_norms = [math.sqrt(l1_gaussian_second_moment(covariance(g)))
+                              for g in [f] + [f.restrict([iv]) for iv in parts]]
     else:
         if cfg is None:
-            raise ValueError("non-Hilbert targets need an MC config")
+            raise ValueError("targets other than l^2 and l^1 need an MC config")
         est = gamma_norm_mc(f, replace(cfg, seed=derive_seed(cfg.seed, "whole")))
         whole, whole_se = est.mean, est.std_error
         part_norms, part_ses = [], []
@@ -248,6 +268,8 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
             lhs = float((arr ** q).sum()) ** (1.0 / q)
         rhs = constant * whole
         budget = float(np.sum(part_ses)) + constant * whole_se
+    if l1:
+        budget = ROUNDOFF_RTOL * (lhs + rhs)
     return PartitionCheck(direction=direction, exponent=exponent, constant=constant,
                           whole_norm=whole, part_norms=tuple(part_norms),
                           lhs=lhs, rhs=rhs, margin=rhs - lhs,

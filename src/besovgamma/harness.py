@@ -47,14 +47,17 @@ class UsageError(ValueError):
 
 class Param(NamedTuple):
     """One config key: its kind (int, float, list[int] or list[float]), its
-    default and its bounds.  `minimum` is inclusive, `above` and `below` are
-    exclusive; on a list they bound every entry and `min_items` its length."""
+    default and its bounds.  `minimum` and `maximum` are inclusive, `above`
+    and `below` exclusive; on a list they bound every entry and `min_items`
+    its length.  Every key that sizes an array has a `maximum`, so a request
+    too large to hold is refused before any work."""
     kind: object
     default: object
     minimum: float | None = None
     above: float | None = None
     below: float | None = None
     min_items: int = 1
+    maximum: float | None = None
 
 
 class Experiment(NamedTuple):
@@ -167,10 +170,14 @@ def _check(key: str, param: Param, value):
     _require(len(items) >= param.min_items, key, f"length must be at least {param.min_items}")
     for bound, holds, words in ((param.minimum, operator.ge, "be at least"),
                                 (param.above, operator.gt, "exceed"),
-                                (param.below, operator.lt, "be below")):
+                                (param.below, operator.lt, "be below"),
+                                (param.maximum, operator.le, "be at most")):
         _require(bound is None or all(holds(v, bound) for v in items), key,
                  f"{'entries ' if many else ''}must {words} {bound}")
-    return [kind(v) for v in items] if many else kind(value)
+    try:
+        return [kind(v) for v in items] if many else kind(value)
+    except OverflowError:  # an integer beyond float range
+        raise UsageError(f"{key}: {'entries ' if many else ''}must fit in a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +451,16 @@ def _exp_constant(direction, report, *, seed, samples, budget, restarts, n_vecto
 
 
 _SEED = Param(int, 0, minimum=0)
-_MC_SAMPLES = Param(int, 20000, minimum=320)
+# maxima of the keys that size an array
+_MAX_SAMPLES, _MAX_DIM, _MAX_GRID = 10 ** 6, 256, 2 ** 20
+_MC_SAMPLES = Param(int, 20000, minimum=320, maximum=_MAX_SAMPLES)
 _CONSTANT_PARAMS = {
     "seed": _SEED,
-    "samples": Param(int, 2048, minimum=320),
+    "samples": Param(int, 2048, minimum=320, maximum=_MAX_SAMPLES),
     "budget": Param(int, 4000, minimum=1),
     "restarts": Param(int, 12, minimum=1),
-    "n_vectors": Param(int, 8, minimum=1),
-    "dims": Param(list[int], [2, 4, 8], minimum=1),
+    "n_vectors": Param(int, 8, minimum=1, maximum=_MAX_DIM),
+    "dims": Param(list[int], [2, 4, 8], minimum=1, maximum=_MAX_DIM),
 }
 
 EXPERIMENTS = {
@@ -460,35 +469,36 @@ EXPERIMENTS = {
         "Gaussian-sum norm vs difference-route Besov norm of random step families (ratios)",
         {"seed": _SEED, "samples": _MC_SAMPLES,
          "ps": Param(list[float], [4.0 / 3.0, 1.5], above=1.0, below=2.0),
-         "ns": Param(list[int], [2, 4, 8, 16], minimum=1)}),
+         "ns": Param(list[int], [2, 4, 8, 16], minimum=1, maximum=_MAX_DIM)}),
     "embedding-cotype": Experiment(
         _exp_embedding_cotype,
         "frequency-route Besov norm vs Gaussian-sum norm of orthonormal bump systems (ratios)",
         {"seed": _SEED, "samples": _MC_SAMPLES,
-         "grid_n": Param(int, 2048, minimum=64),
+         "grid_n": Param(int, 2048, minimum=64, maximum=_MAX_GRID),
          "period": Param(float, 4.0, above=0.0),
          "levels": Param(int, 8, minimum=4),
          "qs": Param(list[float], [2.0, 3.0], minimum=2),
-         "ns": Param(list[int], [1, 2], minimum=1)}),
+         "ns": Param(list[int], [1, 2], minimum=1, maximum=_MAX_DIM)}),
     "band-limited": Experiment(
         _exp_band_limited,
         "Gaussian-sum vs L^p norm for spectra inside [-pi, pi] (exact Hilbert case asserted)",
         {"seed": _SEED, "samples": _MC_SAMPLES,
-         "grid_n": Param(int, 4096, minimum=256),
+         "grid_n": Param(int, 4096, minimum=256, maximum=_MAX_GRID),
          "period": Param(float, 128.0, above=0.0),
          "width": Param(float, 5.0, above=0.0),
-         "dim": Param(int, 3, minimum=1),
+         "dim": Param(int, 3, minimum=1, maximum=_MAX_DIM),
          "ps": Param(list[float], [2.0, 1.5, 1.0], minimum=1)}),
     "partition": Experiment(
         _exp_partition,
-        "partition inequalities: exact Hilbert Pythagoras, constant-1 type/cotype cases by MC",
+        "partition inequalities: exact Hilbert Pythagoras, exact l^1 type-1 within a 1e-12 "
+        "roundoff budget, l^inf type/cotype cases by MC within 3 standard errors",
         {"seed": _SEED, "samples": _MC_SAMPLES,
          "cases": Param(int, 20, minimum=1),
-         "dim": Param(int, 4, minimum=2)}),
+         "dim": Param(int, 4, minimum=2, maximum=_MAX_DIM)}),
     "dilation": Experiment(
         _exp_dilation,
         "dilation covariance of the frequency-route norm: ratios near their geometric mean",
-        {"grid_n": Param(int, 32768, minimum=4096),
+        {"grid_n": Param(int, 32768, minimum=4096, maximum=_MAX_GRID),
          "period": Param(float, 64.0, above=0.0),
          "levels": Param(int, 10, minimum=6),
          "k0": Param(int, 5, minimum=1),
@@ -503,15 +513,16 @@ EXPERIMENTS = {
         "closed-form L^p and Gaussian-sum identities and the difference-norm bound of steps",
         {"seed": _SEED, "samples": _MC_SAMPLES,
          "ps": Param(list[float], [1.0, 4.0 / 3.0, 1.5, 2.0], minimum=1),
-         "ns": Param(list[int], [2, 4, 8, 16, 32, 64], minimum=1)}),
+         "ns": Param(list[int], [2, 4, 8, 16, 32, 64], minimum=1, maximum=_MAX_DIM)}),
     "tent-scaling": Experiment(
         _exp_tent_scaling,
         "Holder bound and Gaussian moment growth of shrinking tents; log-log slope vs target",
         {"p": Param(float, 1.5, minimum=1),
          "alpha": Param(float, 0.1, above=0.0, below=1.0),
          "r": Param(float, 1.05, above=1.0),
-         "holder_ns": Param(list[int], [4, 8, 16, 32, 64, 128], minimum=1),
-         "slope_ns": Param(list[int], [2 ** k for k in range(16, 22)], minimum=2, min_items=2),
+         "holder_ns": Param(list[int], [4, 8, 16, 32, 64, 128], minimum=1, maximum=1024),
+         "slope_ns": Param(list[int], [2 ** k for k in range(16, 22)], minimum=2, min_items=2,
+                           maximum=2 ** 24),
          "slope_tolerance": Param(float, 0.10, above=0.0)}),
     "type-constant": Experiment(
         partial(_exp_constant, "type"),

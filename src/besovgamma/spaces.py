@@ -135,6 +135,24 @@ def gaussian_p_moment(sigma: float, p: float) -> float:
     return math.exp(log_moment)
 
 
+def l1_gaussian_second_moment(cov) -> float:
+    """E ||G||_1^2 for a centred Gaussian G with covariance `cov`, exactly.
+
+    E||G||_1^2 = sum_{i,j} E|G_i||G_j|, and for a normal pair (Nabeya 1951)
+    E|G_i||G_j| = (2/pi) s_i s_j (sqrt(1 - rho^2) + rho arcsin rho) with
+    s_i^2 = cov_ii and rho = cov_ij / (s_i s_j).  A pair with a zero variance
+    contributes 0, and rho is clipped to [-1, 1] against roundoff.
+    """
+    cov = np.asarray(cov, dtype=float)
+    sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    scale = np.outer(sigmas, sigmas)
+    rho = np.divide(cov, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    rho = np.clip(rho, -1.0, 1.0)
+    # (1 - rho)(1 + rho), not 1 - rho^2: accurate as |rho| -> 1
+    pair = np.sqrt((1.0 - rho) * (1.0 + rho)) + rho * np.arcsin(rho)
+    return 2.0 / math.pi * float((scale * pair).sum())
+
+
 def _as_matrix(space: LpSpace, vectors: Sequence) -> np.ndarray:
     mat = np.asarray(list(vectors), dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:

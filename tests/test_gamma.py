@@ -10,12 +10,12 @@ from besovgamma.constructions import (make_single_band, make_step,
                                       make_tent_family, tent_l2_sigmas)
 from besovgamma.functions import (Interpolation, PiecewiseFunction,
                                   l2_norm_squared, lp_norm)
-from besovgamma.gamma import (GammaOperator, covariance, covariance_operator,
+from besovgamma.gamma import (ROUNDOFF_RTOL, GammaOperator, covariance, covariance_operator,
                               disjoint_lp_from_sigmas, gamma_norm_disjoint_lp,
                               gamma_norm_hilbert, gamma_norm_mc, ideal_compose,
                               partition_inequality_check, restrict_gamma)
 from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
-from besovgamma.spaces import INF, LpSpace, gaussian_p_moment
+from besovgamma.spaces import INF, LpSpace, gaussian_p_moment, l1_gaussian_second_moment
 
 
 def step_fn(n, dim, seed, p=2.0):
@@ -209,12 +209,43 @@ def test_partition_check_type_one_always_holds():
     cfg = MCConfig(samples=20000, seed=3)
     chk = partition_inequality_check(f, [(0.0, 0.5), (0.5, 1.0)],
                                      "type", 1.0, 1.0, cfg)
-    assert not chk.exact
-    assert chk.lhs <= chk.rhs + 3.0 * chk.std_error_budget
+    assert chk.exact
+    assert chk.lhs <= chk.rhs + chk.std_error_budget
     # cotype infinity with constant 1: max of parts below the whole
     chk2 = partition_inequality_check(f, [(0.0, 0.5), (0.5, 1.0)],
                                       "cotype", INF, 1.0, cfg)
-    assert chk2.lhs <= chk2.rhs + 3.0 * chk2.std_error_budget
+    assert chk2.exact
+    assert chk2.lhs <= chk2.rhs + chk2.std_error_budget
+
+
+def test_partition_check_l1_is_the_closed_form_without_a_config():
+    f = step_fn(4, 3, 86, p=1.0)
+    partition = [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)]
+    chk = partition_inequality_check(f, partition, "type", 1.0, 1.0)
+    assert chk.exact
+    assert chk.whole_norm == math.sqrt(l1_gaussian_second_moment(covariance(f)))
+    assert chk.part_norms == tuple(
+        math.sqrt(l1_gaussian_second_moment(covariance(f.restrict([iv]))))
+        for iv in partition)
+    assert chk.std_error_budget == ROUNDOFF_RTOL * (chk.lhs + chk.rhs)
+    assert chk.margin >= -chk.std_error_budget
+    # the config is unused on l^1 and leaves the check unchanged
+    assert partition_inequality_check(f, partition, "type", 1.0, 1.0,
+                                      MCConfig(samples=320, seed=1)) == chk
+
+
+def test_partition_check_l1_with_a_zero_part():
+    # a one-block make_step is 0 on (1/2, 1], so the parts there carry
+    # nothing and the two sides of the type-1 inequality agree in exact
+    # arithmetic: only the roundoff budget separates them
+    f = step_fn(1, 3, 87, p=1.0)
+    chk = partition_inequality_check(f, [(0.0, 0.5), (0.5, 0.8), (0.8, 1.0)],
+                                     "type", 1.0, 1.0)
+    assert chk.exact
+    assert chk.part_norms[1:] == (0.0, 0.0)
+    assert chk.lhs == pytest.approx(chk.rhs, rel=1e-14)
+    assert 0.0 < chk.std_error_budget <= 1e-11 * chk.rhs
+    assert chk.margin >= -chk.std_error_budget
 
 
 def test_partition_check_validation():

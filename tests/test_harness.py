@@ -273,6 +273,8 @@ def test_schema_entry_matches_the_declarations(key):
         assert ("exclusiveMinimum" if inclusive else "minimum") not in bounded
     uppers = [p.below for p in params]
     assert bounded.get("exclusiveMaximum") == (None if None in uppers else max(uppers))
+    maxima = [p.maximum for p in params]
+    assert bounded.get("maximum") == (None if None in maxima else max(maxima))
     assert entry.get("minItems") == (min(p.min_items for p in params) if many else None)
     if "default" in entry:
         assert all(p.default == entry["default"] for p in params)
@@ -365,3 +367,59 @@ def test_an_inclusive_minimum_admits_its_edge_and_values_arrive_cast():
     assert type(_check("p", params["p"], 1)) is float
     assert _check("lambdas", params["lambdas"], (np.int64(2), 4)) == [2, 4]
     assert [type(v) for v in _check("lambdas", params["lambdas"], (np.int64(2), 4))] == [int, int]
+
+
+_SIZE_BOUNDS = [(experiment_id, key, param)
+                for experiment_id, experiment in sorted(EXPERIMENTS.items())
+                for key, param in experiment.params.items() if param.maximum is not None]
+
+
+def test_every_key_that_sizes_an_array_has_a_maximum():
+    assert {key for _, key, _ in _SIZE_BOUNDS} == {
+        "samples", "dim", "ns", "dims", "n_vectors", "grid_n", "holder_ns", "slope_ns"}
+
+
+@pytest.mark.parametrize("experiment_id, key, param", _SIZE_BOUNDS,
+                         ids=[f"{e}-{k}" for e, k, _ in _SIZE_BOUNDS])
+def test_sizes_above_their_maximum_are_refused_before_any_work(monkeypatch, experiment_id,
+                                                               key, param):
+    def never(report, **params):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(EXPERIMENTS, experiment_id,
+                        EXPERIMENTS[experiment_id]._replace(func=never))
+    many = get_origin(param.kind) is list
+    edge = [param.maximum] * param.min_items if many else param.maximum
+    too_big = edge[:-1] + [param.maximum + 1] if many else param.maximum + 1
+    with pytest.raises(UsageError) as info:
+        run(experiment_id, {key: too_big})
+    entries = "entries " if many else ""
+    assert str(info.value) == f"{key}: {entries}must be at most {param.maximum}"
+    assert _check(key, param, edge) == edge
+
+
+def test_cli_refuses_a_dimension_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # 100,000 coordinates would need tens of GiB; the table refuses it first
+    def never(report, **params):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(EXPERIMENTS, "partition", EXPERIMENTS["partition"]._replace(func=never))
+    cfg = _write_config(tmp_path, "c.json", {"cases": 1, "samples": 320, "dim": 100000})
+    assert cli.main(["run", "partition", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "besovgamma: dim: must be at most 256\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("experiment, payload, message", [
+    ("dilation", {"s": 10 ** 400}, "s: must fit in a float"),
+    ("step-identities", {"ps": [1.5, 10 ** 400]}, "ps: entries must fit in a float"),
+])
+def test_cli_refuses_integers_beyond_float_range(tmp_path, capsys, experiment, payload,
+                                                 message):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert str(10 ** 400) in Path(cfg).read_text(encoding="utf-8")
+    assert cli.main(["run", experiment, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"besovgamma: {message}\n"
+    assert captured.out == ""

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from besovgamma.montecarlo import MCConfig, gaussian_array
 from besovgamma.spaces import (INF, LpSpace, as_exponent, gaussian_p_moment,
-                               gaussian_second_moment)
+                               gaussian_second_moment, l1_gaussian_second_moment)
 
 
 def test_as_exponent_accepts_numbers_and_inf():
@@ -154,4 +154,54 @@ def test_second_moment_force_mc_agrees_with_exact():
     exact = gaussian_second_moment(space, vecs)
     est = gaussian_second_moment(space, vecs, MCConfig(samples=200000, seed=9),
                                  force_mc=True)
+    assert abs(est.mean - exact) < 4.0 * est.std_error
+
+
+def test_l1_closed_form_of_a_rank_one_covariance():
+    # G = gamma v, so ||G||_1^2 = gamma^2 ||v||_1^2 and E||G||_1^2 = ||v||_1^2
+    for seed in range(5):
+        v = gaussian_array((1, 6), 30 + seed)[0]
+        assert l1_gaussian_second_moment(np.outer(v, v)) == pytest.approx(
+            float(np.abs(v).sum()) ** 2, rel=1e-12)
+
+
+def test_l1_closed_form_of_a_diagonal_covariance():
+    # independent coordinates: E|G_i||G_j| = (2/pi) sigma_i sigma_j for i != j
+    sigmas = np.array([0.5, 1.0, 2.0, 3.5])
+    cross = float(sigmas.sum()) ** 2 - float((sigmas ** 2).sum())
+    expected = float((sigmas ** 2).sum()) + 2.0 / math.pi * cross
+    assert l1_gaussian_second_moment(np.diag(sigmas ** 2)) == pytest.approx(expected,
+                                                                            rel=1e-12)
+
+
+def test_l1_closed_form_ignores_zero_variance_coordinates():
+    v = np.array([1.5, 0.0, -2.0, 0.0])
+    cov = np.outer(v, v)
+    cov[3, 3] = 4.0  # an independent coordinate beside the zero one
+    got = l1_gaussian_second_moment(cov)
+    expected = 3.5 ** 2 + 4.0 + 2.0 * (2.0 / math.pi) * 3.5 * 2.0
+    assert math.isfinite(got)
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert l1_gaussian_second_moment(np.zeros((3, 3))) == 0.0
+
+
+def test_l1_closed_form_clips_correlations_rounded_past_one():
+    # X^T X with proportional rows is ||c||^2 v v^T, but rounds some
+    # correlations Q_ij / (s_i s_j) to just above 1 in magnitude
+    c = np.array([0.3, 0.7, 1.1])
+    v = gaussian_array((1, 4), 0)[0]
+    x = np.outer(c, v)
+    cov = x.T @ x
+    sigmas = np.sqrt(np.diag(cov))
+    assert np.abs(cov / np.outer(sigmas, sigmas)).max() > 1.0
+    assert l1_gaussian_second_moment(cov) == pytest.approx(
+        float((c ** 2).sum()) * float(np.abs(v).sum()) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 41), (4, 42), (16, 43)])
+def test_l1_closed_form_matches_sampling(dim, seed):
+    x = gaussian_array((dim + 1, dim), seed)
+    space = LpSpace(1, dim)
+    est = gaussian_second_moment(space, x, MCConfig(samples=200000, seed=seed))
+    exact = l1_gaussian_second_moment(x.T @ x)
     assert abs(est.mean - exact) < 4.0 * est.std_error
