@@ -269,14 +269,16 @@ def _exp_partition(report, *, seed, samples, cases, dim) -> None:
         cuts = np.sort(rng.uniform(0.05, 0.95, size=n_sets - 1))
         edges = np.concatenate([[0.0], cuts, [1.0]])
         partition = list(zip(edges[:-1], edges[1:]))
-        inputs = format_inputs(case_seed=case_seed, blocks=blocks, sets=n_sets,
-                               dim=dim, samples=samples)
+        # exact rows depend on no sample count, so their inputs omit it
+        shape = dict(case_seed=case_seed, blocks=blocks, sets=n_sets, dim=dim)
+        exact_inputs = format_inputs(**shape)
+        sampled_inputs = format_inputs(**shape, samples=samples)
 
         f2 = make_step(blocks, vectors, LpSpace(2, dim))
         chk = partition_inequality_check(f2, partition, "type", 2.0, 1.0)
         gap = abs(chk.whole_norm ** 2 - sum(v ** 2 for v in chk.part_norms))
         worst_gap = max(worst_gap, gap)
-        report.add(case=f"case={i};hilbert-p2", inputs=inputs,
+        report.add(case=f"case={i};hilbert-p2", inputs=exact_inputs,
                    lhs=chk.lhs, rhs=chk.rhs, constant=1.0, tolerance=1e-10,
                    asserted=True, margin=1e-10 - gap)
 
@@ -286,10 +288,12 @@ def _exp_partition(report, *, seed, samples, cases, dim) -> None:
                 ("linf-cotypeinf", INF, "cotype", INF)):
             space = LpSpace(space_p, dim)
             fp = make_step(blocks, vectors, space)
-            cfg = MCConfig(samples, derive_seed(case_seed, label))
+            # the l^1 check is exact and needs no MC config
+            cfg = None if space_p == 1.0 else MCConfig(samples, derive_seed(case_seed, label))
             chk = partition_inequality_check(fp, partition, direction, expo, 1.0, cfg)
             tol = 3.0 * chk.std_error_budget
-            report.add(case=f"case={i};{label}", inputs=inputs,
+            report.add(case=f"case={i};{label}",
+                       inputs=exact_inputs if cfg is None else sampled_inputs,
                        lhs=chk.lhs, rhs=chk.rhs, constant=1.0,
                        std_error=chk.std_error_budget, tolerance=tol,
                        asserted=True, margin=chk.margin)
@@ -406,16 +410,22 @@ def _exp_tent_scaling(report, *, p, alpha, r, holder_ns, slope_ns, slope_toleran
 
 # direction -> (exponent of the swept l^p space, the constant-1 case on that
 # space as (type/cotype exponent, case label), case prefix of the sweep rows,
-# summary-key format, Rademacher ratio)
+# summary-key format, Rademacher ratio, analytic upper bound by dimension).
+# Type 2 of l^inf_d is at most sqrt(4 log d + 2 log 2), from the
+# exponential-moment bound on E max_j g_j^2; cotype 2 of l^1_d is at most
+# sqrt(pi/2), from E||G||_1 = sqrt(2/pi) ||(sum |x_n|^2)^{1/2}||_1 and Minkowski.
 _CONSTANT_SEARCHES = {
-    "type": (INF, (1.0, "any-type1"), "linf-type2", "linf{dim}_type2", type_ratio),
-    "cotype": (1.0, (INF, "any-cotypeinf"), "l1-cotype2", "l1_{dim}_cotype2", cotype_ratio),
+    "type": (INF, (1.0, "any-type1"), "linf-type2", "linf{dim}_type2", type_ratio,
+             lambda dim: math.sqrt(4.0 * math.log(dim) + 2.0 * math.log(2.0))),
+    "cotype": (1.0, (INF, "any-cotypeinf"), "l1-cotype2", "l1_{dim}_cotype2", cotype_ratio,
+               lambda dim: math.sqrt(math.pi / 2.0)),
 }
 
 
 def _exp_constant(direction, report, *, seed, samples, budget, restarts, n_vectors,
                   dims) -> None:
-    space_p, (exponent_1, case_1), prefix, key_format, ratio = _CONSTANT_SEARCHES[direction]
+    (space_p, (exponent_1, case_1), prefix, key_format, ratio,
+     upper_bound) = _CONSTANT_SEARCHES[direction]
 
     # analytic constant-1 cases: every Hilbert constant, and the trivial exponent
     for case, p, exponent in ((f"hilbert-{direction}2", 2, 2.0),
@@ -444,6 +454,7 @@ def _exp_constant(direction, report, *, seed, samples, budget, restarts, n_vecto
                    asserted=True, margin=est.value - prev_value)
         key = key_format.format(dim=dim)
         report.summary[f"{key}_lower_bound"] = est.value
+        report.summary[f"{key}_upper_bound"] = upper_bound(dim)
         report.summary[f"{key}_rademacher_ratio"] = rad
         report.summary[f"{key}_restarts_run"] = est.restarts_run
         report.summary[f"{key}_budget_exhausted"] = est.budget_exhausted

@@ -14,18 +14,21 @@ Carlo otherwise).
 
 Climbing compares candidates under common random numbers (one Gaussian
 matrix xi per restart), otherwise MC noise would swamp single-coordinate
-gains.  A trial move of X[i, j] changes only column j of S = xi X, so it is
-scored in O(samples): the new column S[:, j] + step xi[:, i] meets a
-per-row summary of the other columns (their max for p = inf, their sum of
-|S|^p otherwise).  A trial within TIE_RTOL of the best, hence every
-accepted move, is re-scored by the fresh objective, and S is rebuilt on
-acceptance, so the climb makes the decisions and holds the values of fresh
-scoring unless rounding moves a trial by more than TIE_RTOL (it moved
-trials by under 5e-16 relative on 8-dimensional searches).  The final value
-re-scores all candidates under one shared evaluation matrix whose seed
-depends only on (seed, samples, tuple size), so a witness padded with zero
-coordinates into a larger space reproduces its value bit for bit; sweeps
-over growing spaces can therefore warm-start and are exactly monotone.
+gains.  A trial move of X[i, j] changes only column j of S = xi X and row i
+of X, so it is scored in O(samples + n): |S[:, j] + step xi[:, i]| is
+folded, in one buffer reused across the restart, into a per-sample summary
+of the other columns (their max for p = inf, their sum of |S|^p
+otherwise), and the denominator re-norms row i alone against cached norms
+of the other rows.  A trial within TIE_RTOL of the best, hence every
+accepted move, is re-scored by the fresh objective, and S and the cached
+norms are rebuilt on acceptance, so the climb makes the decisions and
+holds the values of fresh scoring unless rounding moves a trial by more
+than TIE_RTOL (it moved trials by at most 6e-16 relative in the default
+type-constant and cotype-constant searches).  The final value re-scores
+all candidates under one shared evaluation matrix whose seed depends only
+on (seed, samples, tuple size), so a witness padded with zero coordinates
+into a larger space reproduces its value bit for bit; sweeps over growing
+spaces can therefore warm-start and are exactly monotone.
 """
 
 from __future__ import annotations
@@ -113,46 +116,66 @@ class ConstantEstimate:
         return MCConfig(samples=self.samples, seed=derive_seed(self.seed, "final-eval"))
 
 
-def _objective(space, direction, exponent, X, xi, rows=None) -> float:
+def _objective(space, direction, exponent, X, xi) -> float:
     """Ratio with the second moment averaged over the fixed draw matrix xi
-    (None for the exact Hilbert path); `rows`, when given, stands in for
-    the row norms space.norms(xi @ X)."""
+    (None for the exact Hilbert path)."""
     den = lq_norm(space.norms(X), exponent)
     if den == 0.0:
         return -math.inf
     if xi is None:
         num = math.sqrt(float((X ** 2).sum()))
     else:
-        rows = space.norms(xi @ X) if rows is None else rows
-        num = math.sqrt(float(np.mean(rows ** 2)))
+        num = math.sqrt(float(np.mean(space.norms(xi @ X) ** 2)))
     return num / den if direction == "type" else den / num
 
 
 def _columns(space, xi, X):
-    """S = xi @ X transposed (one contiguous row per column of S), and for
-    each column j a per-sample summary of the others: max_{l != j} |S[:, l]|
-    for p = inf, from prefix and suffix maxima (0 when dim is 1), else
-    sum_{l != j} |S[:, l]|^p clipped at 0."""
+    """S = xi @ X transposed (one contiguous row per column of S); for each
+    column j a per-sample summary of the others: max_{l != j} |S[:, l]| for
+    p = inf, from prefix and suffix maxima (0 when dim is 1), else
+    sum_{l != j} |S[:, l]|^p clipped at 0; and the row norms of X as
+    Python floats."""
     St = np.ascontiguousarray((xi @ X).T)
     A = np.abs(St)
+    norms = space.norms(X).tolist()
     if space.p is not INF:
         A = A ** space.p
-        return St, np.maximum(A.sum(axis=0) - A, 0.0)
+        return St, np.maximum(A.sum(axis=0) - A, 0.0), norms
     before, after = np.zeros_like(A), np.zeros_like(A)
     for k in range(1, len(A)):
         np.maximum(before[k - 1], A[k - 1], out=before[k])
         np.maximum(after[-k], A[-k], out=after[-k - 1])
-    return St, np.maximum(before, after)
+    return St, np.maximum(before, after), norms
 
 
-def _trial_rows(space, columns, xiT, i, j, step) -> np.ndarray:
-    """space.norms(xi @ X) after X[i, j] moved by `step`, up to rounding:
-    only column j of S is rebuilt, as S[:, j] + step * xi[:, i]."""
-    St, others = columns
-    col = np.abs(St[j] + step * xiT[i])
+def _trial_value(space, direction, exponent, columns, xiT, buf, X, i, j, step) -> float:
+    """`_objective` after X[i, j] moved by `step` (X already holds the
+    move), up to rounding.  Only column j of S is rebuilt, as
+    |S[:, j] + step * xi[:, i]| in `buf`, and only row i's norm is
+    recomputed; the l^q norm of the n row norms runs in plain Python,
+    max-factored as in `lq_norm`."""
+    St, others, norms = columns
+    norms = norms.copy()
+    norms[i] = float(space.norms(X[i]))
+    top = max(norms)
+    if top == 0.0:
+        return -math.inf
+    den = top
+    if exponent is not INF:
+        den *= sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
+    np.multiply(xiT[i], step, out=buf)
+    np.add(St[j], buf, out=buf)
+    np.abs(buf, out=buf)
     if space.p is INF:
-        return np.maximum(others[j], col)
-    return (others[j] + col ** space.p) ** (1.0 / space.p)
+        np.maximum(others[j], buf, out=buf)
+    elif space.p == 1.0:
+        np.add(others[j], buf, out=buf)
+    else:
+        np.power(buf, space.p, out=buf)
+        np.add(others[j], buf, out=buf)
+        np.power(buf, 1.0 / space.p, out=buf)
+    num = math.sqrt(float(buf @ buf) / len(buf))
+    return num / den if direction == "type" else den / num
 
 
 def _analytic_case(space, direction, exponent, n_vectors, seed, samples):
@@ -214,6 +237,7 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
         best = _objective(space, direction, exponent, X, xi)
         evals += 1
         xiT = None if exact else np.ascontiguousarray(xi.T)
+        buf = None if exact else np.empty(samples)
         columns = None if exact else _columns(space, xi, X)
         for scale in CLIMB_SCALES:
             improved = True
@@ -226,11 +250,13 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 break
                             X[i, j] += sign * scale
                             evals += 1
-                            rows = None if exact else _trial_rows(
-                                space, columns, xiT, i, j, sign * scale)
-                            val = _objective(space, direction, exponent, X, xi, rows)
-                            if rows is not None and val > best * (1.0 - TIE_RTOL):
+                            if exact:
                                 val = _objective(space, direction, exponent, X, xi)
+                            else:
+                                val = _trial_value(space, direction, exponent, columns,
+                                                   xiT, buf, X, i, j, sign * scale)
+                                if val > best * (1.0 - TIE_RTOL):
+                                    val = _objective(space, direction, exponent, X, xi)
                             if val > best:
                                 best = val
                                 improved = True

@@ -36,6 +36,21 @@ def test_csv_byte_determinism():
     assert c != a
 
 
+def test_exact_partition_rows_list_no_sample_count():
+    # hilbert-p2 and l1-type1 are exact: their inputs omit `samples`, and
+    # changing the sample count leaves those rows byte-identical
+    a = run("partition", SMALL_PARTITION).rows
+    b = run("partition", dict(SMALL_PARTITION, samples=1280)).rows
+    exact = ("hilbert-p2", "l1-type1")
+    for row_a, row_b in zip(a, b):
+        if row_a.case.endswith(exact):
+            assert "samples" not in row_a.inputs
+            assert row_a == row_b
+        else:
+            assert "samples=640" in row_a.inputs and "samples=1280" in row_b.inputs
+    assert sum(r.case.endswith(exact) for r in a) == 4
+
+
 def test_asserted_rows_carry_tolerances():
     for experiment, config in (("partition", SMALL_PARTITION),
                                ("step-identities", SMALL_STEPS)):
@@ -209,9 +224,23 @@ def test_constant_searches_keep_their_cases_and_summary_keys(direction, cases, k
     assert [r.case for r in report.rows] == cases
     assert sorted(report.summary) == sorted(
         f"{head}_{tail}" for head in key_head
-        for tail in ("lower_bound", "rademacher_ratio", "restarts_run", "budget_exhausted"))
+        for tail in ("lower_bound", "upper_bound", "rademacher_ratio", "restarts_run",
+                     "budget_exhausted"))
     sweep = report.rows[2:]
     assert sweep[0].rhs == 0.0 and sweep[1].rhs == sweep[0].lhs
+
+
+@pytest.mark.parametrize("experiment, upper", [
+    ("type-constant", {f"linf{d}_type2": math.sqrt(4.0 * math.log(d) + 2.0 * math.log(2.0))
+                       for d in (2, 4, 8)}),
+    ("cotype-constant", {f"l1_{d}_cotype2": math.sqrt(math.pi / 2.0) for d in (2, 4, 8)}),
+])
+def test_default_constant_searches_stay_below_their_upper_bounds(experiment, upper):
+    # sqrt(4 log d + 2 log 2) for type 2 of l^inf_d, sqrt(pi/2) for cotype 2 of l^1_d
+    summary = run(experiment).summary
+    for key, bound in upper.items():
+        assert summary[f"{key}_upper_bound"] == pytest.approx(bound, rel=1e-15)
+        assert 1.0 < summary[f"{key}_lower_bound"] <= summary[f"{key}_upper_bound"]
 
 
 def test_cli_list_names_every_experiment(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovgamma import typecotype
 from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
@@ -255,3 +257,53 @@ def test_searches_stay_below_the_gaussian_moment_upper_bounds(dim):
             (l1, "cotype", math.sqrt(math.pi / 2.0))):
         est = estimate_constant(space, direction, 2.0, 8, **kw)
         assert 1.0 < est.value <= bound * (1.0 + 6.0 * _relative_se(space, est))
+
+
+@pytest.mark.parametrize("p,direction", [(INF, "type"), (1, "cotype")])
+def test_full_size_search_matches_fresh_scoring_bit_for_bit(p, direction):
+    # the experiments' defaults in dimension 8, where trials meet long
+    # runs of accepted moves and near-ties
+    space = LpSpace(p, 8)
+    kw = dict(budget=4000, seed=2, samples=2048, restarts=12)
+    est = estimate_constant(space, direction, 2.0, 8, **kw)
+    value, witness, evals, started = _reference_search(space, direction, 2.0, 8, **kw)
+    assert est.value == value
+    assert est.witness.tobytes() == witness.tobytes()
+    assert (est.budget, est.restarts_run) == (evals, started)
+
+
+TRIAL_CASES = [(INF, "type", 2.0), (INF, "cotype", 2.0), (1, "type", 1.5), (1, "cotype", 3.0),
+               (1.5, "type", 2.0), (1.5, "cotype", INF), (3, "type", 1.5), (3, "cotype", 2.0)]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(TRIAL_CASES), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_trial_value_agrees_with_fresh_scoring_of_the_moved_tuple(case, n, dim, seed, data):
+    p, direction, exponent = case
+    space = LpSpace(p, dim)
+    X = gaussian_array((n, dim), derive_seed(seed, "tuple"))
+    xi = gaussian_array((64, n), derive_seed(seed, "xi"))
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, dim - 1))
+    step = data.draw(st.floats(-1.0, 1.0))
+    columns = typecotype._columns(space, xi, X)
+    X[i, j] += step
+    got = typecotype._trial_value(space, direction, exponent, columns,
+                                  np.ascontiguousarray(xi.T), np.empty(64), X, i, j, step)
+    fresh = typecotype._objective(space, direction, exponent, X, xi)
+    assert got == pytest.approx(fresh, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p,direction,exponent", TRIAL_CASES)
+def test_a_move_that_zeroes_the_tuple_scores_minus_inf(p, direction, exponent):
+    space = LpSpace(p, 3)
+    X = np.zeros((2, 3))
+    X[1, 2] = 0.7
+    xi = gaussian_array((32, 2), 4)
+    columns = typecotype._columns(space, xi, X)
+    X[1, 2] -= 0.7
+    got = typecotype._trial_value(space, direction, exponent, columns,
+                                  np.ascontiguousarray(xi.T), np.empty(32), X, 1, 2, -0.7)
+    assert got == -math.inf
+    assert typecotype._objective(space, direction, exponent, X, xi) == -math.inf
