@@ -200,7 +200,7 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
     return out
 
 
-def modulus_of_continuity(f: PiecewiseFunction, t: float, p: float) -> float:
+def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     """sup_{|h| <= t} ||f(.+h) - f||_p; positive h suffice (t -> t - h).
 
     Exact for steps up to roundoff: F(h) = ||f(.+h) - f||_p^p is piecewise
@@ -208,16 +208,30 @@ def modulus_of_continuity(f: PiecewiseFunction, t: float, p: float) -> float:
     sits at a kink or at t.  A lower bound for linear sources: the max of F
     over the shifts of `_shifts` up to t, nondecreasing in t by construction
     (F(t) itself when t lies below all of them).
+
+    `t` may be an array: F is then evaluated in one pass at the shifts up to
+    max t and at the t that need F(t), and each entry is read off a running
+    max, equal to its own scalar call.  A scalar t returns a float.
     """
-    t = float(t)
-    if t <= 0.0:
+    ts = np.asarray(t, dtype=float)
+    if not (ts > 0.0).all():
         raise ValueError("t must be positive")
+    flat = ts.ravel()
     h = _shifts(f)
-    if f.interpolation is Interpolation.STEP or t < h[0]:
-        h = np.append(h[h < t], t)
+    step = f.interpolation is Interpolation.STEP
+    kinks = h[h < flat.max()] if step else h[h <= flat.max()]
+    own = flat if step else flat[flat < h[0]]  # the t whose F(t) counts
+    F = _shift_powers(f, np.append(kinks, own), p)
+    # the max of F over the kinks up to t
+    upto = np.searchsorted(kinks, flat, side="right")
+    running = np.maximum.accumulate(np.append(0.0, F[:kinks.size]))[upto]
+    if step:
+        running = np.maximum(running, F[kinks.size:])
     else:
-        h = h[h <= t]
-    return float(_shift_powers(f, h, p).max()) ** (1.0 / p)
+        running[flat < h[0]] = F[kinks.size:]
+    # Python's float pow, not np.power, keeps the scalar results' bits
+    rho = np.array([float(v) ** (1.0 / p) for v in running]).reshape(ts.shape)
+    return float(rho) if ts.ndim == 0 else rho
 
 
 def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:

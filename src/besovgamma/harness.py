@@ -33,7 +33,7 @@ from .gamma import (disjoint_lp_from_sigmas, gamma_norm_hilbert,
                     gamma_norm_mc, partition_inequality_check)
 from .montecarlo import MCConfig, derive_seed, gaussian_array
 from .spaces import INF, LpSpace, gaussian_second_moment
-from .typecotype import cotype_ratio, estimate_constant, type_ratio
+from .typecotype import cotype_ratio, estimate_constant, is_exact, type_ratio
 
 SCHEMA_VERSION = 1
 
@@ -447,9 +447,12 @@ def _exp_constant(direction, report, *, seed, samples, budget, restarts, n_vecto
                                 seed=seed, samples=samples, restarts=restarts,
                                 warm_start=warm)
         rad = ratio(space, 2.0, est.witness, est.eval_config(), variant="rademacher")
-        report.add(case=f"{prefix};dim={dim}",
-                   inputs=format_inputs(dim=dim, n_vectors=n_vectors, budget=budget,
-                                        samples=samples, restarts=restarts, seed=seed),
+        # an exact search depends on no sample count, so its inputs omit it
+        inputs = dict(dim=dim, n_vectors=n_vectors, budget=budget, restarts=restarts,
+                      seed=seed)
+        if not is_exact(space):
+            inputs["samples"] = samples
+        report.add(case=f"{prefix};dim={dim}", inputs=format_inputs(**inputs),
                    lhs=est.value, rhs=prev_value, constant=est.value,
                    asserted=True, margin=est.value - prev_value)
         key = key_format.format(dim=dim)

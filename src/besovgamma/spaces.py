@@ -58,7 +58,8 @@ class LpSpace:
     """The space R^dim with the l^p norm.
 
     is_hilbert is True exactly for p = 2; the exact (non-sampled) Gaussian
-    paths throughout the package key off that flag.
+    paths throughout the package key off that flag, and off p = 1, where
+    `l1_gaussian_second_moment` is exact.
     """
 
     p: Exponent
@@ -135,14 +136,11 @@ def gaussian_p_moment(sigma: float, p: float) -> float:
     return math.exp(log_moment)
 
 
-def l1_gaussian_second_moment(cov) -> float:
-    """E ||G||_1^2 for a centred Gaussian G with covariance `cov`, exactly.
-
-    E||G||_1^2 = sum_{i,j} E|G_i||G_j|, and for a normal pair (Nabeya 1951)
-    E|G_i||G_j| = (2/pi) s_i s_j (sqrt(1 - rho^2) + rho arcsin rho) with
-    s_i^2 = cov_ii and rho = cov_ij / (s_i s_j).  A pair with a zero variance
-    contributes 0, and rho is clipped to [-1, 1] against roundoff.
-    """
+def _nabeya_terms(cov):
+    """(s, T) for a covariance matrix: s_i = sqrt(cov_ii) and
+    T_ij = s_i s_j (sqrt(1 - rho^2) + rho arcsin rho), rho = cov_ij / (s_i s_j),
+    so that E|G_i||G_j| = (2/pi) T_ij (Nabeya 1951).  A pair with a zero
+    variance gives 0, and rho is clipped to [-1, 1] against roundoff."""
     cov = np.asarray(cov, dtype=float)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     scale = np.outer(sigmas, sigmas)
@@ -150,7 +148,33 @@ def l1_gaussian_second_moment(cov) -> float:
     rho = np.clip(rho, -1.0, 1.0)
     # (1 - rho)(1 + rho), not 1 - rho^2: accurate as |rho| -> 1
     pair = np.sqrt((1.0 - rho) * (1.0 + rho)) + rho * np.arcsin(rho)
-    return 2.0 / math.pi * float((scale * pair).sum())
+    return sigmas, scale * pair
+
+
+def _nabeya_cross(j: int, sigmas: list, cov_row: list) -> float:
+    """sum_{k != j} T_jk of `_nabeya_terms` for one row of the covariance,
+    with s_j = sqrt(cov_jj) and the other s_k given, in plain Python floats:
+    a short row costs less this way than in NumPy calls."""
+    sqrt, asin = math.sqrt, math.asin
+    s_j = sqrt(cov_row[j])
+    cross = 0.0
+    for k, (s_k, c) in enumerate(zip(sigmas, cov_row)):
+        scale = s_j * s_k
+        if k != j and scale > 0.0:
+            rho = c / scale
+            if rho > 1.0:
+                rho = 1.0
+            elif rho < -1.0:
+                rho = -1.0
+            cross += scale * (sqrt((1.0 - rho) * (1.0 + rho)) + rho * asin(rho))
+    return cross
+
+
+def l1_gaussian_second_moment(cov) -> float:
+    """E ||G||_1^2 for a centred Gaussian G with covariance `cov`, exactly:
+    E||G||_1^2 = sum_{i,j} E|G_i||G_j| = (2/pi) sum_{i,j} T_ij, T from
+    `_nabeya_terms`."""
+    return 2.0 / math.pi * float(_nabeya_terms(cov)[1].sum())
 
 
 def _as_matrix(space: LpSpace, vectors: Sequence) -> np.ndarray:

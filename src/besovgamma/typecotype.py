@@ -9,26 +9,33 @@ at q = infinity).  `type_ratio` / `cotype_ratio` evaluate the defining
 ratio of one tuple; `estimate_constant` searches for a large ratio by
 random restarts plus greedy coordinatewise hill climbing.  Every reported
 value is a valid lower bound: it is the ratio of an explicit witness tuple
-under a reproducible evaluation (exact in Hilbert spaces, fixed-seed Monte
-Carlo otherwise).
+under a reproducible evaluation, exact on Hilbert targets and on l^1
+(Gaussian variant: Nabeya's closed form, `spaces.l1_gaussian_second_moment`),
+fixed-seed Monte Carlo otherwise.
 
-Climbing compares candidates under common random numbers (one Gaussian
-matrix xi per restart), otherwise MC noise would swamp single-coordinate
-gains.  A trial move of X[i, j] changes only column j of S = xi X and row i
-of X, so it is scored in O(samples + n): |S[:, j] + step xi[:, i]| is
-folded, in one buffer reused across the restart, into a per-sample summary
-of the other columns (their max for p = inf, their sum of |S|^p
-otherwise), and the denominator re-norms row i alone against cached norms
-of the other rows.  A trial within TIE_RTOL of the best, hence every
-accepted move, is re-scored by the fresh objective, and S and the cached
-norms are rebuilt on acceptance, so the climb makes the decisions and
-holds the values of fresh scoring unless rounding moves a trial by more
-than TIE_RTOL (it moved trials by at most 6e-16 relative in the default
-type-constant and cotype-constant searches).  The final value re-scores
-all candidates under one shared evaluation matrix whose seed depends only
-on (seed, samples, tuple size), so a witness padded with zero coordinates
-into a larger space reproduces its value bit for bit; sweeps over growing
-spaces can therefore warm-start and are exactly monotone.
+Sampled climbing compares candidates under common random numbers (one
+Gaussian matrix xi per restart), otherwise MC noise would swamp
+single-coordinate gains.  A trial move of X[i, j] changes only column j of
+S = xi X and row i of X, so it is scored in O(samples + n): |S[:, j] +
+step xi[:, i]| is folded, in one buffer reused across the restart, into a
+per-sample summary of the other columns (their max for p = inf, their sum
+of |S|^p otherwise), and the denominator re-norms row i alone against
+cached norms of the other rows.  On l^1 the same move changes only row
+and column j of Q = X^T X, so a trial forms the new row j (one product
+X[:, j] @ X: an update of the cached row would carry rounding of the old
+entries, large against a column the move nearly cancels) and re-evaluates
+the d pairs (j, k) of Nabeya's sum in plain Python floats, against cached
+column scales and the cached sum over the pairs that avoid j.  A trial
+within TIE_RTOL of the best, hence every accepted move, is re-scored by the
+fresh objective, and the cache is rebuilt from that re-score on acceptance,
+so the climb makes the decisions and holds the values of fresh scoring
+unless rounding moves a trial by more than TIE_RTOL (it moved trials by at
+most 6e-16 relative in the default type-constant and cotype-constant
+searches).  The final value re-scores all candidates under one shared
+evaluation (a matrix whose seed depends only on (seed, samples, tuple
+size), or the closed form), so a witness padded with zero coordinates into
+a larger space reproduces its value bit for bit; sweeps over growing spaces
+can therefore warm-start and are exactly monotone.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MCConfig, derive_seed, gaussian_array, rademacher_array
-from .spaces import INF, LpSpace, as_exponent, lq_norm
+from .spaces import INF, LpSpace, _nabeya_cross, _nabeya_terms, as_exponent, lq_norm
 
 DEFAULT_RESTARTS = 64
 CLIMB_SCALES = (0.5, 0.2, 0.08, 0.03)
@@ -61,17 +68,24 @@ def check_exponent(direction: str, exponent):
     return exponent
 
 
+def is_exact(space: LpSpace, variant: str = "gaussian") -> bool:
+    """Whether ratios on `space` are evaluated exactly, with no draws: on a
+    Hilbert target E||sum eps_n x_n||^2 = sum ||x_n||^2 for Gaussians and
+    signs alike, and on l^1 the Gaussian moment has Nabeya's closed form."""
+    return space.is_hilbert or (space.p == 1.0 and variant == "gaussian")
+
+
 def _ratio(space: LpSpace, direction: str, exponent, vectors, cfg: MCConfig | None,
            variant: str) -> float:
     """`_objective` of one tuple over xi = cfg.samples rows of Gaussian or
-    Rademacher signs, or xi = None (exact) for a Hilbert target."""
+    Rademacher signs, or xi = None where `is_exact`."""
     if variant not in ("gaussian", "rademacher"):
         raise ValueError("variant must be 'gaussian' or 'rademacher'")
     vectors = np.asarray(vectors, dtype=float)
     xi = None
-    if not space.is_hilbert:
+    if not is_exact(space, variant):
         if cfg is None:
-            raise ValueError("non-Hilbert spaces need an MC config")
+            raise ValueError(f"the {variant} ratio on this space needs an MC config")
         draw = gaussian_array if variant == "gaussian" else rademacher_array
         xi = draw((cfg.samples, vectors.shape[0]), cfg.seed)
     value = _objective(space, direction, exponent, vectors, xi)
@@ -96,9 +110,11 @@ def cotype_ratio(space: LpSpace, q, vectors, cfg: MCConfig | None = None,
 class ConstantEstimate:
     """A certified lower bound for a type/cotype constant.
 
-    value is the defining ratio of `witness`, recomputable exactly: for
-    analytic cases by the closed identity, otherwise by `type_ratio` /
-    `cotype_ratio` with MCConfig(samples, derive_seed(seed, "final-eval")).
+    value is the defining ratio of `witness`, recomputable exactly by the
+    closed identity in analytic cases, otherwise by `type_ratio` /
+    `cotype_ratio` with `eval_config()`: exact on Hilbert targets and on
+    l^1 (Gaussian variant), which ignore the config, and fixed-seed Monte
+    Carlo over MCConfig(samples, derive_seed(seed, "final-eval")) elsewhere.
     """
 
     value: float
@@ -116,28 +132,43 @@ class ConstantEstimate:
         return MCConfig(samples=self.samples, seed=derive_seed(self.seed, "final-eval"))
 
 
-def _objective(space, direction, exponent, X, xi) -> float:
-    """Ratio with the second moment averaged over the fixed draw matrix xi
-    (None for the exact Hilbert path)."""
-    den = lq_norm(space.norms(X), exponent)
-    if den == 0.0:
-        return -math.inf
-    if xi is None:
-        num = math.sqrt(float((X ** 2).sum()))
+def _scored(space, direction, exponent, X, xi):
+    """The ratio of X, with the second moment averaged over the fixed draw
+    matrix xi, or exact for xi = None (Hilbert: sum of squares; l^1: Nabeya's
+    sum over the pair terms of X^T X); and the products a trial cache is
+    built from: (row norms of X, S = xi @ X, or the pair terms on l^1)."""
+    norms = space.norms(X)
+    if xi is not None:
+        S = xi @ X
+        moment = float(np.mean(space.norms(S) ** 2))
+    elif space.p == 1.0:
+        S = _nabeya_terms(X.T @ X)
+        moment = 2.0 / math.pi * float(S[1].sum())  # l1_gaussian_second_moment
     else:
-        num = math.sqrt(float(np.mean(space.norms(xi @ X) ** 2)))
-    return num / den if direction == "type" else den / num
+        S = None
+        moment = float((X ** 2).sum())
+    den = lq_norm(norms, exponent)
+    if den == 0.0:
+        return -math.inf, (norms, S)
+    num = math.sqrt(moment)
+    return (num / den if direction == "type" else den / num), (norms, S)
 
 
-def _columns(space, xi, X):
-    """S = xi @ X transposed (one contiguous row per column of S); for each
-    column j a per-sample summary of the others: max_{l != j} |S[:, l]| for
-    p = inf, from prefix and suffix maxima (0 when dim is 1), else
-    sum_{l != j} |S[:, l]|^p clipped at 0; and the row norms of X as
-    Python floats."""
-    St = np.ascontiguousarray((xi @ X).T)
+def _objective(space, direction, exponent, X, xi) -> float:
+    """The ratio of X: `_scored` without the cache products."""
+    return _scored(space, direction, exponent, X, xi)[0]
+
+
+def _columns(space, norms, S):
+    """The sampled trial cache, from the row norms of X and S = xi @ X: S
+    transposed (one contiguous row per column of S); for each column j a
+    per-sample summary of the others: max_{l != j} |S[:, l]| for p = inf,
+    from prefix and suffix maxima (0 when dim is 1), else
+    sum_{l != j} |S[:, l]|^p clipped at 0; and the row norms as Python
+    floats."""
+    St = np.ascontiguousarray(S.T)
     A = np.abs(St)
-    norms = space.norms(X).tolist()
+    norms = norms.tolist()
     if space.p is not INF:
         A = A ** space.p
         return St, np.maximum(A.sum(axis=0) - A, 0.0), norms
@@ -148,33 +179,69 @@ def _columns(space, xi, X):
     return St, np.maximum(before, after), norms
 
 
+def _pair_sums(norms, terms):
+    """The l^1 trial cache, from the row norms of X and the Nabeya terms
+    (s, T) of X^T X: s and, for each column j, the sum of T over the pairs
+    (a, b) with a, b != j, as Python floats, and the row norms.  The masked
+    product sums nonnegative terms only, so no difference loses digits."""
+    sigmas, T = terms
+    off = 1.0 - np.eye(len(sigmas))
+    return sigmas.tolist(), ((off @ T) * off).sum(axis=1).tolist(), norms.tolist()
+
+
+def _cache(space, exact, parts):
+    """The trial cache built from the products `_scored` returned."""
+    return _pair_sums(*parts) if exact else _columns(space, *parts)
+
+
+def _moved_den(exponent, norms, i, moved) -> float:
+    """The l^q norm of the cached row norms with row i's replaced by
+    `moved`, in plain Python, max-factored as in `lq_norm` (0 for a zero
+    tuple)."""
+    norms = norms.copy()
+    norms[i] = moved
+    top = max(norms)
+    if top == 0.0 or exponent is INF:
+        return top
+    return top * sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
+
+
 def _trial_value(space, direction, exponent, columns, xiT, buf, X, i, j, step) -> float:
     """`_objective` after X[i, j] moved by `step` (X already holds the
     move), up to rounding.  Only column j of S is rebuilt, as
     |S[:, j] + step * xi[:, i]| in `buf`, and only row i's norm is
-    recomputed; the l^q norm of the n row norms runs in plain Python,
-    max-factored as in `lq_norm`."""
+    recomputed."""
     St, others, norms = columns
-    norms = norms.copy()
-    norms[i] = float(space.norms(X[i]))
-    top = max(norms)
-    if top == 0.0:
+    den = _moved_den(exponent, norms, i, float(space.norms(X[i])))
+    if den == 0.0:
         return -math.inf
-    den = top
-    if exponent is not INF:
-        den *= sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
     np.multiply(xiT[i], step, out=buf)
     np.add(St[j], buf, out=buf)
     np.abs(buf, out=buf)
     if space.p is INF:
         np.maximum(others[j], buf, out=buf)
-    elif space.p == 1.0:
-        np.add(others[j], buf, out=buf)
     else:
         np.power(buf, space.p, out=buf)
         np.add(others[j], buf, out=buf)
         np.power(buf, 1.0 / space.p, out=buf)
     num = math.sqrt(float(buf @ buf) / len(buf))
+    return num / den if direction == "type" else den / num
+
+
+def _pair_trial_value(direction, exponent, pairs, X, i, j) -> float:
+    """Exact `_objective` on l^1 after a move of X[i, j] (X already holds
+    it), up to rounding: the pairs (j, k) of Nabeya's sum are re-evaluated
+    from the new row j of X^T X and the cached scales s_k, and added to the
+    cached sum over the pairs that avoid j; only row i's norm is
+    recomputed, all in plain Python floats."""
+    sigmas, avoid, norms = pairs
+    den = _moved_den(exponent, norms, i, sum(map(abs, X[i].tolist())))
+    if den == 0.0:
+        return -math.inf
+    q = X[:, j].dot(X).tolist()
+    # the diagonal term T_jj = (pi/2) q_j: E|G_j|^2 = q_j
+    total = avoid[j] + 0.5 * math.pi * q[j] + 2.0 * _nabeya_cross(j, sigmas, q)
+    num = math.sqrt(2.0 / math.pi * total)
     return num / den if direction == "type" else den / num
 
 
@@ -195,10 +262,12 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                       warm_start=None) -> ConstantEstimate:
     """Search for a tuple with a large defining ratio.
 
-    Deterministic given (seed, samples, restarts, budget).  `warm_start`
-    (a tuple of vectors, possibly found in a smaller space and padded with
-    zero coordinates) joins the candidate pool unclimbed and climbed, so a
-    sweep that feeds each winner forward can never report a decrease.
+    Deterministic given (seed, samples, restarts, budget); on the exact
+    spaces of `is_exact` no draw is made and `samples` only sets
+    `eval_config()`.  `warm_start` (a tuple of vectors, possibly found in a
+    smaller space and padded with zero coordinates) joins the candidate
+    pool unclimbed and climbed, so a sweep that feeds each winner forward
+    can never report a decrease.
     """
     exponent = check_exponent(direction, exponent)
     if budget <= 0:
@@ -211,7 +280,9 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
        (space.is_hilbert and exponent is not INF and float(exponent) == 2.0):
         return _analytic_case(space, direction, exponent, n_vectors, seed, samples)
 
-    exact = space.is_hilbert
+    # trials: fresh scoring on Hilbert targets, Nabeya pairs on l^1, else
+    # the sampled column update
+    hilbert, exact = space.is_hilbert, is_exact(space)
     evals = 0
     candidates = []
     if warm_start is not None:
@@ -234,11 +305,11 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
             X = X / norms[:, None]
         xi = None if exact else gaussian_array((samples, n_vectors),
                                                derive_seed(seed, "crn", r))
-        best = _objective(space, direction, exponent, X, xi)
+        best, parts = _scored(space, direction, exponent, X, xi)
         evals += 1
-        xiT = None if exact else np.ascontiguousarray(xi.T)
-        buf = None if exact else np.empty(samples)
-        columns = None if exact else _columns(space, xi, X)
+        if not exact:
+            xiT, buf = np.ascontiguousarray(xi.T), np.empty(samples)
+        cache = None if hilbert else _cache(space, exact, parts)
         for scale in CLIMB_SCALES:
             improved = True
             while improved and evals < budget:
@@ -250,17 +321,22 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 break
                             X[i, j] += sign * scale
                             evals += 1
-                            if exact:
+                            if hilbert:
                                 val = _objective(space, direction, exponent, X, xi)
                             else:
-                                val = _trial_value(space, direction, exponent, columns,
-                                                   xiT, buf, X, i, j, sign * scale)
+                                if exact:
+                                    val = _pair_trial_value(direction, exponent, cache,
+                                                            X, i, j)
+                                else:
+                                    val = _trial_value(space, direction, exponent, cache,
+                                                       xiT, buf, X, i, j, sign * scale)
                                 if val > best * (1.0 - TIE_RTOL):
-                                    val = _objective(space, direction, exponent, X, xi)
+                                    val, parts = _scored(space, direction, exponent, X, xi)
                             if val > best:
                                 best = val
                                 improved = True
-                                columns = None if exact else _columns(space, xi, X)
+                                if not hilbert:
+                                    cache = _cache(space, exact, parts)
                             else:
                                 X[i, j] -= sign * scale
         candidates.append(X)

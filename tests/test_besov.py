@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -414,6 +415,27 @@ def test_linear_modulus_is_nondecreasing_in_t():
     f = random_linear(jumps=True)
     rhos = [modulus_of_continuity(f, t, 1.7) for t in np.geomspace(1e-3, 1.0, 60)]
     assert np.all(np.diff(rhos) >= 0.0)
+
+
+def test_modulus_sweep_equals_its_per_point_calls():
+    # one shift pass and a running max serve the whole sweep; t from 1e-10
+    # also reaches below the smallest sampled shift 2^-30, where F(t) counts
+    f = random_linear(jumps=True)
+    ts = np.geomspace(1e-10, 1.0, 200)
+    start = time.perf_counter()
+    rhos = modulus_of_continuity(f, ts, 1.7)
+    assert time.perf_counter() - start < 1.0
+    assert rhos.shape == ts.shape
+    for k in range(0, 200, 15):
+        assert rhos[k] == modulus_of_continuity(f, ts[k], 1.7)
+    step_ts = np.array([[0.01, 0.4], [0.125, 1.5]])
+    step_rhos = modulus_of_continuity(indicator(1.5), step_ts, 1.5)
+    assert step_rhos.shape == (2, 2)
+    for t, rho in zip(step_ts.ravel(), step_rhos.ravel()):
+        assert rho == modulus_of_continuity(indicator(1.5), t, 1.5)
+    assert isinstance(modulus_of_continuity(f, 0.3, 1.7), float)
+    with pytest.raises(ValueError):
+        modulus_of_continuity(f, np.array([0.1, 0.0]), 1.7)
 
 
 def test_holder_norm_single_tent():

@@ -230,6 +230,23 @@ def test_constant_searches_keep_their_cases_and_summary_keys(direction, cases, k
     assert sweep[0].rhs == 0.0 and sweep[1].rhs == sweep[0].lhs
 
 
+def test_exact_constant_rows_list_no_sample_count():
+    # the l^1 cotype search is exact: its sweep rows omit `samples` and stay
+    # byte-identical when the sample count changes; only the sampled
+    # Rademacher ratios may move
+    a, b = (render_csv(run("cotype-constant", dict(SMALL_SEARCH, samples=samples)))
+            for samples in (320, 640))
+    rows_a, rows_b = ([line for line in text.splitlines() if "l1-cotype2" in line]
+                      for text in (a, b))
+    assert len(rows_a) == 2
+    assert rows_a == rows_b
+    assert all("samples" not in line for line in rows_a)
+    sampled = [line for line in a.splitlines() if "rademacher_ratio" in line]
+    assert sampled and not set(sampled) & set(b.splitlines())
+    linf = run("type-constant", SMALL_SEARCH).rows[2:]
+    assert all("samples=320" in row.inputs for row in linf)
+
+
 @pytest.mark.parametrize("experiment, upper", [
     ("type-constant", {f"linf{d}_type2": math.sqrt(4.0 * math.log(d) + 2.0 * math.log(2.0))
                        for d in (2, 4, 8)}),
