@@ -14,13 +14,12 @@ experiments that emit CSV reports.
 from .besov import (FilterBank, apply_multiplier, band_profile,
                     besov_norm_difference, besov_norm_fourier,
                     build_filter_bank, chi, holder_norm, lp_block, lq_norm,
-                    modulus_of_continuity, smoothstep)
+                    modulus_of_continuity, smoothstep, translate_diff_norm)
 from .constructions import (make_psi_system, make_single_band, make_step,
                             make_tent_family, psi_profiles, tent_l2_sigmas,
                             tent_widths, zeta_sum)
 from .functions import (GridFunction, Interpolation, PiecewiseFunction,
-                        dilate, grid_lp_norm, l2_norm_squared, lp_norm,
-                        translate_diff_norm)
+                        dilate, grid_lp_norm, l2_norm_squared, lp_norm)
 from .gamma import (DisjointGammaNorm, GammaOperator, PartitionCheck,
                     covariance, covariance_operator, disjoint_lp_from_sigmas,
                     gamma_norm_disjoint_lp, gamma_norm_hilbert, gamma_norm_mc,
@@ -38,9 +37,9 @@ __all__ = [
     "MCConfig", "MCEstimate", "batch_means", "derive_seed", "gaussian_array",
     "rademacher_array",
     "PiecewiseFunction", "GridFunction", "Interpolation", "lp_norm",
-    "l2_norm_squared", "translate_diff_norm", "grid_lp_norm", "dilate",
-    "smoothstep", "chi", "band_profile", "lq_norm", "FilterBank",
-    "build_filter_bank", "apply_multiplier", "lp_block", "besov_norm_fourier",
+    "l2_norm_squared", "grid_lp_norm", "dilate", "smoothstep", "chi",
+    "band_profile", "lq_norm", "FilterBank", "build_filter_bank",
+    "apply_multiplier", "lp_block", "besov_norm_fourier", "translate_diff_norm",
     "modulus_of_continuity", "besov_norm_difference", "holder_norm",
     "zeta_sum", "make_step", "tent_widths", "tent_l2_sigmas", "make_tent_family",
     "psi_profiles", "make_psi_system", "make_single_band",

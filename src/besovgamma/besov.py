@@ -17,11 +17,12 @@ Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
 continuity.  One algorithm serves steps and linear sources: the shift
 profile F(h) = ||f(.+h) - f||_p^p is evaluated at a set of shifts in one
-vectorised pass (`_shift_powers`), and the modulus and the integral are
-read off those values (`_seminorm`).  The source kind decides only which
-shifts are sampled: for steps the breakpoint differences, where F has its
-kinks, so the result is exact up to quadrature roundoff; for linear
-sources those plus a fixed geometric grid.
+vectorised pass (`_shift_powers`, the only code that computes F; the
+single-shift `translate_diff_norm` calls it too), and the modulus and the
+integral are read off those values (`_seminorm`).  The source kind decides
+only which shifts are sampled: for steps the breakpoint differences, where
+F has its kinks, so the result is exact up to quadrature roundoff; for
+linear sources those plus a fixed geometric grid.
 
 Holder route (piecewise linear only): the sup norm plus the difference
 quotient maximized over breakpoint pairs.  That maximum is exact, not a
@@ -170,7 +171,8 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
     breakpoints of f and f(.+h) cut cells where both are constant (steps) or
     affine (linear sources: the module Gauss-Legendre rule, with the
     difference interpolated to the nodes from its cell-end values).  Chunks
-    keep each temporary array near 2^18 floats."""
+    keep each temporary array near 2^18 floats.  Shifts far beyond the
+    support length round b - h together; the public callers clamp to it."""
     b = f.breakpoints
     step = f.interpolation is Interpolation.STEP
     if step:
@@ -200,6 +202,22 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
     return out
 
 
+def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
+    """||f(. + h) - f||_{L^p(R)}: `_shift_powers` at the one shift |h| (F is
+    even in h by t -> t - h), to the 1/p.  From the support length L on the
+    supports are disjoint and F = 2 ||f||_p^p, so |h| is clamped to L."""
+    p = float(p)
+    if p < 1.0 or math.isinf(p):
+        raise ValueError("translate_diff_norm needs a finite p >= 1")
+    h = abs(float(h))
+    if math.isnan(h):
+        raise ValueError("the shift h must not be NaN")
+    if h == 0.0:
+        return 0.0
+    a, b = f.support
+    return float(_shift_powers(f, np.array([min(h, b - a)]), p)[0]) ** (1.0 / p)
+
+
 def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     """sup_{|h| <= t} ||f(.+h) - f||_p; positive h suffice (t -> t - h).
 
@@ -211,12 +229,14 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
 
     `t` may be an array: F is then evaluated in one pass at the shifts up to
     max t and at the t that need F(t), and each entry is read off a running
-    max, equal to its own scalar call.  A scalar t returns a float.
+    max, equal to its own scalar call.  A scalar t returns a float.  A t
+    beyond the support length L reads as L, where F is already constant.
     """
     ts = np.asarray(t, dtype=float)
     if not (ts > 0.0).all():
         raise ValueError("t must be positive")
-    flat = ts.ravel()
+    a, b = f.support
+    flat = np.minimum(ts.ravel(), b - a)
     h = _shifts(f)
     step = f.interpolation is Interpolation.STEP
     kinks = h[h < flat.max()] if step else h[h <= flat.max()]

@@ -112,15 +112,6 @@ class PiecewiseFunction:
         out[at_left_end] = self.values[0]
         return out[0] if scalar else out
 
-    def jump_vectors(self) -> np.ndarray:
-        """Jump sizes of a step function at every breakpoint, boundary included."""
-        if self.interpolation is not Interpolation.STEP:
-            raise ValueError("jump_vectors is defined for step functions")
-        segs = self.values[1:]
-        padded = np.vstack([np.zeros((1, self.space.dim)), segs,
-                            np.zeros((1, self.space.dim))])
-        return np.diff(padded, axis=0)
-
     def restrict(self, intervals: Sequence[tuple[float, float]]) -> "PiecewiseFunction":
         """Multiply by the indicator of a finite union of intervals, exactly.
 
@@ -165,47 +156,6 @@ class PiecewiseFunction:
             new_values = self.evaluate(merged) * keep[:, None]
         return PiecewiseFunction(merged, new_values, self.interpolation, self.space)
 
-    def integral(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
-        """Exact vector integral of f over [lo, hi] (default: full support)."""
-        a, b = self.support
-        lo = a if lo is None else max(float(lo), a)
-        hi = b if hi is None else min(float(hi), b)
-        if hi <= lo:
-            return np.zeros(self.space.dim)
-        pts = np.unique(np.concatenate([[lo, hi],
-                                        self.breakpoints[(self.breakpoints > lo)
-                                                         & (self.breakpoints < hi)]]))
-        lens = np.diff(pts)
-        if self.interpolation is Interpolation.STEP:
-            mids = 0.5 * (pts[1:] + pts[:-1])
-            return lens @ self.evaluate(mids)
-        left = self.evaluate(pts[:-1])
-        right = self.evaluate(pts[1:])
-        return lens @ (0.5 * (left + right))
-
-
-def _segment_pth_power(f: PiecewiseFunction, shift: float, p: float,
-                       pts: np.ndarray) -> float:
-    """integral over [pts[0], pts[-1]] of ||f(t + shift) - f(t)||^p dt.
-
-    `pts` must contain every breakpoint of both f and its shift in range, so
-    the integrand is constant (STEP) or the norm of a linear path (LINEAR)
-    on each open cell; node evaluation never touches a tie point.
-    """
-    lens = np.diff(pts)
-    if f.interpolation is Interpolation.STEP:
-        mids = 0.5 * (pts[1:] + pts[:-1])
-        diff = f.evaluate(mids + shift) - f.evaluate(mids)
-        return float(lens @ f.space.norms(diff) ** p)
-    nodes, weights = _gl_rule(GL_NODES)
-    mids = 0.5 * (pts[1:] + pts[:-1])
-    half = 0.5 * lens
-    t_nodes = mids[:, None] + half[:, None] * nodes[None, :]
-    flat = t_nodes.ravel()
-    diff = f.evaluate(flat + shift) - f.evaluate(flat)
-    powered = f.space.norms(diff).reshape(t_nodes.shape) ** p
-    return float((half[:, None] * (powered * weights[None, :])).sum())
-
 
 def lp_norm(f: PiecewiseFunction, p) -> float:
     """L^p(R; E) norm.  Steps are closed-form exact; linear segments use
@@ -239,25 +189,6 @@ def l2_norm_squared(f: PiecewiseFunction) -> float:
     b = f.values[1:]
     per_seg = ((a * a).sum(axis=1) + (a * b).sum(axis=1) + (b * b).sum(axis=1)) / 3.0
     return float(lens @ per_seg)
-
-
-def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
-    """||f(. + h) - f||_{L^p(R)}, exact for steps (breakpoint merging).
-
-    Symmetric in h by the substitution t -> t - h, so callers may restrict
-    to h > 0.  For linear interpolants the per-cell integrals use the same
-    Gauss-Legendre rule as lp_norm.
-    """
-    p = float(p)
-    if p < 1.0 or math.isinf(p):
-        raise ValueError("translate_diff_norm needs a finite p >= 1")
-    h = float(h)
-    if h == 0.0:
-        return 0.0
-    a, b = f.support
-    lo, hi = min(a, a - h), max(b, b - h)
-    pts = np.unique(np.concatenate([f.breakpoints, f.breakpoints - h, [lo, hi]]))
-    return _segment_pth_power(f, h, p, pts) ** (1.0 / p)
 
 
 def _frequency_radii(period: float, n: int, d: int) -> np.ndarray:

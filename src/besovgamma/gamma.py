@@ -56,10 +56,6 @@ class GammaOperator:
     basis: str
     residual: float
 
-    @property
-    def rank_bound(self) -> int:
-        return min(self.coefficients.shape)
-
     def hilbert_norm(self) -> float:
         """Exact norm of the operator (Hilbert target only)."""
         if not self.space.is_hilbert:

@@ -82,6 +82,9 @@ def _ratio(space: LpSpace, direction: str, exponent, vectors, cfg: MCConfig | No
     if variant not in ("gaussian", "rademacher"):
         raise ValueError("variant must be 'gaussian' or 'rademacher'")
     vectors = np.asarray(vectors, dtype=float)
+    if 0.0 < np.abs(vectors).max(initial=0.0) < math.sqrt(np.finfo(float).tiny):
+        raise ValueError("the tuple is below float range: its second moment "
+                         "underflows (the ratio is scale-invariant, so rescale it)")
     xi = None
     if not is_exact(space, variant):
         if cfg is None:

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import besovgamma
 from besovgamma.besov import (FilterBank, _shift_powers, apply_multiplier,
                               band_profile, besov_norm_difference,
                               besov_norm_fourier, build_filter_bank, chi,
                               holder_norm, lp_block, lq_norm,
-                              modulus_of_continuity, smoothstep)
-from besovgamma.constructions import make_tent_family
+                              modulus_of_continuity, smoothstep,
+                              translate_diff_norm)
+from besovgamma.constructions import make_step, make_tent_family
 from besovgamma.functions import (GridFunction, Interpolation,
-                                  PiecewiseFunction, grid_lp_norm, lp_norm,
-                                  translate_diff_norm)
+                                  PiecewiseFunction, grid_lp_norm, lp_norm)
 from besovgamma.montecarlo import derive_seed
 from besovgamma.spaces import INF, LpSpace
+from conftest import dense_shift_power
 
 
 def band_limited_random(period, n, dim, radius, seed):
@@ -221,10 +223,36 @@ def test_modulus_monotone_and_dense_scan_lower_bound():
     # most a little; it must never exceed the reported sup noticeably, and
     # the reported sup must be attained by some shift <= t.
     for t, rho in zip(ts, rhos):
-        dense = max(translate_diff_norm(f, h, p)
+        dense = max(dense_shift_power(f, h, p) ** (1.0 / p)
                     for h in np.linspace(t / 400, t, 400))
         assert rho <= dense * 1.02 + 1e-12
         assert dense <= rho * 1.02 + 1e-12
+
+
+@pytest.mark.parametrize("f, modulus_rtol", [(make_step(3, np.eye(3), LpSpace(1.5, 3)), 1e-12),
+                                              (make_tent_family(2, 1.05, 1.5), 1e-8)])
+def test_shifts_beyond_the_support_read_as_disjoint(f, modulus_rtol):
+    # once |h| >= L the supports are disjoint, F = 2 ||f||_p^p; without the
+    # clamp to L, shifts that dwarf the breakpoints round them together.
+    # Both sources have their sup of F there; the tent's F at shorter shifts
+    # carries the quadrature error of cells where a coordinate changes sign.
+    p = 1.5
+    a, b = f.support
+    want = 2.0 ** (1.0 / p) * lp_norm(f, p)
+    for h in (2.0 * (b - a), 1e16, math.inf):
+        assert translate_diff_norm(f, h, p) == pytest.approx(want, rel=1e-12)
+        assert translate_diff_norm(f, -h, p) == pytest.approx(want, rel=1e-12)
+        assert modulus_of_continuity(f, h, p) == pytest.approx(want, rel=modulus_rtol)
+    with pytest.raises(ValueError):
+        translate_diff_norm(f, math.nan, p)
+    with pytest.raises(ValueError):
+        modulus_of_continuity(f, math.nan, p)
+
+
+def test_public_names_resolve():
+    for name in besovgamma.__all__:
+        assert getattr(besovgamma, name) is not None
+    assert besovgamma.translate_diff_norm is besovgamma.besov.translate_diff_norm
 
 
 def test_besov_difference_closed_form_for_indicator():
@@ -287,14 +315,15 @@ def random_steps(draw, kinds=(Interpolation.STEP,)):
 @given(random_steps(tuple(Interpolation)), st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12))
 def test_step_shift_powers_match_translate_diff_norm(step, shifts):
     # arbitrary shifts plus every breakpoint difference, where cells degenerate;
-    # steps and linear sources alike
+    # steps and linear sources alike, against the oracle that evaluates f
     f, p = step
     b = f.breakpoints
     diffs = (b[None, :] - b[:, None]).ravel()
     h = np.concatenate([shifts, diffs[diffs > 0]])
-    got = _shift_powers(f, h, p)
-    want = np.array([translate_diff_norm(f, x, p) ** p for x in h])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    want = np.array([dense_shift_power(f, x, p) for x in h])
+    np.testing.assert_allclose(_shift_powers(f, h, p), want, rtol=1e-12, atol=0.0)
+    single = np.array([translate_diff_norm(f, x, p) ** p for x in h])
+    np.testing.assert_allclose(single, want, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=12)
@@ -305,18 +334,19 @@ def test_step_modulus_matches_dense_scan(step, t):
     # spacing t/2000 misses its sup over (0, t] by at most that times t/2000
     f, p = step
     rho_p = modulus_of_continuity(f, t, p) ** p
-    dense = max(translate_diff_norm(f, h, p) ** p for h in np.linspace(t / 2000, t, 2000))
+    dense = max(dense_shift_power(f, h, p) for h in np.linspace(t / 2000, t, 2000))
     sup = float(f.space.norms(f.values[1:]).max())
-    lip = p * (2.0 * sup) ** (p - 1.0) * float(f.space.norms(f.jump_vectors()).sum())
+    jumps = np.diff(np.pad(f.values[1:], ((1, 1), (0, 0))), axis=0)
+    lip = p * (2.0 * sup) ** (p - 1.0) * float(f.space.norms(jumps).sum())
     assert dense * (1.0 - 1e-12) <= rho_p <= dense + lip * t / 2000 + 1e-12
 
 
 def kink_reference(f, s, p, q):
     """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} one kink piece at a time, with
-    F = translate_diff_norm^p at the kinks; q = inf scans each piece densely."""
+    F = dense_shift_power at the kinks; q = inf scans each piece densely."""
     b = f.breakpoints.tolist()
     kinks = sorted({y - x for x in b for y in b if 0.0 < y - x < 1.0} | {1.0})
-    F = [translate_diff_norm(f, h, p) ** p for h in kinks]
+    F = [dense_shift_power(f, h, p) for h in kinks]
     g = kinks[0]
     nodes, weights = np.polynomial.legendre.leggauss(20)
     expo = math.inf if q is INF else (1.0 / p - s) * q

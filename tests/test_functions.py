@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from besovgamma.besov import translate_diff_norm
 from besovgamma.functions import (GridFunction, Interpolation,
                                   PiecewiseFunction, dilate, grid_lp_norm,
-                                  l2_norm_squared, lp_norm,
-                                  translate_diff_norm)
+                                  l2_norm_squared, lp_norm)
 from besovgamma.montecarlo import derive_seed, gaussian_array
 from besovgamma.spaces import INF, LpSpace
 
@@ -133,13 +133,6 @@ def test_translate_exactness_for_steps():
         math.sqrt(0.5), rel=1e-15)
 
 
-def test_jump_vectors_sum_to_zero():
-    f = random_piecewise(17, Interpolation.STEP)
-    jumps = f.jump_vectors()
-    assert jumps.shape == (f.breakpoints.size, f.space.dim)
-    assert np.abs(jumps.sum(axis=0)).max() < 1e-12
-
-
 def test_restrict_step_exact_at_arbitrary_cuts():
     f = random_piecewise(23, Interpolation.STEP)
     a, b = f.support
@@ -176,20 +169,6 @@ def test_restrict_rejects_bad_intervals():
     w = b - a
     with pytest.raises(ValueError):
         f.restrict([(a, a + 0.6 * w), (a + 0.4 * w, b)])
-
-
-def test_integral_matches_riemann():
-    for kind in (Interpolation.STEP, Interpolation.LINEAR):
-        f = random_piecewise(derive_seed(31, kind.value), kind)
-        a, b = f.support
-        ts = np.linspace(a, b, 400001)
-        mids = 0.5 * (ts[1:] + ts[:-1])
-        dense = f.evaluate(mids).sum(axis=0) * (ts[1] - ts[0])
-        assert f.integral() == pytest.approx(dense, abs=5e-5)
-        lo, hi = a + 0.123, b - 0.456
-        sub = (mids > lo) & (mids < hi)
-        dense_sub = f.evaluate(mids[sub]).sum(axis=0) * (ts[1] - ts[0])
-        assert f.integral(lo, hi) == pytest.approx(dense_sub, abs=5e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -266,10 +266,7 @@ def test_partition_check_needs_config_for_non_hilbert():
         partition_inequality_check(f, [(0.0, 1.0)], "type", 1.0, 1.0)
 
 
-def test_rank_bound():
+def test_rank_zero_operator_has_zero_norm():
     f = step_fn(4, 6, 85)
-    op = covariance_operator(f)
-    assert op.rank_bound == min(op.coefficients.shape) == 6
     empty = GammaOperator(np.zeros((0, 6)), f.space, "cells", 0.0)
-    assert empty.rank_bound == 0
     assert empty.mc_norm(MCConfig(samples=2000, seed=1)).mean == 0.0

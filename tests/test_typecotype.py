@@ -38,10 +38,26 @@ def test_type_ratio_linf_pair_closed_form():
 
 
 def test_cotype_ratio_l1_pair_closed_form():
+    # the Gaussian l^1 ratio is exact: any config is ignored, to the bit
     space = LpSpace(1, 2)
-    got = cotype_ratio(space, 2.0, np.eye(2), MCConfig(samples=400000, seed=32))
-    expect = math.sqrt(2.0 / SUM_PAIR)
-    assert got == pytest.approx(expect, abs=0.005)
+    got = [cotype_ratio(space, 2.0, np.eye(2), cfg)
+           for cfg in (None, MCConfig(samples=320, seed=32), MCConfig(samples=400000, seed=32))]
+    assert got[0] == got[1] == got[2]
+    assert got[0] == pytest.approx(math.sqrt(2.0 / SUM_PAIR), rel=0.0, abs=1e-15)
+
+
+def test_ratio_rejects_tuples_below_float_range():
+    # the second moment of a 1e-170 tuple underflows to 0 on every path
+    tiny = [[1e-170, 0.0]]
+    cases = [lambda: cotype_ratio(LpSpace(INF, 2), 2.0, tiny, MCConfig(1000, 1)),
+             lambda: cotype_ratio(LpSpace(1, 2), 2.0, tiny),
+             lambda: type_ratio(LpSpace(1.5, 2), 1.5, tiny, MCConfig(1000, 1)),
+             lambda: cotype_ratio(LpSpace(2, 2), 2.0, tiny)]
+    for case in cases:
+        with pytest.raises(ValueError, match="below float range"):
+            case()
+    with pytest.raises(ValueError, match="nonzero vector"):
+        cotype_ratio(LpSpace(2, 2), 2.0, np.zeros((1, 2)))
 
 
 def test_rademacher_variant_l1_pair():
