@@ -23,7 +23,7 @@ from .functions import (GridFunction, Interpolation, PiecewiseFunction,
 from .gamma import (DisjointGammaNorm, GammaOperator, PartitionCheck,
                     covariance, covariance_operator, disjoint_lp_from_sigmas,
                     gamma_norm_disjoint_lp, gamma_norm_hilbert, gamma_norm_mc,
-                    ideal_compose, partition_inequality_check, restrict_gamma)
+                    ideal_compose, partition_inequality_check)
 from .harness import Report, ReportRow, UsageError, run, write_report_csv
 from .montecarlo import (MCConfig, MCEstimate, batch_means, derive_seed,
                          gaussian_array, rademacher_array)
@@ -46,8 +46,7 @@ __all__ = [
     "GammaOperator", "covariance", "covariance_operator",
     "gamma_norm_hilbert", "gamma_norm_mc",
     "DisjointGammaNorm", "disjoint_lp_from_sigmas", "gamma_norm_disjoint_lp",
-    "restrict_gamma", "ideal_compose", "PartitionCheck",
-    "partition_inequality_check",
+    "ideal_compose", "PartitionCheck", "partition_inequality_check",
     "type_ratio", "cotype_ratio", "ConstantEstimate", "estimate_constant",
     "Report", "ReportRow", "UsageError", "run", "write_report_csv",
     "__version__",

@@ -170,7 +170,9 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
     """F(h) = ||f(.+h) - f||_p^p at every shift h: per row, the merged
     breakpoints of f and f(.+h) cut cells where both are constant (steps) or
     affine (linear sources: the module Gauss-Legendre rule, with the
-    difference interpolated to the nodes from its cell-end values).  Chunks
+    difference interpolated to the nodes from its cell-end values; a sampled
+    value, not a bound, since the rule misses the |u|^p kink where a
+    coordinate of the difference changes sign inside a cell).  Chunks
     keep each temporary array near 2^18 floats.  Shifts far beyond the
     support length round b - h together; the public callers clamp to it."""
     b = f.breakpoints
@@ -202,13 +204,19 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
     return out
 
 
+def _finite_p(p) -> float:
+    """p as a float, checked to be finite and >= 1 (NaN fails the check)."""
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError("the difference route needs a finite p >= 1")
+    return p
+
+
 def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
     """||f(. + h) - f||_{L^p(R)}: `_shift_powers` at the one shift |h| (F is
     even in h by t -> t - h), to the 1/p.  From the support length L on the
     supports are disjoint and F = 2 ||f||_p^p, so |h| is clamped to L."""
-    p = float(p)
-    if p < 1.0 or math.isinf(p):
-        raise ValueError("translate_diff_norm needs a finite p >= 1")
+    p = _finite_p(p)
     h = abs(float(h))
     if math.isnan(h):
         raise ValueError("the shift h must not be NaN")
@@ -223,15 +231,18 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
 
     Exact for steps up to roundoff: F(h) = ||f(.+h) - f||_p^p is piecewise
     linear in h with kinks at breakpoint differences, so its sup over (0, t]
-    sits at a kink or at t.  A lower bound for linear sources: the max of F
-    over the shifts of `_shifts` up to t, nondecreasing in t by construction
-    (F(t) itself when t lies below all of them).
+    sits at a kink or at t.  For linear sources a sampled value, not a
+    bound: the max of F over the shifts of `_shifts` up to t, nondecreasing
+    in t by construction (F(t) itself when t lies below all of them), with
+    each F from a quadrature that can miss the |u|^p kink of a coordinate
+    changing sign inside a cell, so it may read above the true modulus.
 
     `t` may be an array: F is then evaluated in one pass at the shifts up to
     max t and at the t that need F(t), and each entry is read off a running
     max, equal to its own scalar call.  A scalar t returns a float.  A t
     beyond the support length L reads as L, where F is already constant.
     """
+    p = _finite_p(p)
     ts = np.asarray(t, dtype=float)
     if not (ts > 0.0).all():
         raise ValueError("t must be positive")
@@ -302,9 +313,7 @@ def besov_norm_difference(f: PiecewiseFunction, s: float, p: float, q) -> float:
     s = float(s)
     if not (0.0 < s < 1.0):
         raise ValueError("smoothness s must lie in (0, 1)")
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise ValueError("the difference route needs a finite p >= 1")
+    p = _finite_p(p)
     q = as_exponent(q)
     return lp_norm(f, p) + _seminorm(f, s, p, q)
 

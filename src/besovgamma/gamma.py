@@ -27,7 +27,7 @@ from .functions import GridFunction, Interpolation, PiecewiseFunction, l2_norm_s
 from .montecarlo import MCConfig, MCEstimate, derive_seed
 from .spaces import (INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment,
                      l1_gaussian_second_moment)
-from .typecotype import check_exponent
+from .typecotype import check_exponent, is_exact
 
 # Partition endpoints must sit this close (absolutely) to each other and to
 # the ends of the support for a user's partition to count as a tiling.
@@ -56,18 +56,12 @@ class GammaOperator:
     basis: str
     residual: float
 
-    def hilbert_norm(self) -> float:
-        """Exact norm of the operator (Hilbert target only)."""
-        if not self.space.is_hilbert:
-            raise ValueError("exact path requires a Hilbert target")
-        return math.sqrt(float((self.coefficients ** 2).sum()))
-
     def mc_norm(self, cfg: MCConfig) -> MCEstimate:
         """Monte Carlo estimate of the Gaussian-sum norm with a delta-method
         standard error on the square root."""
         if self.coefficients.shape[0] == 0:  # rank 0: the sum is exactly 0
             return MCEstimate(mean=0.0, std_error=0.0, samples=cfg.samples, seed=cfg.seed)
-        est = gaussian_second_moment(self.space, self.coefficients, cfg, force_mc=True)
+        est = gaussian_second_moment(self.space, self.coefficients, cfg)
         mean = math.sqrt(est.mean)
         if mean == 0.0:
             return replace(est, mean=0.0)
@@ -154,15 +148,6 @@ def gamma_norm_disjoint_lp(f: PiecewiseFunction, p) -> DisjointGammaNorm:
     return disjoint_lp_from_sigmas(np.sqrt(np.diag(covariance(f))), p)
 
 
-def restrict_gamma(f: PiecewiseFunction, subset) -> GammaOperator:
-    """Operator of f restricted to a union of intervals: I_{f 1_subset}.
-
-    Restriction never increases the Gaussian-sum norm (compose with the
-    multiplication contraction 1_subset).
-    """
-    return covariance_operator(f.restrict(subset))
-
-
 def ideal_compose(op: GammaOperator, matrix) -> GammaOperator:
     """Precompose with the adjoint of `matrix` on the coefficient space:
     the new coefficient rows are matrix @ C.  For a contraction the
@@ -228,26 +213,20 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
     exponent = check_exponent(direction, exponent)
     constant = float(getattr(constant, "value", constant))
 
-    l1 = f.space.p == 1.0
-    exact = f.space.is_hilbert or l1
-    whole_se, part_ses = 0.0, [0.0] * len(parts)
+    pieces = [f] + [f.restrict([iv]) for iv in parts]
+    exact, ses = is_exact(f.space), [0.0] * len(pieces)
     if f.space.is_hilbert:
-        whole = gamma_norm_hilbert(f)
-        part_norms = [math.sqrt(l2_norm_squared(f.restrict([iv]))) for iv in parts]
-    elif l1:
-        whole, *part_norms = [math.sqrt(l1_gaussian_second_moment(covariance(g)))
-                              for g in [f] + [f.restrict([iv]) for iv in parts]]
+        norms = [gamma_norm_hilbert(g) for g in pieces]
+    elif exact:
+        norms = [math.sqrt(l1_gaussian_second_moment(covariance(g))) for g in pieces]
+    elif cfg is None:
+        raise ValueError("targets other than l^2 and l^1 need an MC config")
     else:
-        if cfg is None:
-            raise ValueError("targets other than l^2 and l^1 need an MC config")
-        est = gamma_norm_mc(f, replace(cfg, seed=derive_seed(cfg.seed, "whole")))
-        whole, whole_se = est.mean, est.std_error
-        part_norms, part_ses = [], []
-        for j, iv in enumerate(parts):
-            op = restrict_gamma(f, [iv])
-            pe = op.mc_norm(replace(cfg, seed=derive_seed(cfg.seed, "part", j)))
-            part_norms.append(pe.mean)
-            part_ses.append(pe.std_error)
+        labels = [("whole",)] + [("part", j) for j in range(len(parts))]
+        ests = [gamma_norm_mc(g, replace(cfg, seed=derive_seed(cfg.seed, *label)))
+                for g, label in zip(pieces, labels)]
+        norms, ses = [e.mean for e in ests], [e.std_error for e in ests]
+    (whole, *part_norms), (whole_se, *part_ses) = norms, ses
 
     arr = np.asarray(part_norms)
     if direction == "type":
@@ -264,7 +243,7 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
             lhs = float((arr ** q).sum()) ** (1.0 / q)
         rhs = constant * whole
         budget = float(np.sum(part_ses)) + constant * whole_se
-    if l1:
+    if f.space.p == 1.0:
         budget = ROUNDOFF_RTOL * (lhs + rhs)
     return PartitionCheck(direction=direction, exponent=exponent, constant=constant,
                           whole_norm=whole, part_norms=tuple(part_norms),

@@ -31,9 +31,9 @@ from .constructions import (make_psi_system, make_single_band, make_step,
 from .functions import dilate, grid_lp_norm, lp_norm
 from .gamma import (disjoint_lp_from_sigmas, gamma_norm_hilbert,
                     gamma_norm_mc, partition_inequality_check)
-from .montecarlo import MCConfig, derive_seed, gaussian_array
+from .montecarlo import MCConfig, derive_seed
 from .spaces import INF, LpSpace, gaussian_second_moment
-from .typecotype import cotype_ratio, estimate_constant, is_exact, type_ratio
+from .typecotype import _unit_tuple, cotype_ratio, estimate_constant, is_exact, type_ratio
 
 SCHEMA_VERSION = 1
 
@@ -139,13 +139,6 @@ def render_csv(report: Report) -> str:
         lines.append(f"# summary {key}={_fmt(report.summary[key])}")
     lines.append(f"# passed={_fmt(report.passed)}")
     return "\n".join(lines) + "\n"
-
-
-def _unit_tuple(space: LpSpace, count: int, seed: int) -> np.ndarray:
-    vecs = gaussian_array((count, space.dim), seed)
-    norms = space.norms(vecs)
-    norms[norms == 0.0] = 1.0
-    return vecs / norms[:, None]
 
 
 def _require(cond: bool, field_name: str, message: str) -> None:

@@ -177,30 +177,14 @@ def l1_gaussian_second_moment(cov) -> float:
     return 2.0 / math.pi * float(_nabeya_terms(cov)[1].sum())
 
 
-def _as_matrix(space: LpSpace, vectors: Sequence) -> np.ndarray:
+def gaussian_second_moment(space: LpSpace, vectors: Sequence, cfg: MCConfig) -> MCEstimate:
+    """E || sum_n gamma_n x_n ||^2 for independent standard Gaussians gamma_n,
+    as the batch-means estimate over cfg.samples draws.  The exact forms
+    live elsewhere: sum_n ||x_n||^2 on a Hilbert target, and
+    `l1_gaussian_second_moment` of the covariance on l^1."""
     mat = np.asarray(list(vectors), dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:
-        raise ValueError(f"vectors must all have dimension {space.dim}")
-    return mat
-
-
-def gaussian_second_moment(space: LpSpace, vectors: Sequence,
-                           cfg: MCConfig | None = None,
-                           force_mc: bool = False) -> Union[float, MCEstimate]:
-    """E || sum_n gamma_n x_n ||^2 for independent standard Gaussians gamma_n.
-
-    Hilbert spaces take the exact path sum_n ||x_n||^2 (no sampling) unless
-    force_mc is set; all other exponents return an MCEstimate.  An empty
-    vector list is exactly 0.
-    """
-    vectors = list(vectors)
-    if len(vectors) == 0:
-        return 0.0
-    mat = _as_matrix(space, vectors)
-    if space.is_hilbert and not force_mc:
-        return float((mat * mat).sum())
-    if cfg is None:
-        raise ValueError("non-Hilbert second moments need an MCConfig")
+        raise ValueError(f"vectors must be one or more vectors of dimension {space.dim}")
     gammas = gaussian_array((cfg.samples, mat.shape[0]), cfg.seed)
     sums = gammas @ mat
     return batch_means(space.norms(sums) ** 2, cfg.seed)

@@ -115,9 +115,9 @@ class ConstantEstimate:
 
     value is the defining ratio of `witness`, recomputable exactly by the
     closed identity in analytic cases, otherwise by `type_ratio` /
-    `cotype_ratio` with `eval_config()`: exact on Hilbert targets and on
-    l^1 (Gaussian variant), which ignore the config, and fixed-seed Monte
-    Carlo over MCConfig(samples, derive_seed(seed, "final-eval")) elsewhere.
+    `cotype_ratio` with `eval_config()`: exact on l^1 (Gaussian variant),
+    which ignores the config, and fixed-seed Monte Carlo over
+    MCConfig(samples, derive_seed(seed, "final-eval")) elsewhere.
     """
 
     value: float
@@ -248,10 +248,21 @@ def _pair_trial_value(direction, exponent, pairs, X, i, j) -> float:
     return num / den if direction == "type" else den / num
 
 
+def _unit_tuple(space: LpSpace, count: int, seed: int) -> np.ndarray:
+    """`count` standard normal vectors drawn under `seed`, each normalized in
+    the norm of `space` (a zero row stays zero)."""
+    vecs = gaussian_array((count, space.dim), seed)
+    norms = space.norms(vecs)
+    norms[norms == 0.0] = 1.0
+    return vecs / norms[:, None]
+
+
 def _analytic_case(space, direction, exponent, n_vectors, seed, samples):
     """Constant-1 identities: type 1 (triangle inequality), cotype infinity
-    (each ||x_n|| is at most the Gaussian-sum moment), Hilbert exponent 2
-    (Parseval both ways)."""
+    (each ||x_n|| is at most the Gaussian-sum moment), and every exponent on
+    a Hilbert target: E||sum gamma_n x_n||^2 = sum ||x_n||^2 there, and the
+    l^2 norm of (||x_n||) is at most its l^p norm for p <= 2 and at least its
+    l^q norm for q >= 2.  The witness is one unit vector."""
     witness = np.zeros((n_vectors, space.dim))
     witness[0, 0] = 1.0
     return ConstantEstimate(value=1.0, witness=witness, direction=direction,
@@ -279,13 +290,11 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
         raise ValueError("need at least one vector")
 
     if (direction == "type" and float(exponent) == 1.0) or \
-       (direction == "cotype" and exponent is INF) or \
-       (space.is_hilbert and exponent is not INF and float(exponent) == 2.0):
+       (direction == "cotype" and exponent is INF) or space.is_hilbert:
         return _analytic_case(space, direction, exponent, n_vectors, seed, samples)
 
-    # trials: fresh scoring on Hilbert targets, Nabeya pairs on l^1, else
-    # the sampled column update
-    hilbert, exact = space.is_hilbert, is_exact(space)
+    # trials: Nabeya pairs on l^1, else the sampled column update
+    exact = is_exact(space)
     evals = 0
     candidates = []
     if warm_start is not None:
@@ -302,17 +311,14 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
         if warm_start is not None and r == 0:
             X = candidates[0].copy()
         else:
-            X = gaussian_array((n_vectors, space.dim), derive_seed(seed, "restart", r))
-            norms = space.norms(X)
-            norms[norms == 0.0] = 1.0
-            X = X / norms[:, None]
+            X = _unit_tuple(space, n_vectors, derive_seed(seed, "restart", r))
         xi = None if exact else gaussian_array((samples, n_vectors),
                                                derive_seed(seed, "crn", r))
         best, parts = _scored(space, direction, exponent, X, xi)
         evals += 1
         if not exact:
             xiT, buf = np.ascontiguousarray(xi.T), np.empty(samples)
-        cache = None if hilbert else _cache(space, exact, parts)
+        cache = _cache(space, exact, parts)
         for scale in CLIMB_SCALES:
             improved = True
             while improved and evals < budget:
@@ -324,22 +330,17 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 break
                             X[i, j] += sign * scale
                             evals += 1
-                            if hilbert:
-                                val = _objective(space, direction, exponent, X, xi)
+                            if exact:
+                                val = _pair_trial_value(direction, exponent, cache, X, i, j)
                             else:
-                                if exact:
-                                    val = _pair_trial_value(direction, exponent, cache,
-                                                            X, i, j)
-                                else:
-                                    val = _trial_value(space, direction, exponent, cache,
-                                                       xiT, buf, X, i, j, sign * scale)
-                                if val > best * (1.0 - TIE_RTOL):
-                                    val, parts = _scored(space, direction, exponent, X, xi)
+                                val = _trial_value(space, direction, exponent, cache,
+                                                   xiT, buf, X, i, j, sign * scale)
+                            if val > best * (1.0 - TIE_RTOL):
+                                val, parts = _scored(space, direction, exponent, X, xi)
                             if val > best:
                                 best = val
                                 improved = True
-                                if not hilbert:
-                                    cache = _cache(space, exact, parts)
+                                cache = _cache(space, exact, parts)
                             else:
                                 X[i, j] -= sign * scale
         candidates.append(X)

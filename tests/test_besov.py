@@ -253,6 +253,21 @@ def test_public_names_resolve():
     for name in besovgamma.__all__:
         assert getattr(besovgamma, name) is not None
     assert besovgamma.translate_diff_norm is besovgamma.besov.translate_diff_norm
+    # Gaussian norms have one path each: no restriction wrapper, no operator-level Hilbert norm
+    assert "restrict_gamma" not in besovgamma.__all__
+    assert not hasattr(besovgamma.gamma, "restrict_gamma")
+    assert not hasattr(besovgamma.GammaOperator, "hilbert_norm")
+
+
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_difference_route_rejects_p_outside_one_to_infinity(p):
+    # p = 0.5 and p = inf once read 1.0 from the modulus, and NaN gave nan
+    f = make_step(3, np.eye(3), LpSpace(1.5, 3))
+    for call in (lambda: translate_diff_norm(f, 0.25, p),
+                 lambda: modulus_of_continuity(f, 0.5, p),
+                 lambda: besov_norm_difference(f, 0.2, p, 2.0)):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            call()
 
 
 def test_besov_difference_closed_form_for_indicator():

@@ -13,7 +13,7 @@ from besovgamma.functions import (Interpolation, PiecewiseFunction,
 from besovgamma.gamma import (ROUNDOFF_RTOL, GammaOperator, covariance, covariance_operator,
                               disjoint_lp_from_sigmas, gamma_norm_disjoint_lp,
                               gamma_norm_hilbert, gamma_norm_mc, ideal_compose,
-                              partition_inequality_check, restrict_gamma)
+                              partition_inequality_check)
 from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
 from besovgamma.spaces import INF, LpSpace, gaussian_p_moment, l1_gaussian_second_moment
 
@@ -173,10 +173,10 @@ def test_gamma_norm_disjoint_lp_rejects_overlap():
 def test_restrict_gamma_hilbert_pythagoras():
     f = step_fn(6, 3, 78)
     cut = 0.37
-    left = restrict_gamma(f, [(0.0, cut)])
-    right = restrict_gamma(f, [(cut, 1.0)])
+    left = covariance_operator(f.restrict([(0.0, cut)])).coefficients
+    right = covariance_operator(f.restrict([(cut, 1.0)])).coefficients
     whole = gamma_norm_hilbert(f) ** 2
-    parts = left.hilbert_norm() ** 2 + right.hilbert_norm() ** 2
+    parts = float((left ** 2).sum() + (right ** 2).sum())
     assert whole == pytest.approx(parts, abs=1e-13)
 
 
@@ -189,7 +189,7 @@ def test_ideal_compose_identity_and_contraction():
     raw = rng.normal(size=(2, 2))
     contraction = raw / (np.linalg.norm(raw, 2) * 1.01)
     out = ideal_compose(op, contraction)
-    assert out.hilbert_norm() <= op.hilbert_norm()
+    assert (out.coefficients ** 2).sum() <= (op.coefficients ** 2).sum()
     with pytest.raises(ValueError):
         ideal_compose(op, np.eye(5))
 
@@ -202,6 +202,25 @@ def test_partition_check_hilbert_exact():
     assert chk.std_error_budget == 0.0
     assert abs(chk.whole_norm ** 2 - sum(v ** 2 for v in chk.part_norms)) < 1e-12
     assert chk.margin >= -1e-12
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_partition_piece_norms_are_the_restricted_norms(p):
+    # each side is the target's own norm of f and of f.restrict([iv]), to the bit
+    f = step_fn(4, 3, 88, p=p)
+    partition = [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)]
+    cfg = MCConfig(samples=640, seed=4)
+    chk = partition_inequality_check(f, partition, "type", 2.0, 1.0, cfg)
+    if f.space.is_hilbert:
+        whole = gamma_norm_hilbert(f)
+        parts = [gamma_norm_hilbert(f.restrict([iv])) for iv in partition]
+    else:
+        whole = gamma_norm_mc(f, MCConfig(640, derive_seed(4, "whole"))).mean
+        parts = [gamma_norm_mc(f.restrict([iv]), MCConfig(640, derive_seed(4, "part", j))).mean
+                 for j, iv in enumerate(partition)]
+    assert chk.whole_norm == whole
+    assert chk.part_norms == tuple(parts)
+    assert chk.exact == f.space.is_hilbert
 
 
 def test_partition_check_type_one_always_holds():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -16,6 +17,28 @@ from besovgamma.constructions import make_step
 
 SMALL_PARTITION = {"cases": 2, "samples": 640}
 SMALL_STEPS = {"ps": [2.0], "ns": [4], "samples": 640}
+
+
+# SHA-256 of render_csv(run(e)) for each experiment at its default config.
+# A change that moves rows of a default CSV re-pins these and names the rows.
+DEFAULT_CSV_SHA256 = {
+    "embedding-type": "126546bdce7a16d6fb002dac52b70554d5f3cbb997fca63fb7b048687d8a4089",
+    "embedding-cotype": "8c00148c56330905a0305317e665080a052b314285da658671a770d85ec31575",
+    "band-limited": "7ecc3e5c5af41736541db02fa0944daf45693c0f9cebc8bc8358de8c94eb683f",
+    "partition": "d996722a9addabf8cc88a9903055046e276842aa65433c28fe14d1dc4c66316c",
+    "dilation": "471cc6fa6703ccff13a87e42e9d3e38349156b03ac3c5097ef8d7bb75359862d",
+    "step-identities": "073216ea507ad95850fba3180eb0e73aa2db848073da833d4d51d2c129120ae1",
+    "tent-scaling": "43cd95614c167fd97b2d7d9843c02c1036ccd6b5a6db9c50b88478666f8500ec",
+    "type-constant": "bb00acbbe974840c36ccdd18872139d98200d9e9915b1190c4f1c85de5cbb2c9",
+    "cotype-constant": "4704ea248a6047258ce1e5ccb692add1f7ac7824bddadcfed81ad5eaeccf5d55",
+}
+
+
+def test_default_csvs_are_byte_identical_to_the_pinned_digests():
+    assert set(DEFAULT_CSV_SHA256) == set(EXPERIMENTS)
+    for experiment, digest in DEFAULT_CSV_SHA256.items():
+        text = render_csv(run(experiment))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, experiment
 
 
 def test_csv_layout():

@@ -125,14 +125,6 @@ def test_gaussian_p_moment_large_p_does_not_overflow():
     assert math.isfinite(val) and val > 0.0
 
 
-def test_second_moment_hilbert_exact():
-    space = LpSpace(2, 3)
-    vecs = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]),
-            np.array([0.0, 0.0, -3.0])]
-    assert gaussian_second_moment(space, vecs) == pytest.approx(14.0, rel=1e-15)
-    assert gaussian_second_moment(space, []) == 0.0
-
-
 def test_second_moment_l1_matches_closed_form():
     # E(|g1| + |g2|)^2 = 2 + 2 (E|g|)^2 = 2 + 4/pi for unit basis vectors.
     space = LpSpace(1, 2)
@@ -143,18 +135,15 @@ def test_second_moment_l1_matches_closed_form():
     assert est.std_error < 0.05
 
 
-def test_second_moment_non_hilbert_requires_config():
-    with pytest.raises(ValueError):
-        gaussian_second_moment(LpSpace(1, 2), np.eye(2))
-
-
-def test_second_moment_force_mc_agrees_with_exact():
+def test_second_moment_hilbert_exact():
+    # always sampled; on a Hilbert target it estimates the exact
+    # E||sum gamma_n x_n||^2 = sum_n ||x_n||^2
     space = LpSpace(2, 4)
     vecs = gaussian_array((5, 4), 8)
-    exact = gaussian_second_moment(space, vecs)
-    est = gaussian_second_moment(space, vecs, MCConfig(samples=200000, seed=9),
-                                 force_mc=True)
-    assert abs(est.mean - exact) < 4.0 * est.std_error
+    est = gaussian_second_moment(space, vecs, MCConfig(samples=200000, seed=9))
+    assert abs(est.mean - float((vecs ** 2).sum())) < 4.0 * est.std_error
+    with pytest.raises(ValueError, match="dimension 4"):
+        gaussian_second_moment(space, [], MCConfig(samples=100, seed=9))
 
 
 def test_l1_closed_form_of_a_rank_one_covariance():

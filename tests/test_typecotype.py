@@ -89,9 +89,14 @@ def test_estimate_constant_analytic_shortcuts():
         assert est.value == 1.0 and est.analytic
         est = estimate_constant(space, "cotype", INF, 4, budget=10)
         assert est.value == 1.0 and est.analytic
+    # on a Hilbert target every type and cotype constant is 1
     hil = LpSpace(2, 5)
-    assert estimate_constant(hil, "type", 2.0, 4, budget=10).value == 1.0
-    assert estimate_constant(hil, "cotype", 2.0, 4, budget=10).value == 1.0
+    ratio = {"type": type_ratio, "cotype": cotype_ratio}
+    for direction, exponent in (("type", 1.0), ("type", 1.5), ("type", 2.0),
+                                ("cotype", 2.0), ("cotype", 3.0), ("cotype", INF)):
+        est = estimate_constant(hil, direction, exponent, 4, budget=10)
+        assert (est.value, est.budget, est.analytic) == (1.0, 0, True)
+        assert ratio[direction](hil, exponent, est.witness) == 1.0
 
 
 def test_estimate_constant_finds_linf_type2_witness():
@@ -210,7 +215,6 @@ def _reference_search(space, direction, exponent, n_vectors, budget, seed,
 ORACLE_CASES = [
     (INF, "type", 2.0), (INF, "cotype", 2.0), (1, "type", 2.0), (1, "cotype", 2.0),
     (1.5, "type", 1.5), (1.5, "cotype", 3.0), (3, "type", 2.0), (3, "cotype", 3.0),
-    (2, "type", 1.5),
 ]
 
 
