@@ -104,8 +104,8 @@ def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
     if levels < 1:
         raise ValueError("need at least one band level")
     nyquist = math.pi * n / period
-    if 2.0 ** levels >= nyquist:
-        raise ValueError(f"2^levels = {2.0 ** levels} must stay below the "
+    if levels > 1023 or 2.0 ** levels >= nyquist:  # 2^1024 exceeds every float
+        raise ValueError(f"2^levels (levels = {levels}) must stay below the "
                          f"Nyquist frequency {nyquist:.3f}")
     radii = _frequency_radii(period, n, d)
     mults = np.empty((levels + 1,) + radii.shape)

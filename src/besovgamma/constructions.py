@@ -17,26 +17,25 @@ import math
 import numpy as np
 
 from .besov import FilterBank
-from .functions import GridFunction, Interpolation, PiecewiseFunction, _frequency_radii
+from .functions import (GridFunction, Interpolation, PiecewiseFunction, _every_axis,
+                        _frequency_radii)
 from .spaces import LpSpace
 
 ZETA_TERMS = 10 ** 6
 
 
-def zeta_sum(r: float, terms: int = ZETA_TERMS) -> float:
-    """sum_{i >= 1} i^{-r} by direct summation plus an Euler-Maclaurin tail.
+def zeta_sum(r: float) -> float:
+    """sum_{i >= 1} i^{-r}: ZETA_TERMS direct terms plus an Euler-Maclaurin tail.
 
-    The tail from a = terms + 1 is integral + f(a)/2 - f'(a)/12 + f'''(a)/720;
-    the next omitted term is below r^5 a^{-r-5}, far under 1e-12 for the
-    default term count and any r > 1.
+    The tail from a = ZETA_TERMS + 1 is integral + f(a)/2 - f'(a)/12 +
+    f'''(a)/720; the next omitted term is below r^5 a^{-r-5}, far under
+    1e-12 for any r > 1.
     """
     r = float(r)
     if r <= 1.0:
         raise ValueError("the series needs r > 1")
-    if terms < 10:
-        raise ValueError("too few direct terms for the tail bound")
-    head = float(np.sum(np.arange(1, terms + 1, dtype=float) ** (-r)))
-    a = float(terms + 1)
+    head = float(np.sum(np.arange(1, ZETA_TERMS + 1, dtype=float) ** (-r)))
+    a = float(ZETA_TERMS + 1)
     tail = a ** (1.0 - r) / (r - 1.0)
     tail += 0.5 * a ** (-r)
     tail += r * a ** (-r - 1.0) / 12.0
@@ -186,10 +185,8 @@ def make_single_band(k0: int, bank: FilterBank, width: float = 0.0,
         # torus coordinates in [-L/2, L/2), index 0 at x = 0
         xc = (((np.arange(n) + n // 2) % n) - n // 2) * (L / n)
         gauss = np.exp(-xc ** 2 / (2.0 * width ** 2))
-        if d == 1:
-            scalar = gauss * np.cos(shell * xc)
-        else:
-            scalar = (gauss[:, None] * gauss[None, :]) * np.cos(shell * xc)[:, None]
+        axis0 = (n,) + (1,) * (d - 1)  # the cosine runs along axis 0
+        scalar = _every_axis(np.multiply, gauss, d) * np.cos(shell * xc).reshape(axis0)
         norm = math.sqrt(float((scalar ** 2).sum()) * (L / n) ** d)
         scalar = scalar / norm
     values = scalar[..., None] * vector

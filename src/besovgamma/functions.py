@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -191,12 +191,16 @@ def l2_norm_squared(f: PiecewiseFunction) -> float:
     return float(lens @ per_seg)
 
 
+def _every_axis(op: np.ufunc, a: np.ndarray, d: int) -> np.ndarray:
+    """The per-axis array `a` combined over d axes: a[i] op a[j] op ... at
+    (i, j, ...), e.g. np.logical_and for a mask or np.add for a sum."""
+    return reduce(op.outer, [a] * d)
+
+
 def _frequency_radii(period: float, n: int, d: int) -> np.ndarray:
     """|xi| at every bin of an n-point-per-axis grid of the given period."""
     xi = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
-    if d == 1:
-        return np.abs(xi)
-    return np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+    return np.sqrt(_every_axis(np.add, xi ** 2, d))
 
 
 @dataclass
@@ -286,12 +290,9 @@ def _active_axis_band(f: GridFunction) -> list[int]:
     for axis in range(f.d):
         prof = energy.sum(axis=tuple(a for a in range(f.d) if a != axis))
         total = prof.sum()
-        if total <= 0.0:
-            bands.append(0)
-            continue
         order = np.argsort(idx, kind="stable")
         cum = np.cumsum(prof[order])
-        enough = cum >= (1.0 - BAND_ENERGY_TOL) * total
+        enough = cum >= (1.0 - BAND_ENERGY_TOL) * total  # all True at total = 0: band 0
         bands.append(int(idx[order][np.argmax(enough)]))
     return bands
 
@@ -319,24 +320,17 @@ def dilate(f: GridFunction, lam: float) -> "GridFunction":
         for band in _active_axis_band(f):
             if band * stride > N // 2 - 1:
                 raise ValueError("dilation would push the active band past Nyquist")
+        # Node j keeps sample src = j * stride while j lies in the shrunken
+        # window [-half, half); f's energy outside it is about to be dropped.
         jc = _centered_indices(N)
         src = jc * stride
-        valid = (src >= -N // 2) & (src < N // 2)
-        gather = src % N
-        # Energy sitting outside the shrunken window is about to be dropped.
-        outside = ~((jc >= -(N // (2 * stride))) & (jc < N // (2 * stride)))
+        half = N // (2 * stride)
+        kept = _every_axis(np.logical_and, (jc >= -half) & (jc < half), f.d)
+        gather = np.ix_(*[src % N] * f.d)
         energy = (f.values ** 2).sum(axis=-1)
-        if f.d == 1:
-            discarded = energy[outside].sum()
-            total = energy.sum()
-            new_vals = np.where(valid[:, None], f.values[gather], 0.0)
-        else:
-            mask2 = outside[:, None] | outside[None, :]
-            discarded = energy[mask2].sum()
-            total = energy.sum()
-            new_vals = f.values[np.ix_(gather, gather)]
-            ok2 = valid[:, None] & valid[None, :]
-            new_vals = np.where(ok2[..., None], new_vals, 0.0)
+        discarded = energy[~kept].sum()
+        total = energy.sum()
+        new_vals = np.where(kept[..., None], f.values[gather], 0.0)
         if total > 0 and discarded > DILATE_DISCARD_TOL * total:
             raise ValueError("dilation would discard too much mass at the window edge "
                              f"({discarded / total:.2e} of the total energy)")
@@ -345,28 +339,16 @@ def dilate(f: GridFunction, lam: float) -> "GridFunction":
     # at the original node positions scaled by lam.
     up = 2 ** (-n_log)
     spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
-    idx = _centered_indices(N)
-    nyq = np.abs(idx) == N // 2
+    jc = _centered_indices(N)
     total_energy = max((np.abs(spec) ** 2).sum(), 1e-300)
     for axis in range(f.d):
-        sl = [slice(None)] * spec.ndim
-        sl[axis] = nyq
-        if (np.abs(spec[tuple(sl)]) ** 2).sum() > BAND_ENERGY_TOL * total_energy:
+        if (np.abs(spec.take(N // 2, axis=axis)) ** 2).sum() > BAND_ENERGY_TOL * total_energy:
             raise ValueError("content at the Nyquist bin cannot be upsampled unambiguously")
     fine_n = up * N
-    shape = (fine_n,) * f.d + (f.space.dim,)
-    fine_spec = np.zeros(shape, dtype=complex)
-    take = np.argsort(idx)
-    if f.d == 1:
-        fine_spec[(idx[take]) % fine_n] = spec[take]
-    else:
-        rows = (idx[take]) % fine_n
-        fine_spec[np.ix_(rows, rows)] = spec[np.ix_(take, take)]
+    fine_spec = np.zeros((fine_n,) * f.d + (f.space.dim,), dtype=complex)
+    # bin m and node j both sit at index (m or j) mod fine_n of the fine grid
+    at = np.ix_(*[jc % fine_n] * f.d)
+    fine_spec[at] = spec
     fine_vals = np.fft.ifftn(fine_spec, axes=tuple(range(f.d))).real * (up ** f.d)
-    jc = _centered_indices(N)
-    pick = jc % fine_n
-    if f.d == 1:
-        new_vals = fine_vals[pick]
-    else:
-        new_vals = fine_vals[np.ix_(pick, pick)]
-    return GridFunction(f.period, new_vals.copy(), f.space)
+    new_vals = fine_vals[at]
+    return GridFunction(f.period, new_vals, f.space)

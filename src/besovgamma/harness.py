@@ -11,7 +11,10 @@ Randomness policy: every random object is drawn from a counter-based
 generator keyed by `derive_seed(seed, labels...)`, never from global
 state.  Random vector tuples are standard normal rows normalized in the
 target norm; the derivation labels appear in the row's `inputs` field so
-each row is recomputable by library calls alone.
+each row is recomputable by library calls alone, with one caveat: the
+`partition` cases draw block counts, vectors and cuts with the generator's
+own `integers`, `normal` and `uniform`, whose streams numpy does not
+promise to keep across versions, unlike `montecarlo`'s Box-Muller samples.
 """
 
 from __future__ import annotations
@@ -544,8 +547,9 @@ EXPERIMENTS = {
 
 def run(experiment_id: str, config: dict | None = None) -> Report:
     """Run one named experiment on `config`.  An unknown id or key, or a value
-    its Param does not admit, is rejected before any work; a ValueError the
-    library raises for the values given becomes a UsageError too."""
+    its Param does not admit, is rejected before any work; a ValueError or an
+    ArithmeticError (overflow, division by zero) that the values given make
+    the library raise becomes a UsageError too."""
     _require(experiment_id in EXPERIMENTS, "experiment",
              f"unknown id {experiment_id!r} (known: {', '.join(sorted(EXPERIMENTS))})")
     experiment = EXPERIMENTS[experiment_id]
@@ -558,7 +562,7 @@ def run(experiment_id: str, config: dict | None = None) -> Report:
     report = Report(experiment_id, config)
     try:
         experiment.func(report, **params)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         if isinstance(exc, UsageError) or not config:
             raise  # already a usage error, or a fault: the defaults must run
         raise UsageError(f"{', '.join(sorted(config))}: {exc}") from exc

@@ -132,7 +132,12 @@ class ConstantEstimate:
     budget_exhausted: bool = False  # the budget ran out
 
     def eval_config(self) -> MCConfig:
-        return MCConfig(samples=self.samples, seed=derive_seed(self.seed, "final-eval"))
+        return _final_eval_config(self.seed, self.samples)
+
+
+def _final_eval_config(seed: int, samples: int) -> MCConfig:
+    """The one draw every candidate of a search is finally scored under."""
+    return MCConfig(samples=samples, seed=derive_seed(seed, "final-eval"))
 
 
 def _scored(space, direction, exponent, X, xi):
@@ -345,8 +350,8 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 X[i, j] -= sign * scale
         candidates.append(X)
 
-    final_xi = None if exact else gaussian_array((samples, n_vectors),
-                                                 derive_seed(seed, "final-eval"))
+    final = _final_eval_config(seed, samples)
+    final_xi = None if exact else gaussian_array((final.samples, n_vectors), final.seed)
     scores = [_objective(space, direction, exponent, X, final_xi) for X in candidates]
     pick = int(np.argmax(scores))
     return ConstantEstimate(value=float(scores[pick]), witness=candidates[pick],

@@ -174,3 +174,12 @@ def test_single_band_vector_direction():
     assert grid_lp_norm(f, 2) == pytest.approx(1.0, rel=1e-12)
     col_energy = (f.values ** 2).sum(axis=0)
     assert col_energy[1] / col_energy[0] == pytest.approx((0.8 / 0.6) ** 2, rel=1e-12)
+
+
+def test_single_band_envelope_2d_unit_norm_and_level():
+    bank = build_filter_bank(16.0, 256, 2, 5)
+    f = make_single_band(3, bank, width=0.5)
+    assert f.d == 2
+    assert grid_lp_norm(f, 2) == pytest.approx(1.0, rel=1e-12)
+    norms = [grid_lp_norm(lp_block(f, bank, k), 2) for k in range(bank.levels + 1)]
+    assert int(np.argmax(norms)) == 3

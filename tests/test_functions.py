@@ -5,8 +5,8 @@ import pytest
 
 from besovgamma.besov import translate_diff_norm
 from besovgamma.functions import (GridFunction, Interpolation,
-                                  PiecewiseFunction, dilate, grid_lp_norm,
-                                  l2_norm_squared, lp_norm)
+                                  PiecewiseFunction, _frequency_radii, dilate,
+                                  grid_lp_norm, l2_norm_squared, lp_norm)
 from besovgamma.montecarlo import derive_seed, gaussian_array
 from besovgamma.spaces import INF, LpSpace
 
@@ -278,3 +278,51 @@ def test_dilate_localized_bump_matches_pointwise():
     g = dilate(f, 4.0)
     expect = np.exp(-(4.0 * xc) ** 2)
     assert np.abs(g.values[:, 0] - expect).max() < 1e-9
+
+
+def centered_coordinates(period, n):
+    xs = np.arange(n) * (period / n)
+    return np.where(xs < period / 2, xs, xs - period)
+
+
+def test_dilate_2d_separable_source_is_the_outer_product_of_1d_dilates():
+    # f(x, y) = u(x) v(y): shrinking only gathers and masks, so it commutes
+    # with the outer product exactly; growing goes through the FFT
+    period, n = 16.0, 256
+    xc = centered_coordinates(period, n)
+    u = np.exp(-2.0 * xc ** 2) * np.cos(2.0 * xc)
+    v = np.exp(-3.0 * xc ** 2)
+    space = LpSpace(2, 1)
+    f = GridFunction(period, np.multiply.outer(u, v)[..., None], space)
+    for lam in (2.0, 4.0, 0.5):
+        du = dilate(GridFunction(period, u[:, None], space), lam).values[:, 0]
+        dv = dilate(GridFunction(period, v[:, None], space), lam).values[:, 0]
+        got = dilate(f, lam).values[..., 0]
+        expect = np.multiply.outer(du, dv)
+        if lam > 1.0:
+            assert np.array_equal(got, expect)
+        else:
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_dilate_2d_rejects_discarded_mass_and_the_nyquist_bin():
+    period, n = 16.0, 64
+    xc = centered_coordinates(period, n)
+    space = LpSpace(2, 1)
+    wide = np.exp(-np.add.outer(xc ** 2, xc ** 2) / 8.0)
+    with pytest.raises(ValueError, match="discard"):
+        dilate(GridFunction(period, wide[..., None], space), 4.0)
+    # a tone along the second axis only: its band doubles past Nyquist
+    tone = np.multiply.outer(np.ones(n), np.cos(2.0 * math.pi * 20 * np.arange(n) / n))
+    with pytest.raises(ValueError, match="past Nyquist"):
+        dilate(GridFunction(period, tone[..., None], space), 2.0)
+    alternating = np.multiply.outer(np.ones(n), (-1.0) ** np.arange(n))
+    with pytest.raises(ValueError, match="Nyquist bin"):
+        dilate(GridFunction(period, alternating[..., None], space), 0.5)
+
+
+def test_frequency_radii_are_the_frequency_moduli():
+    xi = 2.0 * math.pi * np.fft.fftfreq(64, d=8.0 / 64)
+    assert np.array_equal(_frequency_radii(8.0, 64, 1), np.abs(xi))
+    assert np.array_equal(_frequency_radii(8.0, 64, 2),
+                          np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2))

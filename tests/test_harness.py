@@ -382,6 +382,7 @@ def test_cli_overrides_an_experiment_cannot_use_return_two(capsys, argv, field_n
     ("band-limited", {"grid_n": 300}, "points per axis must be a power of two"),
     ("dilation", {"k0": 11}, "k0 must be in 1..10"),
     ("dilation", {"levels": 30}, "must stay below the Nyquist frequency"),
+    ("embedding-cotype", {"levels": 2000}, "must stay below the Nyquist frequency"),
 ])
 def test_cli_library_rejections_of_config_values_return_two(tmp_path, capsys, experiment,
                                                             payload, message):
@@ -402,15 +403,38 @@ def test_usage_errors_from_an_experiment_are_not_wrapped_twice():
 
 
 def test_a_value_error_at_the_defaults_stays_a_fault(monkeypatch):
-    def broken(report, **params):
-        raise ValueError("broken")
+    for error in (ValueError, OverflowError):
+        def broken(report, **params):
+            raise error("broken")
 
-    monkeypatch.setitem(EXPERIMENTS, "partition", EXPERIMENTS["partition"]._replace(func=broken))
-    with pytest.raises(ValueError, match="broken") as info:
-        run("partition")
-    assert not isinstance(info.value, UsageError)
-    with pytest.raises(UsageError, match="^cases: broken$"):
-        run("partition", {"cases": 1})
+        monkeypatch.setitem(EXPERIMENTS, "partition",
+                            EXPERIMENTS["partition"]._replace(func=broken))
+        with pytest.raises(error, match="broken") as info:
+            run("partition")
+        assert not isinstance(info.value, UsageError)
+        with pytest.raises(UsageError, match="^cases: broken$"):
+            run("partition", {"cases": 1})
+
+
+@pytest.mark.parametrize("experiment, payload", [
+    ("dilation", {"lambdas": [2, 2 ** 1100]}),
+    ("dilation", {"levels": 2000}),
+    ("embedding-cotype", {"levels": 2000}),
+    ("dilation", {"s": 1e10}),
+    ("dilation", {"s": -1e10}),
+    ("band-limited", {"ps": [1000.0]}),
+    ("embedding-cotype", {"qs": [1e300], "ns": [1]}),
+    ("step-identities", {"ps": [1e300], "ns": [2]}),
+])
+def test_cli_overflow_and_division_by_zero_of_a_config_return_two(tmp_path, capsys, experiment,
+                                                                  payload):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert cli.main(["run", experiment, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("besovgamma:")]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"besovgamma: {', '.join(sorted(payload))}: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("experiment, payload, message", [
