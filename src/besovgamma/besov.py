@@ -148,6 +148,8 @@ def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> flo
     forward transform, then each block is `lp_block(f, bank, k)` to the bit."""
     if not bank.compatible_with(f):
         raise ValueError("filter bank was built for a different grid")
+    if not s * bank.levels < 1024:  # 2^(ks) overflows for some k <= levels, or s is nan
+        raise ValueError(f"weights 2^(ks), k <= levels = {bank.levels}, overflow at s = {s!r}")
     spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
     scale = float(np.abs(f.values).max())
     blocks = np.array([grid_lp_norm(_filtered(f, spec, m, scale), p) for m in bank.multipliers])

@@ -1,13 +1,13 @@
 """Seeded Monte Carlo plumbing shared by the norm estimators.
 
-All randomness in the package flows through `gaussian_array` /
-`rademacher_array`, which draw from a counter-based Philox stream keyed by
-an explicit 64-bit seed.  Gaussians are produced by Box-Muller on Philox
-uniforms (not the generator's own ziggurat) so the exact sample values are
-a stable function of (seed, shape) across platforms and numpy versions
-that keep the Philox bit stream fixed.  Seeds for sub-tasks are derived
-with `derive_seed`, which hashes the parent seed together with string/int
-labels; serial and parallel execution therefore see identical streams.
+All randomness in the package flows through counter-based Philox streams
+keyed by explicit 64-bit seeds.  Gaussians are Box-Muller on Philox uniforms
+(not the generator's own ziggurat), a block of pairs at a time: radii and
+angles come from two Philox generators on one key, the second advanced by
+half the draws, so the values depend on (seed, shape) and not on the block
+size.  `gaussian_array` and the streamed `spaces.gaussian_second_moment`
+share that kernel.  `derive_seed` hashes a parent seed with labels for
+sub-tasks, so serial and parallel execution see identical streams.
 """
 
 from __future__ import annotations
@@ -32,9 +32,30 @@ def derive_seed(root_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _uniforms(n: int, seed: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    return gen.random(n)
+_BLOCK = 2 ** 13  # pairs per block of `_box_muller_blocks`
+
+
+def _box_muller_blocks(half: int, seed: int, block: int = _BLOCK):
+    """Yield (m0, r cos(theta), r sin(theta)) over blocks of the pair index
+    m0 <= m < half: r = sqrt(-2 log(1 - u[m])), theta = 2 pi u[half + m], u the
+    Philox uniforms of `seed`.  u[half:] comes from a second generator on the
+    key, advanced by half draws, so no value depends on the block size.  Each
+    block reuses the arrays; the last one takes block to 2 block - 1 pairs."""
+    count, key = max(1, half // block), int(seed) & (2**64 - 1)
+    radii = np.random.Generator(np.random.Philox(key=key))
+    angles = np.random.Generator(np.random.Philox(key=key).advance(half // 4))  # 4 doubles/step
+    angles.random(half % 4)
+    buffers = [np.empty(half - (count - 1) * block) for _ in range(4)]
+    for m0 in range(0, count * block, block):
+        r, theta, cos, sin = (b[:block if m0 + 2 * block <= half else half - m0] for b in buffers)
+        radii.random(out=r)
+        angles.random(out=theta)
+        # 1 - u in (0, 1] keeps the log finite; the ufuncs of a one-shot transform, in place
+        np.sqrt(np.multiply(-2.0, np.log1p(np.negative(r, out=r), out=r), out=r), out=r)
+        np.multiply(2.0 * np.pi, theta, out=theta)
+        np.multiply(r, np.cos(theta, out=cos), out=cos)
+        np.multiply(r, np.sin(theta, out=sin), out=sin)
+        yield m0, cos, sin
 
 
 def gaussian_array(shape, seed: int) -> np.ndarray:
@@ -42,11 +63,9 @@ def gaussian_array(shape, seed: int) -> np.ndarray:
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     total = int(np.prod(shape)) if shape else 1
     half = (total + 1) // 2
-    u = _uniforms(2 * half, seed).reshape(2, half)
-    # 1 - u in (0, 1] keeps the log finite.
-    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
-    angle = 2.0 * np.pi * u[1]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    z = np.empty(2 * half)
+    for m0, cos, sin in _box_muller_blocks(half, seed):
+        z[m0:m0 + cos.size], z[half + m0:half + m0 + sin.size] = cos, sin
     return z[:total].reshape(shape)
 
 
@@ -54,7 +73,7 @@ def rademacher_array(shape, seed: int) -> np.ndarray:
     """Array of independent +-1 signs from the same Philox stream family."""
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     total = int(np.prod(shape)) if shape else 1
-    u = _uniforms(total, seed)
+    u = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1))).random(total)
     return np.where(u < 0.5, -1.0, 1.0).reshape(shape)
 
 

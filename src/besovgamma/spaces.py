@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .montecarlo import MCConfig, MCEstimate, batch_means, gaussian_array
+from .montecarlo import _BLOCK, MCConfig, MCEstimate, _box_muller_blocks, batch_means
 
 
 class _Infinity:
@@ -179,12 +179,31 @@ def l1_gaussian_second_moment(cov) -> float:
 
 def gaussian_second_moment(space: LpSpace, vectors: Sequence, cfg: MCConfig) -> MCEstimate:
     """E || sum_n gamma_n x_n ||^2 for independent standard Gaussians gamma_n,
-    as the batch-means estimate over cfg.samples draws.  The exact forms
-    live elsewhere: sum_n ||x_n||^2 on a Hilbert target, and
-    `l1_gaussian_second_moment` of the covariance on l^1."""
+    as the batch-means estimate over the rows of gaussian_array((cfg.samples,
+    n), cfg.seed), streamed from `_box_muller_blocks`; a non-finite square
+    raises ValueError.  The exact forms live elsewhere: sum_n ||x_n||^2 on a
+    Hilbert target, and `l1_gaussian_second_moment` of the covariance on l^1."""
     mat = np.asarray(list(vectors), dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:
         raise ValueError(f"vectors must be one or more vectors of dimension {space.dim}")
-    gammas = gaussian_array((cfg.samples, mat.shape[0]), cfg.seed)
-    sums = gammas @ mat
-    return batch_means(space.norms(sums) ** 2, cfg.seed)
+    n = mat.shape[0]
+    half = (cfg.samples * n + 1) // 2
+    block = max(2, _BLOCK // max(n, space.dim)) * n  # one-row products go to gemv
+    values, carry, row = np.empty(cfg.samples + 1), np.empty(0), -(-half // n)
+    for m0, cos, sin in _box_muller_blocks(half, cfg.seed, block):
+        # cosines: rows from the top; sines: rows after the one straddling the middle
+        if m0 == 0:
+            straddle, sin = sin[:-half % n].copy(), sin[-half % n:]
+        cos = np.concatenate([cos, straddle]) if m0 + cos.size == half else cos
+        z = np.concatenate([cos, carry, sin])
+        cut = z.size - z.size % n
+        z, carry = z[:cut].reshape(-1, n), z[cut:]
+        with np.errstate(over="ignore"):  # reported below
+            squares = space.norms(z @ mat) ** 2
+        if not np.isfinite(squares).all():
+            raise ValueError(f"the l^{space.p} norm of a Gaussian sum overflowed float range")
+        top, rest = cos.size // n, squares.size - cos.size // n
+        values[m0 // n:m0 // n + top], values[row:row + rest] = squares[:top], squares[top:]
+        row += rest
+    # an odd total draws one value too many: a last row when n = 1, else a carry
+    return batch_means(values[:cfg.samples], cfg.seed)

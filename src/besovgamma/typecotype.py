@@ -1,4 +1,4 @@
-"""Lower-bound estimation of Gaussian type and cotype constants.
+"""Witness searches for Gaussian type and cotype constants.
 
 The type-p constant of a normed space is the best C in
 
@@ -7,11 +7,11 @@ The type-p constant of a normed space is the best C in
 over all finite tuples; cotype-q reverses the comparison (with max ||x_n||
 at q = infinity).  `type_ratio` / `cotype_ratio` evaluate the defining
 ratio of one tuple; `estimate_constant` searches for a large ratio by
-random restarts plus greedy coordinatewise hill climbing.  Every reported
-value is a valid lower bound: it is the ratio of an explicit witness tuple
-under a reproducible evaluation, exact on Hilbert targets and on l^1
-(Gaussian variant: Nabeya's closed form, `spaces.l1_gaussian_second_moment`),
-fixed-seed Monte Carlo otherwise.
+random restarts plus greedy coordinatewise hill climbing.  Each value is
+the ratio of an explicit witness tuple under a reproducible evaluation:
+exact, so a lower bound, on Hilbert targets and on l^1 (Gaussian variant:
+Nabeya's closed form, `spaces.l1_gaussian_second_moment`); elsewhere a
+fixed-seed estimate of the witness's ratio, biased up by the search's pick.
 
 Sampled climbing compares candidates under common random numbers (one
 Gaussian matrix xi per restart), otherwise MC noise would swamp
@@ -111,13 +111,13 @@ def cotype_ratio(space: LpSpace, q, vectors, cfg: MCConfig | None = None,
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    """A certified lower bound for a type/cotype constant.
+    """A witness for a type/cotype constant and its ratio.
 
     value is the defining ratio of `witness`, recomputable exactly by the
     closed identity in analytic cases, otherwise by `type_ratio` /
-    `cotype_ratio` with `eval_config()`: exact on l^1 (Gaussian variant),
-    which ignores the config, and fixed-seed Monte Carlo over
-    MCConfig(samples, derive_seed(seed, "final-eval")) elsewhere.
+    `cotype_ratio` with `eval_config()`: exact, so a lower bound, on l^1
+    (Gaussian variant, which ignores the config), and elsewhere a fixed-seed
+    estimate over MCConfig(samples, derive_seed(seed, "final-eval")).
     """
 
     value: float

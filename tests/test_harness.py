@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -425,6 +426,7 @@ def test_a_value_error_at_the_defaults_stays_a_fault(monkeypatch):
     ("band-limited", {"ps": [1000.0]}),
     ("embedding-cotype", {"qs": [1e300], "ns": [1]}),
     ("step-identities", {"ps": [1e300], "ns": [2]}),
+    ("step-identities", {"ps": [700.0], "ns": [2]}),
 ])
 def test_cli_overflow_and_division_by_zero_of_a_config_return_two(tmp_path, capsys, experiment,
                                                                   payload):
@@ -435,6 +437,20 @@ def test_cli_overflow_and_division_by_zero_of_a_config_return_two(tmp_path, caps
     assert len(lines) == 1
     assert lines[0].startswith(f"besovgamma: {', '.join(sorted(payload))}: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("experiment, payload, message", [
+    ("dilation", {"s": 1e10},
+     "s: weights 2^(ks), k <= levels = 10, overflow at s = 10000000000.0"),
+    ("step-identities", {"ps": [700.0], "ns": [2]},
+     "ns, ps: the l^700.0 norm of a Gaussian sum overflowed float range"),
+])
+def test_an_overflow_is_named_without_a_warning(experiment, payload, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError) as info:
+            run(experiment, payload)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("experiment, payload, message", [

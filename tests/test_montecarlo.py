@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from besovgamma.montecarlo import (MCConfig, MCEstimate, batch_means,
-                                   derive_seed, gaussian_array,
+from besovgamma.montecarlo import (_BLOCK, MCConfig, MCEstimate, _box_muller_blocks,
+                                   batch_means, derive_seed, gaussian_array,
                                    rademacher_array)
 
 
@@ -44,6 +44,46 @@ def test_gaussian_array_odd_total_size():
     x = gaussian_array((3, 3), 0)
     assert x.shape == (3, 3)
     assert np.isfinite(x).all()
+
+
+def _one_shot_gaussian_array(shape, seed):
+    # the transform gaussian_array ran before it was built on _box_muller_blocks
+    shape = tuple(int(s) for s in np.atleast_1d(shape))
+    total = int(np.prod(shape)) if shape else 1
+    half = (total + 1) // 2
+    gen = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    u = gen.random(2 * half).reshape(2, half)
+    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+    angle = 2.0 * np.pi * u[1]
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return z[:total].reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [
+    (), (1,), (2,), (3, 3), (0, 4), (7,), (2 * _BLOCK - 1,), (2 * _BLOCK + 1,),
+    (2 * _BLOCK + 2,), (4 * _BLOCK - 1,), (4 * _BLOCK + 3,), (20000, 16), (3, 4 * _BLOCK + 1)])
+@pytest.mark.parametrize("seed", [0, 17, 2 ** 63, 2 ** 64 - 1])
+def test_gaussian_array_equals_the_one_shot_transform(shape, seed):
+    got = gaussian_array(shape, seed)
+    want = _one_shot_gaussian_array(shape, seed)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("half", [1, 2, 5, 6, 13, 101])
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 100])
+def test_box_muller_blocks_do_not_depend_on_the_block_size(half, block):
+    seed = 2 ** 63 + half
+    cos, sin = np.empty(half), np.empty(half)
+    sizes = []
+    for m0, c, s in _box_muller_blocks(half, seed, block):
+        cos[m0:m0 + c.size], sin[m0:m0 + s.size] = c, s
+        sizes.append(c.size)
+    assert np.array_equal(np.concatenate([cos, sin])[:2 * half - 1],
+                          _one_shot_gaussian_array(2 * half - 1, seed))
+    assert sum(sizes) == half
+    assert all(size == block for size in sizes[:-1])
+    assert block <= sizes[-1] < 2 * block or sizes == [half] and half < block
 
 
 def test_rademacher_values_and_mean():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-from besovgamma.montecarlo import MCConfig, gaussian_array
+from besovgamma.montecarlo import _BLOCK, MCConfig, batch_means, gaussian_array
 from besovgamma.spaces import (INF, LpSpace, as_exponent, gaussian_p_moment,
                                gaussian_second_moment, l1_gaussian_second_moment)
 
@@ -194,3 +196,41 @@ def test_l1_closed_form_matches_sampling(dim, seed):
     est = gaussian_second_moment(space, x, MCConfig(samples=200000, seed=seed))
     exact = l1_gaussian_second_moment(x.T @ x)
     assert abs(est.mean - exact) < 4.0 * est.std_error
+
+
+# (samples, vectors, dim): odd sample counts with an even number of vectors
+# (a row straddles the middle of the draws) and with an odd number (the last
+# draw is dropped), one and several Box-Muller blocks, sample counts that no
+# block size divides
+_STREAMED_SHAPES = [(1, 1, 1), (1, 3, 2), (3, 2, 4), (5, 3, 3), (7, 4, 4), (999, 6, 5),
+                    (1001, 7, 7), (2 * _BLOCK + 1, 1, 2), (4097, 2, 3), (4097, 8, 4),
+                    (20001, 15, 16), (20001, 4, 3), (20000, 16, 16), (3, 1, 2 * _BLOCK + 5)]
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, INF])
+@pytest.mark.parametrize("samples, n, dim", _STREAMED_SHAPES)
+def test_second_moment_streams_the_one_shot_estimate(p, samples, n, dim):
+    # bit for bit the estimate over the full samples x n draw matrix
+    space, seed = LpSpace(p, dim), 2 ** 63 + samples
+    vecs = gaussian_array((n, dim), samples + n + dim)
+    want = batch_means(space.norms(gaussian_array((samples, n), seed) @ vecs) ** 2, seed)
+    assert gaussian_second_moment(space, vecs, MCConfig(samples, seed)) == want
+
+
+def test_second_moment_reports_an_overflowing_norm():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"l\^700\.0 norm .* overflowed float range"):
+            gaussian_second_moment(LpSpace(700.0, 2), 10.0 * np.eye(2), MCConfig(2000, 3))
+
+
+def test_second_moment_never_builds_the_draw_matrix():
+    # the samples x 16 draws alone would take 24.4 MiB
+    space, vecs, cfg = LpSpace(4.0 / 3.0, 16), np.eye(16), MCConfig(200000, 5)
+    tracemalloc.start()
+    try:
+        gaussian_second_moment(space, vecs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
