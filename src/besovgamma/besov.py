@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (GL_NODES, GridFunction, Interpolation, PiecewiseFunction,
-                        _frequency_radii, _gl_rule, grid_lp_norm, lp_norm)
+                        _affine_powers, _frequency_radii, _gl_rule, grid_lp_norm,
+                        lp_norm)
 from .spaces import INF, as_exponent, lq_norm
 
 
@@ -171,10 +172,9 @@ def _shifts(f: PiecewiseFunction) -> np.ndarray:
 def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndarray:
     """F(h) = ||f(.+h) - f||_p^p at every shift h: per row, the merged
     breakpoints of f and f(.+h) cut cells where both are constant (steps) or
-    affine (linear sources: the module Gauss-Legendre rule, with the
-    difference interpolated to the nodes from its cell-end values; a sampled
-    value, not a bound, since the rule misses the |u|^p kink where a
-    coordinate of the difference changes sign inside a cell).  Chunks
+    affine (linear sources: `_affine_powers` on the difference's cell-end
+    values; a sampled value, not a bound, since the rule misses the |u|^p
+    kink where a coordinate of the difference changes sign inside a cell).  Chunks
     keep each temporary array near 2^18 floats.  Shifts far beyond the
     support length round b - h together; the public callers clamp to it."""
     b = f.breakpoints
@@ -185,8 +185,6 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
         # row i: the affine piece on (b_{i-1}, b_i], start + (x - origin) slope; zero outside
         start, origin = np.pad(f.values[:-1], ((1, 1), (0, 0))), np.pad(b[:-1], 1)
         slope = np.pad(np.diff(f.values, axis=0) / np.diff(b)[:, None], ((1, 1), (0, 0)))
-        nodes, weights = _gl_rule(GL_NODES)
-        theta = (0.5 * (nodes + 1.0))[:, None]
     rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim * (1 if step else GL_NODES)))
     out = np.empty(shifts.size)
     for lo in range(0, shifts.size, rows):
@@ -201,8 +199,7 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
         d0, d1 = (start[there] + (x + h - origin[there])[..., None] * slope[there]
                   - start[here] - (x - origin[here])[..., None] * slope[here]
                   for x in (pts[:, :-1], pts[:, 1:]))
-        powered = f.space.norms(d0[:, :, None] + theta * (d1 - d0)[:, :, None]) ** p
-        out[lo:lo + rows] = 0.5 * (np.diff(pts, axis=1) * (powered @ weights)).sum(axis=1)
+        out[lo:lo + rows] = _affine_powers(f.space, np.diff(pts, axis=1), d0, d1, p)
     return out
 
 

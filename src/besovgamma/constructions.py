@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .besov import FilterBank
-from .functions import (GridFunction, Interpolation, PiecewiseFunction, _every_axis,
-                        _frequency_radii)
+from .functions import (GridFunction, Interpolation, PiecewiseFunction,
+                        _centered_indices, _every_axis)
 from .spaces import LpSpace
 
 ZETA_TERMS = 10 ** 6
@@ -134,16 +134,17 @@ def make_psi_system(count: int, vectors, bank: FilterBank, space: LpSpace) -> Gr
 
 def make_single_band(k0: int, bank: FilterBank, width: float = 0.0,
                      vector=None, space: LpSpace | None = None) -> GridFunction:
-    """A bump concentrated on the dyadic shell |xi| = 2^{k0}.
+    """A bump concentrated on the dyadic shell |xi| = 2^{k0}: an envelope
+    times cos(2^{k0} x) along the first axis.
 
-    width = 0: the spectrum sits exactly on grid frequencies of radius
-    2^{k0} (a pure cosine along the first axis in physical space), so every
-    other band multiplier vanishes on it identically and the frequency-side
+    width = 0: the envelope is 1, a pure cosine whose spectrum sits exactly
+    on the two grid frequencies +-2^{k0} of the first axis, so every other
+    band multiplier vanishes on it identically and the frequency-side
     smoothness norm picks out level k0 alone.  Requires the shell to be an
     on-grid frequency, i.e. 2^{k0} * period / (2 pi) integral.
 
     width > 0: a centered Gaussian envelope of spatial standard deviation
-    `width` modulates the cosine.  The function is then localized in space
+    `width` in every axis.  The function is then localized in space
     (dilation-friendly) at the price of spectral tails into the adjacent
     octaves; the envelope must be narrow enough that its periodization is
     negligible (value <= 1e-9 at the period edge).
@@ -162,33 +163,27 @@ def make_single_band(k0: int, bank: FilterBank, width: float = 0.0,
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (space.dim,):
         raise ValueError("direction vector does not match the space dimension")
+    if width < 0.0:
+        raise ValueError("width must be nonnegative")
     shell = 2.0 ** k0
     n, L, d = bank.n, bank.period, bank.d
+    xc = _centered_indices(n) * (L / n)  # torus coordinates in [-L/2, L/2), index 0 at x = 0
     if width == 0.0:
-        radii = _frequency_radii(L, n, d)
-        hits = np.abs(radii - shell) <= 8.0 * np.finfo(float).eps * shell
-        count = int(hits.sum())
-        if count == 0:
+        cycles = shell * L / (2.0 * math.pi)
+        if abs(cycles - round(cycles)) > 8.0 * np.finfo(float).eps * cycles:
             raise ValueError(
                 "no grid frequency sits exactly on the shell |xi| = 2^k0; "
                 "pick the period as an integer multiple of 2*pi*2^{-k0}")
-        dxi = (2.0 * math.pi / L) ** d
-        spec = np.zeros(radii.shape)
-        spec[hits] = 1.0 / math.sqrt(count * dxi)
-        scalar = GridFunction.from_spectrum(spec[..., None], L, LpSpace(2, 1)).values[..., 0]
+        envelope = np.ones(n)
     else:
-        if width < 0.0:
-            raise ValueError("width must be nonnegative")
         edge = math.exp(-(L / 2.0) ** 2 / (2.0 * width ** 2))
         if edge > 1e-9:
             raise ValueError("envelope width too large for the period")
-        # torus coordinates in [-L/2, L/2), index 0 at x = 0
-        xc = (((np.arange(n) + n // 2) % n) - n // 2) * (L / n)
-        gauss = np.exp(-xc ** 2 / (2.0 * width ** 2))
-        axis0 = (n,) + (1,) * (d - 1)  # the cosine runs along axis 0
-        scalar = _every_axis(np.multiply, gauss, d) * np.cos(shell * xc).reshape(axis0)
-        norm = math.sqrt(float((scalar ** 2).sum()) * (L / n) ** d)
-        scalar = scalar / norm
+        envelope = np.exp(-xc ** 2 / (2.0 * width ** 2))
+    axis0 = (n,) + (1,) * (d - 1)  # the cosine runs along axis 0
+    scalar = _every_axis(np.multiply, envelope, d) * np.cos(shell * xc).reshape(axis0)
+    norm = math.sqrt(float((scalar ** 2).sum()) * (L / n) ** d)
+    scalar = scalar / norm
     values = scalar[..., None] * vector
     return GridFunction(L, values, space)
 

@@ -16,26 +16,20 @@ fixed-seed estimate of the witness's ratio, biased up by the search's pick.
 Sampled climbing compares candidates under common random numbers (one
 Gaussian matrix xi per restart), otherwise MC noise would swamp
 single-coordinate gains.  A trial move of X[i, j] changes only column j of
-S = xi X and row i of X, so it is scored in O(samples + n): |S[:, j] +
-step xi[:, i]| is folded, in one buffer reused across the restart, into a
-per-sample summary of the other columns (their max for p = inf, their sum
-of |S|^p otherwise), and the denominator re-norms row i alone against
-cached norms of the other rows.  On l^1 the same move changes only row
-and column j of Q = X^T X, so a trial forms the new row j (one product
-X[:, j] @ X: an update of the cached row would carry rounding of the old
-entries, large against a column the move nearly cancels) and re-evaluates
-the d pairs (j, k) of Nabeya's sum in plain Python floats, against cached
-column scales and the cached sum over the pairs that avoid j.  A trial
-within TIE_RTOL of the best, hence every accepted move, is re-scored by the
-fresh objective, and the cache is rebuilt from that re-score on acceptance,
-so the climb makes the decisions and holds the values of fresh scoring
-unless rounding moves a trial by more than TIE_RTOL (it moved trials by at
-most 6e-16 relative in the default type-constant and cotype-constant
-searches).  The final value re-scores all candidates under one shared
-evaluation (a matrix whose seed depends only on (seed, samples, tuple
-size), or the closed form), so a witness padded with zero coordinates into
-a larger space reproduces its value bit for bit; sweeps over growing spaces
-can therefore warm-start and are exactly monotone.
+S = xi X and row i of X (on l^1: only row and column j of Q = X^T X), so
+`_trials` builds, once per restart and per accepted move, one scorer for
+the climb's kernel, sampled or exact, that re-evaluates only those in
+O(samples + n).  A trial within TIE_RTOL of the best, hence every accepted
+move, is re-scored by the fresh objective, and the scorer is rebuilt from
+that re-score on acceptance, so the climb makes the decisions and holds
+the values of fresh scoring unless rounding moves a trial by more than
+TIE_RTOL (it moved trials by at most 6e-16 relative in the default
+type-constant and cotype-constant searches).  The final value re-scores
+all candidates under one shared evaluation (a matrix whose seed depends
+only on (seed, samples, tuple size), or the closed form), so a witness
+padded with zero coordinates into a larger space reproduces its value bit
+for bit; sweeps over growing spaces can therefore warm-start and are
+exactly monotone.
 """
 
 from __future__ import annotations
@@ -143,8 +137,8 @@ def _final_eval_config(seed: int, samples: int) -> MCConfig:
 def _scored(space, direction, exponent, X, xi):
     """The ratio of X, with the second moment averaged over the fixed draw
     matrix xi, or exact for xi = None (Hilbert: sum of squares; l^1: Nabeya's
-    sum over the pair terms of X^T X); and the products a trial cache is
-    built from: (row norms of X, S = xi @ X, or the pair terms on l^1)."""
+    sum over the pair terms of X^T X); and the products `_trials` builds a
+    scorer from: (row norms of X, S = xi @ X, or the pair terms on l^1)."""
     norms = space.norms(X)
     if xi is not None:
         S = xi @ X
@@ -163,43 +157,8 @@ def _scored(space, direction, exponent, X, xi):
 
 
 def _objective(space, direction, exponent, X, xi) -> float:
-    """The ratio of X: `_scored` without the cache products."""
+    """The ratio of X: `_scored` without the scorer's products."""
     return _scored(space, direction, exponent, X, xi)[0]
-
-
-def _columns(space, norms, S):
-    """The sampled trial cache, from the row norms of X and S = xi @ X: S
-    transposed (one contiguous row per column of S); for each column j a
-    per-sample summary of the others: max_{l != j} |S[:, l]| for p = inf,
-    from prefix and suffix maxima (0 when dim is 1), else
-    sum_{l != j} |S[:, l]|^p clipped at 0; and the row norms as Python
-    floats."""
-    St = np.ascontiguousarray(S.T)
-    A = np.abs(St)
-    norms = norms.tolist()
-    if space.p is not INF:
-        A = A ** space.p
-        return St, np.maximum(A.sum(axis=0) - A, 0.0), norms
-    before, after = np.zeros_like(A), np.zeros_like(A)
-    for k in range(1, len(A)):
-        np.maximum(before[k - 1], A[k - 1], out=before[k])
-        np.maximum(after[-k], A[-k], out=after[-k - 1])
-    return St, np.maximum(before, after), norms
-
-
-def _pair_sums(norms, terms):
-    """The l^1 trial cache, from the row norms of X and the Nabeya terms
-    (s, T) of X^T X: s and, for each column j, the sum of T over the pairs
-    (a, b) with a, b != j, as Python floats, and the row norms.  The masked
-    product sums nonnegative terms only, so no difference loses digits."""
-    sigmas, T = terms
-    off = 1.0 - np.eye(len(sigmas))
-    return sigmas.tolist(), ((off @ T) * off).sum(axis=1).tolist(), norms.tolist()
-
-
-def _cache(space, exact, parts):
-    """The trial cache built from the products `_scored` returned."""
-    return _pair_sums(*parts) if exact else _columns(space, *parts)
 
 
 def _moved_den(exponent, norms, i, moved) -> float:
@@ -214,50 +173,82 @@ def _moved_den(exponent, norms, i, moved) -> float:
     return top * sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
 
 
-def _trial_value(space, direction, exponent, columns, xiT, buf, X, i, j, step) -> float:
-    """`_objective` after X[i, j] moved by `step` (X already holds the
-    move), up to rounding.  Only column j of S is rebuilt, as
-    |S[:, j] + step * xi[:, i]| in `buf`, and only row i's norm is
-    recomputed."""
-    St, others, norms = columns
-    den = _moved_den(exponent, norms, i, float(space.norms(X[i])))
-    if den == 0.0:
-        return -math.inf
-    np.multiply(xiT[i], step, out=buf)
-    np.add(St[j], buf, out=buf)
-    np.abs(buf, out=buf)
-    if space.p is INF:
-        np.maximum(others[j], buf, out=buf)
+def _trials(space, direction, exponent, X, xiT, parts):
+    """The trial scorer of one climb state: `trial(i, j, step)` is
+    `_objective` after X[i, j] moved by `step` (X already holds the move),
+    up to rounding, from the products `parts` that `_scored` returned for X
+    before the move; only row i's norm is recomputed.  With draws (xiT = xi
+    transposed) |S[:, j] + step xi[:, i]| is rebuilt in one buffer and
+    folded into a per-sample summary of the other columns: their max for
+    p = inf (prefix and suffix maxima, 0 when dim is 1), else their sum of
+    |S|^p clipped at 0.  Exact (xiT = None, l^1): the pairs (j, k) of
+    Nabeya's sum are re-evaluated in plain Python floats from the new row j
+    of Q, formed as one product X[:, j] @ X (an update of the cached row
+    would carry rounding of the old entries, large against a column the
+    move nearly cancels), and added to the sum over the pairs that avoid j
+    (a masked product of nonnegative terms: no difference loses digits)."""
+    norms, S = parts[0].tolist(), parts[1]
+    if xiT is None:
+        sigmas, T = S
+        off = 1.0 - np.eye(len(sigmas))
+        sigmas, avoid = sigmas.tolist(), ((off @ T) * off).sum(axis=1).tolist()
+
+        def row_norm(i):
+            return sum(map(abs, X[i].tolist()))
+
+        def moment(i, j, step):
+            q = X[:, j].dot(X).tolist()
+            # the diagonal term T_jj = (pi/2) q_j: E|G_j|^2 = q_j
+            return 2.0 / math.pi * (avoid[j] + 0.5 * math.pi * q[j]
+                                    + 2.0 * _nabeya_cross(j, sigmas, q))
     else:
-        np.power(buf, space.p, out=buf)
-        np.add(others[j], buf, out=buf)
-        np.power(buf, 1.0 / space.p, out=buf)
-    num = math.sqrt(float(buf @ buf) / len(buf))
-    return num / den if direction == "type" else den / num
+        St = np.ascontiguousarray(S.T)
+        A = np.abs(St)
+        if space.p is not INF:
+            A = A ** space.p
+            others = np.maximum(A.sum(axis=0) - A, 0.0)
+        else:
+            before, after = np.zeros_like(A), np.zeros_like(A)
+            for k in range(1, len(A)):
+                np.maximum(before[k - 1], A[k - 1], out=before[k])
+                np.maximum(after[-k], A[-k], out=after[-k - 1])
+            others = np.maximum(before, after)
+        buf = np.empty(xiT.shape[1])
 
+        def row_norm(i):
+            return float(space.norms(X[i]))
 
-def _pair_trial_value(direction, exponent, pairs, X, i, j) -> float:
-    """Exact `_objective` on l^1 after a move of X[i, j] (X already holds
-    it), up to rounding: the pairs (j, k) of Nabeya's sum are re-evaluated
-    from the new row j of X^T X and the cached scales s_k, and added to the
-    cached sum over the pairs that avoid j; only row i's norm is
-    recomputed, all in plain Python floats."""
-    sigmas, avoid, norms = pairs
-    den = _moved_den(exponent, norms, i, sum(map(abs, X[i].tolist())))
-    if den == 0.0:
-        return -math.inf
-    q = X[:, j].dot(X).tolist()
-    # the diagonal term T_jj = (pi/2) q_j: E|G_j|^2 = q_j
-    total = avoid[j] + 0.5 * math.pi * q[j] + 2.0 * _nabeya_cross(j, sigmas, q)
-    num = math.sqrt(2.0 / math.pi * total)
-    return num / den if direction == "type" else den / num
+        def moment(i, j, step):
+            np.multiply(xiT[i], step, out=buf)
+            np.add(St[j], buf, out=buf)
+            np.abs(buf, out=buf)
+            if space.p is INF:
+                np.maximum(others[j], buf, out=buf)
+            else:
+                np.power(buf, space.p, out=buf)
+                np.add(others[j], buf, out=buf)
+                np.power(buf, 1.0 / space.p, out=buf)
+            return float(buf @ buf) / len(buf)
+
+    def trial(i, j, step):
+        den = _moved_den(exponent, norms, i, row_norm(i))
+        if den == 0.0:
+            return -math.inf
+        num = math.sqrt(moment(i, j, step))
+        return num / den if direction == "type" else den / num
+    return trial
 
 
 def _unit_tuple(space: LpSpace, count: int, seed: int) -> np.ndarray:
     """`count` standard normal vectors drawn under `seed`, each normalized in
-    the norm of `space` (a zero row stays zero)."""
+    the norm of `space` (a zero row stays zero).  Raises ValueError naming
+    the exponent when a nonzero row's norm leaves float range (it reads 0
+    or inf at huge p)."""
     vecs = gaussian_array((count, space.dim), seed)
-    norms = space.norms(vecs)
+    with np.errstate(over="ignore", under="ignore"):  # reported below
+        norms = space.norms(vecs)
+    if not (np.isfinite(norms) & ((norms > 0.0) | ~vecs.any(axis=1))).all():
+        raise ValueError(f"the l^{space.p} norm of a nonzero vector leaves float range")
     norms[norms == 0.0] = 1.0
     return vecs / norms[:, None]
 
@@ -298,7 +289,6 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
        (direction == "cotype" and exponent is INF) or space.is_hilbert:
         return _analytic_case(space, direction, exponent, n_vectors, seed, samples)
 
-    # trials: Nabeya pairs on l^1, else the sampled column update
     exact = is_exact(space)
     evals = 0
     candidates = []
@@ -317,13 +307,13 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
             X = candidates[0].copy()
         else:
             X = _unit_tuple(space, n_vectors, derive_seed(seed, "restart", r))
-        xi = None if exact else gaussian_array((samples, n_vectors),
-                                               derive_seed(seed, "crn", r))
+        xi = xiT = None
+        if not exact:
+            xi = gaussian_array((samples, n_vectors), derive_seed(seed, "crn", r))
+            xiT = np.ascontiguousarray(xi.T)
         best, parts = _scored(space, direction, exponent, X, xi)
         evals += 1
-        if not exact:
-            xiT, buf = np.ascontiguousarray(xi.T), np.empty(samples)
-        cache = _cache(space, exact, parts)
+        trial = _trials(space, direction, exponent, X, xiT, parts)
         for scale in CLIMB_SCALES:
             improved = True
             while improved and evals < budget:
@@ -335,17 +325,13 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 break
                             X[i, j] += sign * scale
                             evals += 1
-                            if exact:
-                                val = _pair_trial_value(direction, exponent, cache, X, i, j)
-                            else:
-                                val = _trial_value(space, direction, exponent, cache,
-                                                   xiT, buf, X, i, j, sign * scale)
+                            val = trial(i, j, sign * scale)
                             if val > best * (1.0 - TIE_RTOL):
                                 val, parts = _scored(space, direction, exponent, X, xi)
                             if val > best:
                                 best = val
                                 improved = True
-                                cache = _cache(space, exact, parts)
+                                trial = _trials(space, direction, exponent, X, xiT, parts)
                             else:
                                 X[i, j] -= sign * scale
         candidates.append(X)

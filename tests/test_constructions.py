@@ -138,6 +138,19 @@ def test_single_band_pure_tone_unit_norm_and_level():
                 assert v < 1e-12
 
 
+def test_single_band_tone_2d_is_a_cosine_along_the_first_axis():
+    bank = build_filter_bank(16.0 * math.pi, 256, 2, 3)
+    f = make_single_band(2, bank)
+    assert np.abs(f.values - f.values[:, :1]).max() == 0.0  # constant along axis 1
+    assert grid_lp_norm(f, 2) == pytest.approx(1.0, rel=1e-12)
+    for k in range(bank.levels + 1):
+        v = grid_lp_norm(lp_block(f, bank, k), 2)
+        if k == 2:
+            assert v == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert v < 1e-12
+
+
 def test_single_band_tone_needs_on_grid_shell():
     bank = build_filter_bank(8.0, 512, 1, 6)  # 2^k0 * 8 / (2 pi) is not integral
     with pytest.raises(ValueError, match="integer multiple"):

@@ -145,6 +145,8 @@ def test_restrict_step_exact_at_arbitrary_cuts():
     inside = (ts > a) & (ts <= b)
     assert np.abs(whole[inside] - glued[inside]).max() == 0.0
     assert np.abs(left.evaluate(ts[ts > cut])).max() == 0.0
+    union = f.restrict([(a, cut), (cut, b)])  # abutting at the cut
+    assert np.abs(union.evaluate(ts)[inside] - whole[inside]).max() == 0.0
 
 
 def test_restrict_linear_requires_zero_at_cut():
@@ -155,6 +157,9 @@ def test_restrict_linear_requires_zero_at_cut():
     out = w.restrict([(0.0, 0.5)])
     assert lp_norm(out, 2) == pytest.approx(lp_norm(w, 2) / math.sqrt(2.0), rel=1e-12)
     assert np.abs(out.evaluate(np.linspace(0.51, 1.0, 50))).max() == 0.0
+    ts = np.linspace(-0.1, 1.1, 241)
+    union = w.restrict([(0.0, 0.5), (0.5, 1.0)])  # abutting at the zero
+    assert np.abs(union.evaluate(ts) - w.evaluate(ts)).max() == 0.0
     with pytest.raises(ValueError):
         w.restrict([(0.0, 0.3)])
 

@@ -444,6 +444,14 @@ def test_cli_overflow_and_division_by_zero_of_a_config_return_two(tmp_path, caps
      "s: weights 2^(ks), k <= levels = 10, overflow at s = 10000000000.0"),
     ("step-identities", {"ps": [700.0], "ns": [2]},
      "ns, ps: the l^700.0 norm of a Gaussian sum overflowed float range"),
+    ("step-identities", {"ps": [1e300], "ns": [2]},
+     "ns, ps: the l^1e+300 norm of a nonzero vector leaves float range"),
+    ("band-limited", {"ps": [1000.0]},
+     "ps: the l^1000.0 norm of a nonzero vector leaves float range"),
+    ("embedding-cotype", {"qs": [1e300], "ns": [1]},
+     "ns, qs: the l^1e+300 norm of a nonzero vector leaves float range"),
+    ("dilation", {"s": -1e10},
+     "s: dilation factors lambda^(s - 1/p) leave float range at s = -10000000000.0"),
 ])
 def test_an_overflow_is_named_without_a_warning(experiment, payload, message):
     with warnings.catch_warnings():

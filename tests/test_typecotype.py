@@ -314,10 +314,10 @@ def test_trial_value_agrees_with_fresh_scoring_of_the_moved_tuple(case, n, dim, 
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, dim - 1))
     step = data.draw(st.floats(-1.0, 1.0))
-    columns = typecotype._columns(space, space.norms(X), xi @ X)
+    _, parts = typecotype._scored(space, direction, exponent, X, xi)
+    trial = typecotype._trials(space, direction, exponent, X, np.ascontiguousarray(xi.T), parts)
     X[i, j] += step
-    got = typecotype._trial_value(space, direction, exponent, columns,
-                                  np.ascontiguousarray(xi.T), np.empty(64), X, i, j, step)
+    got = trial(i, j, step)
     fresh = typecotype._objective(space, direction, exponent, X, xi)
     assert got == pytest.approx(fresh, rel=1e-13, abs=0.0)
 
@@ -328,10 +328,10 @@ def test_a_move_that_zeroes_the_tuple_scores_minus_inf(p, direction, exponent):
     X = np.zeros((2, 3))
     X[1, 2] = 0.7
     xi = gaussian_array((32, 2), 4)
-    columns = typecotype._columns(space, space.norms(X), xi @ X)
+    _, parts = typecotype._scored(space, direction, exponent, X, xi)
+    trial = typecotype._trials(space, direction, exponent, X, np.ascontiguousarray(xi.T), parts)
     X[1, 2] -= 0.7
-    got = typecotype._trial_value(space, direction, exponent, columns,
-                                  np.ascontiguousarray(xi.T), np.empty(32), X, 1, 2, -0.7)
+    got = trial(1, 2, -0.7)
     assert got == -math.inf
     assert typecotype._objective(space, direction, exponent, X, xi) == -math.inf
 
@@ -375,9 +375,9 @@ def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move):
     X, i, j, step = move
     space = LpSpace(1, X.shape[1])
     _, parts = typecotype._scored(space, direction, exponent, X, None)
-    pairs = typecotype._pair_sums(*parts)
+    trial = typecotype._trials(space, direction, exponent, X, None, parts)
     X[i, j] += step
-    got = typecotype._pair_trial_value(direction, exponent, pairs, X, i, j)
+    got = trial(i, j, step)
     fresh = typecotype._objective(space, direction, exponent, X, None)
     if not X.any():
         assert got == fresh == -math.inf
