@@ -303,14 +303,14 @@ def _exp_dilation(report, *, grid_n, period, levels, k0, width, s, p, q, lambdas
     bank = build_filter_bank(period, grid_n, 1, levels)
     f = make_single_band(k0, bank, width=width)
     base = besov_norm_fourier(f, s, p, q, bank)
-    factors = [lam ** (s - 1.0 / p) for lam in lambdas]
-    _require(all(0.0 < v < math.inf for v in factors), "s",
-             f"dilation factors lambda^(s - 1/p) leave float range at s = {s}")
     ratios = []
-    for lam, factor in zip(lambdas, factors):
+    for lam in lambdas:
         f_lam = dilate(f, float(lam))
         val = besov_norm_fourier(f_lam, s, p, q, bank)
-        ratios.append(val / (factor * base))
+        den = lam ** (s - 1.0 / p) * base
+        _require(0.0 < den < math.inf, "s",
+                 f"lambda^(s - 1/p) times the base norm leaves float range at s = {s}")
+        ratios.append(val / den)
     gmean = float(np.exp(np.mean(np.log(ratios))))
     for lam, ratio in zip(lambdas, ratios):
         report.add(case=f"lambda={lam}",

@@ -451,7 +451,9 @@ def test_cli_overflow_and_division_by_zero_of_a_config_return_two(tmp_path, caps
     ("embedding-cotype", {"qs": [1e300], "ns": [1]},
      "ns, qs: the l^1e+300 norm of a nonzero vector leaves float range"),
     ("dilation", {"s": -1e10},
-     "s: dilation factors lambda^(s - 1/p) leave float range at s = -10000000000.0"),
+     "s: lambda^(s - 1/p) times the base norm leaves float range at s = -10000000000.0"),
+    ("dilation", {"s": 100.0},
+     "s: lambda^(s - 1/p) times the base norm leaves float range at s = 100.0"),
 ])
 def test_an_overflow_is_named_without_a_warning(experiment, payload, message):
     with warnings.catch_warnings():
