@@ -19,10 +19,12 @@ continuity.  One algorithm serves steps and linear sources: the shift
 profile F(h) = ||f(.+h) - f||_p^p is evaluated at a set of shifts in one
 vectorised pass (`_shift_powers`, the only code that computes F; the
 single-shift `translate_diff_norm` calls it too), and the modulus and the
-integral are read off those values (`_seminorm`).  The source kind decides
-only which shifts are sampled: for steps the breakpoint differences, where
-F has its kinks, so the result is exact up to quadrature roundoff; for
-linear sources those plus a fixed geometric grid.
+integral read one profile of those values (`_profile`): rho(t)^p is the
+larger of the running max of F and F interpolated linearly between the
+shifts.  The source kind decides only which shifts are sampled: for steps
+the breakpoint differences, where F has its kinks, so the result is exact
+up to quadrature roundoff; for linear sources those plus a fixed
+geometric grid.
 
 Holder route (piecewise linear only): the sup norm plus the difference
 quotient maximized over breakpoint pairs.  That maximum is exact, not a
@@ -225,21 +227,31 @@ def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
     return float(_shift_powers(f, np.array([min(h, b - a)]), p)[0]) ** (1.0 / p)
 
 
+def _profile(f: PiecewiseFunction, p: float, top: float):
+    """The shifts of `_shifts` below `top` and then `top`, F there
+    (`_shift_powers`), the running max M of F and the slope of F to the next
+    shift (0 after `top`): rho(t)^p = max(M_k, F_k + slope_k (t - h_k)) on
+    [h_k, h_{k+1}].  The modulus and the difference norm both read it."""
+    h = _shifts(f)
+    kinks = np.append(h[h < top], top)
+    F = _shift_powers(f, kinks, p)
+    slope = np.append(np.diff(F) / np.diff(kinks), 0.0)
+    return kinks, F, np.maximum.accumulate(F), slope
+
+
 def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     """sup_{|h| <= t} ||f(.+h) - f||_p; positive h suffice (t -> t - h).
 
-    Exact for steps up to roundoff: F(h) = ||f(.+h) - f||_p^p is piecewise
-    linear in h with kinks at breakpoint differences, so its sup over (0, t]
-    sits at a kink or at t.  For linear sources a sampled value, not a
-    bound: the max of F over the shifts of `_shifts` up to t, nondecreasing
-    in t by construction (F(t) itself when t lies below all of them), with
-    each F from a quadrature that can miss the |u|^p kink of a coordinate
-    changing sign inside a cell, so it may read above the true modulus.
+    The rho that `besov_norm_difference` integrates, read off `_profile`
+    (below the smallest shift, F(t) itself).  Exact for steps up to roundoff,
+    whose F is piecewise linear with kinks at the breakpoint differences.
+    For linear sources a sampled value, not a bound: F is interpolated
+    between shifts, each from a quadrature that can miss the |u|^p kink of
+    a coordinate changing sign inside a cell.
 
-    `t` may be an array: F is then evaluated in one pass at the shifts up to
-    max t and at the t that need F(t), and each entry is read off a running
-    max, equal to its own scalar call.  A scalar t returns a float.  A t
-    beyond the support length L reads as L, where F is already constant.
+    `t` may be an array, read off one profile cut at the first shift >= max
+    t, so each entry equals its own scalar call; a scalar t returns a float.
+    A t beyond the support length L (itself a shift) reads as L.
     """
     p = _finite_p(p)
     ts = np.asarray(t, dtype=float)
@@ -248,54 +260,41 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     a, b = f.support
     flat = np.minimum(ts.ravel(), b - a)
     h = _shifts(f)
-    step = f.interpolation is Interpolation.STEP
-    kinks = h[h < flat.max()] if step else h[h <= flat.max()]
-    own = flat if step else flat[flat < h[0]]  # the t whose F(t) counts
-    F = _shift_powers(f, np.append(kinks, own), p)
-    # the max of F over the kinks up to t
-    upto = np.searchsorted(kinks, flat, side="right")
-    running = np.maximum.accumulate(np.append(0.0, F[:kinks.size]))[upto]
-    if step:
-        running = np.maximum(running, F[kinks.size:])
-    else:
-        running[flat < h[0]] = F[kinks.size:]
+    kinks, F, best, slope = _profile(f, p, h[np.searchsorted(h, flat.max())])
+    k = np.searchsorted(kinks, flat, side="right") - 1
+    rho_p = np.maximum(best[k], F[k] + slope[k] * (flat - kinks[k]))
+    rho_p[k < 0] = _shift_powers(f, flat[k < 0], p)
     # Python's float pow, not np.power, keeps the scalar results' bits
-    rho = np.array([float(v) ** (1.0 / p) for v in running]).reshape(ts.shape)
+    rho = np.array([float(v) ** (1.0 / p) for v in rho_p]).reshape(ts.shape)
     return float(rho) if ts.ndim == 0 else rho
 
 
 def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
-    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} from F at the shifts of
-    `_shifts` below 1 and at 1: rho^p = max(M, F), M the running max of F
-    over those shifts, F linear between them (exact for steps, whose F is
-    piecewise linear with kinks at the breakpoint differences).  Below the
-    smallest shift g, F(h) = F(g) (h/g)^a, with a = 1 where f jumps (steps,
-    linear sources nonzero at an end) and a = p for continuous ones: closed
-    form, +inf for s >= a/p.  Later pieces split where F overtakes M; each
-    half gets 20-point Gauss-Legendre in log t.  For q = inf the sup is the
-    max of t^{-s} F^{1/p} over the shifts: on a piece t^{-s} M^{1/p}
-    decreases, and for s < 1/p, t^{-s} F^{1/p} has no interior maximum."""
+    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} over `_profile(f, p, 1)`.
+    Below the smallest shift g, F(h) = F(g) (h/g)^a, with a = 1 where f
+    jumps (steps, linear sources nonzero at an end) and a = p for continuous
+    ones: closed form, +inf for s >= a/p.  Later pieces split where F
+    overtakes M; each half gets 20-point Gauss-Legendre in log t.  For
+    q = inf the sup is the max of t^{-s} F^{1/p} over the shifts: on a piece
+    t^{-s} M^{1/p} decreases, and for s < 1/p, t^{-s} F^{1/p} has no
+    interior maximum."""
     jumps = f.interpolation is Interpolation.STEP or f.space.norms(f.values[[0, -1]]).any()
     order = 1.0 if jumps else p
     if s >= order / p:
         return math.inf
-    h = _shifts(f)
-    kinks = np.append(h[h < 1.0], 1.0)
-    F = _shift_powers(f, kinks, p)
+    kinks, F, best, slope = _profile(f, p, 1.0)
     if q is INF:
         return float((kinks ** -s * F ** (1.0 / p)).max())
-    best = np.maximum.accumulate(F)
     expo = (order / p - s) * q
     total = float((F[0] / kinks[0] ** order) ** (q / p) * kinks[0] ** expo / expo)
     lo, hi, r0, r1, top = kinks[:-1], kinks[1:], F[:-1], F[1:], best[:-1]
     rising = r1 > top
     cross = lo + (hi - lo) * np.where(rising, (top - r0) / np.where(rising, r1 - r0, 1.0), 1.0)
-    slope = ((r1 - r0) / (hi - lo))[:, None]
     nodes, weights = _gl_rule(20)
     for a, c in ((lo, cross), (cross, hi)):
         la, lc = np.log(a)[:, None], np.log(c)[:, None]
         t = np.exp(0.5 * (lc - la) * nodes + 0.5 * (lc + la))
-        rho_p = np.maximum(top[:, None], r0[:, None] + slope * (t - lo[:, None]))
+        rho_p = np.maximum(top[:, None], r0[:, None] + slope[:-1, None] * (t - lo[:, None]))
         total += float((0.5 * (lc - la) * weights * t ** (-s * q) * rho_p ** (q / p)).sum())
     return total ** (1.0 / q)
 

@@ -284,12 +284,11 @@ def _exp_partition(report, *, seed, samples, cases, dim) -> None:
                 ("linf-cotypeinf", INF, "cotype", INF)):
             space = LpSpace(space_p, dim)
             fp = make_step(blocks, vectors, space)
-            # the l^1 check is exact and needs no MC config
-            cfg = None if space_p == 1.0 else MCConfig(samples, derive_seed(case_seed, label))
+            cfg = MCConfig(samples, derive_seed(case_seed, label))  # unused where exact
             chk = partition_inequality_check(fp, partition, direction, expo, 1.0, cfg)
             tol = 3.0 * chk.std_error_budget
             report.add(case=f"case={i};{label}",
-                       inputs=exact_inputs if cfg is None else sampled_inputs,
+                       inputs=exact_inputs if chk.exact else sampled_inputs,
                        lhs=chk.lhs, rhs=chk.rhs, constant=1.0,
                        std_error=chk.std_error_budget, tolerance=tol,
                        asserted=True, margin=chk.margin)

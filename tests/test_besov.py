@@ -456,14 +456,16 @@ def test_linear_difference_norm_matches_dense_reference(f, s, p):
 
 
 def test_linear_modulus_is_nondecreasing_in_t():
-    # the sampled shifts are cut at t, so a larger t only adds candidates
+    # rho(t)^p = max(M, F interpolated between the shifts), with M the
+    # running max of F over the shifts up to t, is nondecreasing in t
     f = random_linear(jumps=True)
     rhos = [modulus_of_continuity(f, t, 1.7) for t in np.geomspace(1e-3, 1.0, 60)]
     assert np.all(np.diff(rhos) >= 0.0)
 
 
 def test_modulus_sweep_equals_its_per_point_calls():
-    # one shift pass and a running max serve the whole sweep; t from 1e-10
+    # one profile, cut at the first shift >= max t, serves the whole sweep,
+    # and each t reads the same piece of it as its scalar call; t from 1e-10
     # also reaches below the smallest sampled shift 2^-30, where F(t) counts
     f = random_linear(jumps=True)
     ts = np.geomspace(1e-10, 1.0, 200)
@@ -481,6 +483,26 @@ def test_modulus_sweep_equals_its_per_point_calls():
     assert isinstance(modulus_of_continuity(f, 0.3, 1.7), float)
     with pytest.raises(ValueError):
         modulus_of_continuity(f, np.array([0.1, 0.0]), 1.7)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linear_modulus_matches_a_dense_sup(seed):
+    # a dense reference for sup_{h <= t} F(h): the running max of F on 2000
+    # geometric shifts, and F(t) itself.  rho interpolates F between the
+    # sampled shifts: 32 per octave up to 1, but above 1 only the breakpoint
+    # differences, hence the looser tolerance there
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.5, size=5)), [1.5]])
+    f = PiecewiseFunction(breaks, rng.normal(size=(7, 2)), Interpolation.LINEAR,
+                          LpSpace(1.7, 2))
+    ts = np.concatenate([np.geomspace(1e-7, 1.0, 60), np.linspace(1.0, 1.5, 11)[1:]])
+    grid = np.geomspace(1e-9, 1.5, 2000)
+    F = _shift_powers(f, np.concatenate([grid, ts]), 1.7)
+    upto = np.maximum.accumulate(F[:grid.size])[np.searchsorted(grid, ts, side="right") - 1]
+    dense = np.maximum(upto, F[grid.size:]) ** (1.0 / 1.7)
+    rho = modulus_of_continuity(f, ts, 1.7)
+    np.testing.assert_allclose(rho[ts <= 1.0], dense[ts <= 1.0], rtol=1e-3, atol=0.0)
+    np.testing.assert_allclose(rho[ts > 1.0], dense[ts > 1.0], rtol=1e-2, atol=0.0)
 
 
 def test_holder_norm_single_tent():

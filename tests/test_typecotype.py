@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from besovgamma import typecotype
 from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
-from besovgamma.spaces import INF, LpSpace
+from besovgamma.spaces import (INF, LpSpace, gaussian_second_moment,
+                               l1_gaussian_second_moment)
 from besovgamma.typecotype import (CLIMB_SCALES, ConstantEstimate, check_exponent,
                                    cotype_ratio, estimate_constant, type_ratio)
 
@@ -44,6 +45,27 @@ def test_cotype_ratio_l1_pair_closed_form():
            for cfg in (None, MCConfig(samples=320, seed=32), MCConfig(samples=400000, seed=32))]
     assert got[0] == got[1] == got[2]
     assert got[0] == pytest.approx(math.sqrt(2.0 / SUM_PAIR), rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", [60, 61, 62, 63])
+def test_linf2_sampled_values_match_the_l1_isometry(seed):
+    # T(a, b) = (a + b, a - b) maps l^1_2 isometrically onto l^inf_2, since
+    # max(|a + b|, |a - b|) = |a| + |b|, and Gaussian sums commute with T:
+    # E||sum gamma_n x_n||_inf^2 = l1_gaussian_second_moment(Y^T Y), y_n = T^{-1} x_n
+    t = np.array([[1.0, 1.0], [1.0, -1.0]])
+    x = gaussian_array((5, 2), seed)
+    y = x @ t / 2.0
+    np.testing.assert_allclose(LpSpace(INF, 2).norms(x), LpSpace(1, 2).norms(y), rtol=1e-15)
+    exact = l1_gaussian_second_moment(y.T @ y)
+    cfg = MCConfig(samples=20000, seed=derive_seed(seed, "isometry"))
+    est = gaussian_second_moment(LpSpace(INF, 2), x, cfg)
+    assert abs(est.mean - exact) < 3.0 * est.std_error
+    # the sampled ratio averages the same rows; its error bar by the delta method
+    den = math.sqrt(float((LpSpace(INF, 2).norms(x) ** 2).sum()))
+    got = type_ratio(LpSpace(INF, 2), 2.0, x, cfg)
+    assert got == pytest.approx(math.sqrt(est.mean) / den, rel=1e-12)
+    se = est.std_error / (2.0 * math.sqrt(est.mean)) / den
+    assert abs(got - math.sqrt(exact) / den) < 3.0 * se
 
 
 def test_ratio_rejects_tuples_below_float_range():
