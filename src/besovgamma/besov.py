@@ -11,7 +11,7 @@ so the level multipliers
 sum to chi(|xi|/2^K) over k = 0..K, which is exactly 1 for |xi| <= 2^K.
 The smoothness norm is then the weighted l^q sequence norm of the block
 L^p norms, weight 2^{ks} at level k: one forward transform of f, then one
-inverse transform per level.
+inverse transform per level, all levels filtered in one reused buffer.
 
 Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
@@ -23,8 +23,8 @@ integral read one profile of those values (`_profile`): rho(t)^p is the
 larger of the running max of F and F interpolated linearly between the
 shifts.  The source kind decides only which shifts are sampled: for steps
 the breakpoint differences, where F has its kinks, so the result is exact
-up to quadrature roundoff; for linear sources those plus a fixed
-geometric grid.
+up to quadrature roundoff; for linear sources those plus a geometric grid
+that runs up to the support length.
 
 Holder route (piecewise linear only): the sup norm plus the difference
 quotient maximized over breakpoint pairs.  That maximum is exact, not a
@@ -119,10 +119,11 @@ def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
                       levels=int(levels), multipliers=mults)
 
 
-def _filtered(f: GridFunction, spec: np.ndarray, mult, scale: float) -> GridFunction:
-    """Inverse transform of mult * spec; imaginary part checked against scale."""
-    out = np.fft.ifftn(spec * np.asarray(mult)[..., None], axes=tuple(range(f.d)))
-    if float(np.abs(out.imag).max()) > 1e-9 * scale:
+def _filtered(f: GridFunction, spec: np.ndarray, mult, scale: float, out=None) -> GridFunction:
+    """Inverse transform of mult * spec, in `out` if given; imaginary part checked."""
+    out = np.multiply(spec, np.asarray(mult)[..., None], out=out)
+    np.fft.ifftn(out, axes=tuple(range(f.d)), out=out)
+    if max(float(out.imag.max()), -float(out.imag.min())) > 1e-9 * scale:
         raise ValueError("multiplier output has a non-negligible imaginary part")
     return GridFunction(f.period, out.real, f.space)
 
@@ -131,8 +132,8 @@ def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     """Pointwise Fourier multiplier on the grid (circular convolution with
     the multiplier's kernel).  The multiplier must be real; the output's
     imaginary part is checked against the input's scale, so an (exactly or
-    nearly) annihilated function stays unflagged.  `besov_norm_fourier`
-    runs the same inverse step on one shared forward transform."""
+    nearly) annihilated function stays unflagged.  Its result owns its
+    values, unlike the levels `besov_norm_fourier` filters in one buffer."""
     spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
     return _filtered(f, spec, mult, float(np.abs(f.values).max()))
 
@@ -148,14 +149,16 @@ def lp_block(f: GridFunction, bank: FilterBank, k: int) -> GridFunction:
 
 def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> float:
     """Weighted l^q over levels of the block L^p norms, weight 2^{ks}; one
-    forward transform, then each block is `lp_block(f, bank, k)` to the bit."""
+    forward transform and one reused buffer, each block `lp_block(f, bank, k)` to the bit."""
     if not bank.compatible_with(f):
         raise ValueError("filter bank was built for a different grid")
     if not s * bank.levels < 1024:  # 2^(ks) overflows for some k <= levels, or s is nan
         raise ValueError(f"weights 2^(ks), k <= levels = {bank.levels}, overflow at s = {s!r}")
     spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
     scale = float(np.abs(f.values).max())
-    blocks = np.array([grid_lp_norm(_filtered(f, spec, m, scale), p) for m in bank.multipliers])
+    buf = np.empty_like(spec)
+    blocks = np.array([grid_lp_norm(_filtered(f, spec, m, scale, buf), p)
+                       for m in bank.multipliers])
     weights = 2.0 ** (s * np.arange(bank.levels + 1))
     return lq_norm(weights * blocks, q)
 
@@ -163,12 +166,13 @@ def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> flo
 def _shifts(f: PiecewiseFunction) -> np.ndarray:
     """The shifts h at which the difference route samples F, sorted: the
     distinct positive breakpoint differences, where F has its kinks, and for
-    linear sources also the geometric grid 2^{-k/32}, k = 0..960 (30 octaves)."""
+    linear sources also the grid 2^{k/32}, k >= -960, up to max(1, support length)."""
     diffs = (f.breakpoints[None, :] - f.breakpoints[:, None]).ravel()
     gaps = np.unique(diffs[diffs > 0])
     if f.interpolation is Interpolation.STEP:
         return gaps
-    return np.union1d(gaps, 2.0 ** (-np.arange(30 * 32 + 1) / 32))
+    grid = 2.0 ** (np.arange(-30 * 32, 32 * math.log2(max(gaps[-1], 1.0)) + 1) / 32)
+    return np.union1d(gaps, grid[(grid <= 1.0) | (grid < gaps[-1])])
 
 
 def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndarray:

@@ -196,6 +196,39 @@ def test_bank_compatibility_guard():
         besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
 
 
+def test_imaginary_check_sees_a_negative_extreme():
+    # f = sum_k (1 - k/K) sin(k w x) and m = 1 + delta sign(xi) give the
+    # output imaginary part -delta sum_k (1 - k/K) cos(k w x) = delta (1 - Fejer
+    # kernel) / 2: at most delta / 2, but down to -delta (K - 1) / 2 at x = 0
+    x = np.arange(512) * (8.0 / 512)
+    k = np.arange(1, 64)
+    vals = ((1.0 - k / 64.0) * np.sin(2.0 * math.pi * np.outer(x, k) / 8.0)).sum(axis=1)
+    f = GridFunction(8.0, vals[:, None], LpSpace(2, 1))
+    scale = float(np.abs(f.values).max())
+    mult = 1.0 + 1e-9 * scale * np.sign(np.fft.fftfreq(512))
+    imag = np.fft.ifft(np.fft.fft(f.values[:, 0]) * mult).imag
+    assert imag.max() < 1e-9 * scale < -imag.min()  # only the negative side exceeds
+    lopsided = FilterBank(8.0, 512, 1, 1, np.stack([mult, np.zeros(512)]))
+    with pytest.raises(ValueError, match="imaginary part"):
+        apply_multiplier(f, mult)
+    with pytest.raises(ValueError, match="imaginary part"):
+        besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
+
+
+def test_blocks_and_multiplier_outputs_own_their_values():
+    # besov_norm_fourier filters every level in one reused buffer; the grids
+    # lp_block and apply_multiplier hand out must not share one
+    bank = build_filter_bank(8.0, 512, 1, 7)
+    f = band_limited_random(8.0, 512, 2, radius=100.0, seed=23)
+    for make in (lambda k: lp_block(f, bank, k),
+                 lambda k: apply_multiplier(f, bank.multipliers[k])):
+        first = make(2)
+        kept = first.values.copy()
+        second = make(3)
+        assert np.array_equal(first.values, kept)
+        assert not np.shares_memory(first.values, second.values)
+
+
 def indicator(p):
     return PiecewiseFunction([0.0, 1.0], [[1.0], [1.0]], Interpolation.STEP,
                              LpSpace(p if p != INF else 2, 1))
@@ -485,24 +518,26 @@ def test_modulus_sweep_equals_its_per_point_calls():
         modulus_of_continuity(f, np.array([0.1, 0.0]), 1.7)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(10))
 def test_linear_modulus_matches_a_dense_sup(seed):
-    # a dense reference for sup_{h <= t} F(h): the running max of F on 2000
-    # geometric shifts, and F(t) itself.  rho interpolates F between the
-    # sampled shifts: 32 per octave up to 1, but above 1 only the breakpoint
-    # differences, hence the looser tolerance there
+    # a dense reference for sup_{h <= t} F(h): the running max of F on 1000
+    # geometric shifts up to 1 and 1000 even ones on to 1.5, and F(t)
+    # itself.  rho interpolates F between the sampled shifts, 32 per octave
+    # up to the support length 1.5.  Worst relative errors over these ten
+    # sources: 1.5e-4 for t <= 1 and 1.3e-3 above (7.8e-3 above 1 for a
+    # grid that stops at 1, where only breakpoint differences are sampled)
     rng = np.random.Generator(np.random.Philox(key=seed))
     breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.5, size=5)), [1.5]])
     f = PiecewiseFunction(breaks, rng.normal(size=(7, 2)), Interpolation.LINEAR,
                           LpSpace(1.7, 2))
-    ts = np.concatenate([np.geomspace(1e-7, 1.0, 60), np.linspace(1.0, 1.5, 11)[1:]])
-    grid = np.geomspace(1e-9, 1.5, 2000)
+    ts = np.concatenate([np.geomspace(1e-7, 1.0, 60), np.linspace(1.0, 1.5, 26)[1:]])
+    grid = np.union1d(np.geomspace(1e-9, 1.0, 1000), np.linspace(1.0, 1.5, 1001))
     F = _shift_powers(f, np.concatenate([grid, ts]), 1.7)
     upto = np.maximum.accumulate(F[:grid.size])[np.searchsorted(grid, ts, side="right") - 1]
     dense = np.maximum(upto, F[grid.size:]) ** (1.0 / 1.7)
     rho = modulus_of_continuity(f, ts, 1.7)
     np.testing.assert_allclose(rho[ts <= 1.0], dense[ts <= 1.0], rtol=1e-3, atol=0.0)
-    np.testing.assert_allclose(rho[ts > 1.0], dense[ts > 1.0], rtol=1e-2, atol=0.0)
+    np.testing.assert_allclose(rho[ts > 1.0], dense[ts > 1.0], rtol=2e-3, atol=0.0)
 
 
 def test_holder_norm_single_tent():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovgamma.besov import build_filter_bank
-from besovgamma.constructions import (make_single_band, make_step,
+from besovgamma.constructions import (make_psi_system, make_single_band, make_step,
                                       make_tent_family, tent_l2_sigmas)
 from besovgamma.functions import (Interpolation, PiecewiseFunction,
                                   l2_norm_squared, lp_norm)
@@ -289,3 +289,32 @@ def test_rank_zero_operator_has_zero_norm():
     f = step_fn(4, 6, 85)
     empty = GammaOperator(np.zeros((0, 6)), f.space, "cells", 0.0)
     assert empty.mc_norm(MCConfig(samples=2000, seed=1)).mean == 0.0
+
+
+@pytest.fixture(scope="module")
+def psi_2d():
+    # two psi profiles on a 2-D grid: orthonormal in L^2, so covariance X^T X
+    X = gaussian_array((2, 3), 87)
+    return X, build_filter_bank(4.0, 256, 2, 7)
+
+
+def test_2d_psi_system_covariance_is_the_gram_matrix(psi_2d):
+    X, bank = psi_2d
+    gram = X.T @ X
+    for space in (LpSpace(2, 3), LpSpace(1, 3)):
+        q = covariance(make_psi_system(2, X, bank, space))
+        assert np.abs(q - gram).max() <= 1e-14 * np.abs(gram).max()
+
+
+def test_2d_psi_system_hilbert_gamma_norm(psi_2d):
+    X, bank = psi_2d
+    f = make_psi_system(2, X, bank, LpSpace(2, 3))
+    assert gamma_norm_hilbert(f) == pytest.approx(math.sqrt((X ** 2).sum()), rel=1e-14)
+
+
+def test_2d_psi_system_l1_gamma_norm_matches_the_closed_form(psi_2d):
+    X, bank = psi_2d
+    f = make_psi_system(2, X, bank, LpSpace(1, 3))
+    est = gamma_norm_mc(f, MCConfig(samples=20000, seed=87))
+    exact = math.sqrt(l1_gaussian_second_moment(X.T @ X))
+    assert abs(est.mean - exact) < 4.0 * est.std_error
