@@ -22,7 +22,7 @@ from .functions import (GridFunction, Interpolation, PiecewiseFunction,
                         dilate, grid_lp_norm, l2_norm_squared, lp_norm)
 from .gamma import (DisjointGammaNorm, GammaOperator, PartitionCheck,
                     covariance, covariance_operator, disjoint_lp_from_sigmas,
-                    gamma_norm_disjoint_lp, gamma_norm_hilbert, gamma_norm_mc,
+                    gamma_norm, gamma_norm_disjoint_lp, gamma_norm_hilbert, gamma_norm_mc,
                     ideal_compose, partition_inequality_check)
 from .harness import Report, ReportRow, UsageError, run, write_report_csv
 from .montecarlo import (MCConfig, MCEstimate, batch_means, derive_seed,
@@ -44,7 +44,7 @@ __all__ = [
     "zeta_sum", "make_step", "tent_widths", "tent_l2_sigmas", "make_tent_family",
     "psi_profiles", "make_psi_system", "make_single_band",
     "GammaOperator", "covariance", "covariance_operator",
-    "gamma_norm_hilbert", "gamma_norm_mc",
+    "gamma_norm", "gamma_norm_hilbert", "gamma_norm_mc",
     "DisjointGammaNorm", "disjoint_lp_from_sigmas", "gamma_norm_disjoint_lp",
     "ideal_compose", "PartitionCheck", "partition_inequality_check",
     "type_ratio", "cotype_ratio", "ConstantEstimate", "estimate_constant",

@@ -11,9 +11,9 @@ basis, so the norm is a function of Q alone.  `covariance` computes Q in
 closed form for step, linear and grid sources; `covariance_operator`
 turns it into the dim x dim coefficient matrix S = Q^{1/2}, whose rows
 play the part of the I_f(h_m).  Nothing is truncated, so every source
-gets its exact operator.  Hilbert and l^1 targets have closed-form norms
-(trace Q, and `l1_gaussian_second_moment` of Q); the partition check uses
-them, and every other target is sampled.
+gets its exact operator.  `gamma_norm` alone chooses how a norm is computed:
+exactly from Q on Hilbert targets (trace Q), on l^1 and in dimension 1
+(`l1_gaussian_second_moment` of Q), and by `gamma_norm_mc` elsewhere.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .functions import GridFunction, Interpolation, PiecewiseFunction, l2_norm_s
 from .montecarlo import MCConfig, MCEstimate, derive_seed
 from .spaces import (INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment,
                      l1_gaussian_second_moment)
-from .typecotype import check_exponent, is_exact
+from .typecotype import check_exponent
 
 # Partition endpoints must sit this close (absolutely) to each other and to
 # the ends of the support for a user's partition to count as a tiling.
@@ -108,6 +108,24 @@ def gamma_norm_mc(f, cfg: MCConfig) -> MCEstimate:
     return covariance_operator(f).mc_norm(cfg)
 
 
+def gamma_norm(f, cfg: MCConfig | None = None) -> MCEstimate:
+    """Gaussian-sum norm of a piecewise or grid function.  Exact from Q, with
+    std_error, samples and seed all 0, where a closed form exists:
+    `gamma_norm_hilbert` on Hilbert targets, sqrt(`l1_gaussian_second_moment`(Q))
+    on l^1 and in dimension 1 (each l^p_1 is R = l^1_1).  Every other target
+    is sampled by `gamma_norm_mc`, which needs `cfg`.  Non-finite norms raise."""
+    if not (f.space.is_hilbert or f.space.p == 1.0 or f.space.dim == 1):
+        if cfg is None:
+            raise ValueError(f"a sampled l^{f.space.p} target needs an MC config")
+        return gamma_norm_mc(f, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        value = (gamma_norm_hilbert(f) if f.space.is_hilbert
+                 else math.sqrt(l1_gaussian_second_moment(covariance(f))))
+    if not math.isfinite(value):
+        raise ValueError(f"the Gaussian-sum norm on l^{f.space.p} overflowed float range")
+    return MCEstimate(mean=value, std_error=0.0, samples=0, seed=0)
+
+
 @dataclass(frozen=True)
 class DisjointGammaNorm:
     """Closed-form moments for coordinatewise-disjoint sources in l^p_n."""
@@ -164,9 +182,9 @@ class PartitionCheck:
     """Both sides of a type/cotype partition inequality with error budget.
 
     std_error_budget is 0 for a Hilbert target (exact, and Pythagoras holds
-    to roundoff), ROUNDOFF_RTOL * (lhs + rhs) for an l^1 target (exact, up to
-    roundoff in the closed form), and otherwise the first-order bound on the
-    Monte Carlo standard error of the margin.
+    to roundoff), ROUNDOFF_RTOL * (lhs + rhs) for every other exact target
+    (up to roundoff in the closed form), and otherwise the first-order bound
+    on the Monte Carlo standard error of the margin.
     """
 
     direction: str            # "type" | "cotype"
@@ -203,30 +221,23 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
     type direction (p in [1, 2]):    ||R|| <= T_p (sum_j ||R_j||^p)^{1/p}
     cotype direction (q in [2, inf]): (sum_j ||R_j||^q)^{1/q} <= C_q ||R||
 
-    Hilbert and l^1 targets use exact paths: the L^2(S; E) norm, and the
-    closed form `l1_gaussian_second_moment` of each covariance; `cfg` is
-    then unused.  Otherwise each norm is estimated by MC with a seed derived
-    per part, and the budget is the conservative first-order combination of
-    the standard errors.
+    Each norm is `gamma_norm` of f or of a piece, with a seed derived per
+    piece; `cfg` is unused where those norms are exact.  A sampled check's
+    budget is the conservative first-order combination of the standard
+    errors.
     """
     parts = _partition_boundaries(f, partition)
     exponent = check_exponent(direction, exponent)
     constant = float(getattr(constant, "value", constant))
+    if not 0.0 <= constant < math.inf:
+        raise ValueError(f"constant must be finite and non-negative, got {constant}")
 
-    pieces = [f] + [f.restrict([iv]) for iv in parts]
-    exact, ses = is_exact(f.space), [0.0] * len(pieces)
-    if f.space.is_hilbert:
-        norms = [gamma_norm_hilbert(g) for g in pieces]
-    elif exact:
-        norms = [math.sqrt(l1_gaussian_second_moment(covariance(g))) for g in pieces]
-    elif cfg is None:
-        raise ValueError("targets other than l^2 and l^1 need an MC config")
-    else:
-        labels = [("whole",)] + [("part", j) for j in range(len(parts))]
-        ests = [gamma_norm_mc(g, replace(cfg, seed=derive_seed(cfg.seed, *label)))
-                for g, label in zip(pieces, labels)]
-        norms, ses = [e.mean for e in ests], [e.std_error for e in ests]
-    (whole, *part_norms), (whole_se, *part_ses) = norms, ses
+    pieces = [(f, ("whole",))] + [(f.restrict([iv]), ("part", j)) for j, iv in enumerate(parts)]
+    ests = [gamma_norm(g, cfg if cfg is None
+                       else replace(cfg, seed=derive_seed(cfg.seed, *label)))
+            for g, label in pieces]
+    (whole, *part_norms), (whole_se, *part_ses) = zip(*[(e.mean, e.std_error) for e in ests])
+    exact = ests[0].samples == 0
 
     arr = np.asarray(part_norms)
     if direction == "type":
@@ -243,7 +254,7 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
             lhs = float((arr ** q).sum()) ** (1.0 / q)
         rhs = constant * whole
         budget = float(np.sum(part_ses)) + constant * whole_se
-    if f.space.p == 1.0:
+    if exact and not f.space.is_hilbert:
         budget = ROUNDOFF_RTOL * (lhs + rhs)
     return PartitionCheck(direction=direction, exponent=exponent, constant=constant,
                           whole_norm=whole, part_norms=tuple(part_norms),

@@ -32,7 +32,7 @@ from .besov import (besov_norm_difference, besov_norm_fourier,
 from .constructions import (make_psi_system, make_single_band, make_step,
                             make_tent_family, tent_l2_sigmas, zeta_sum)
 from .functions import dilate, grid_lp_norm, lp_norm
-from .gamma import (disjoint_lp_from_sigmas, gamma_norm_hilbert,
+from .gamma import (disjoint_lp_from_sigmas, gamma_norm, gamma_norm_hilbert,
                     gamma_norm_mc, partition_inequality_check)
 from .montecarlo import MCConfig, derive_seed
 from .spaces import INF, LpSpace, gaussian_second_moment
@@ -126,6 +126,11 @@ def format_inputs(**kv) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(kv.items()))
 
 
+def _row_inputs(exact: bool, samples: int, **kv) -> str:
+    """`format_inputs(**kv)`, plus the configured sample count unless the row is exact."""
+    return format_inputs(**kv) if exact else format_inputs(**kv, samples=samples)
+
+
 def write_report_csv(report: Report, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_csv(report))
@@ -188,13 +193,13 @@ def _exp_embedding_type(report, *, seed, samples, ps, ns) -> None:
             space = LpSpace(p, n)
             vec_seed = derive_seed(seed, "embedding-type", _fmt(p), n)
             f = make_step(n, _unit_tuple(space, n, vec_seed), space)
-            est = gamma_norm_mc(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
+            est = gamma_norm(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
             besov = besov_norm_difference(f, s, p, q=p)
             ratio = est.mean / besov
             best = max(best, ratio)
             report.add(case=f"p={p:g};n={n}",
-                       inputs=format_inputs(n=n, p=p, s=s, q=p, samples=samples,
-                                            vector_seed=vec_seed),
+                       inputs=_row_inputs(est.samples == 0, samples, n=n, p=p, s=s, q=p,
+                                          vector_seed=vec_seed),
                        lhs=est.mean, rhs=besov, constant=ratio,
                        std_error=est.std_error)
         report.summary[f"max_gamma_over_besov_p={p:g}"] = best
@@ -212,18 +217,14 @@ def _exp_embedding_cotype(report, *, seed, samples, grid_n, period, levels, qs, 
             vectors = _unit_tuple(space, count, vec_seed)
             f = make_psi_system(count, vectors, bank, space)
             besov = besov_norm_fourier(f, s, q, q, bank)
-            if space.is_hilbert:
-                gam, se = gamma_norm_hilbert(f), 0.0
-            else:
-                est = gamma_norm_mc(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
-                gam, se = est.mean, est.std_error
-            ratio = besov / gam
+            est = gamma_norm(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
+            ratio = besov / est.mean
             best = max(best, ratio)
             report.add(case=f"q={q:g};n={count}",
-                       inputs=format_inputs(n=count, q=q, s=s, samples=samples,
-                                            grid_n=grid_n, period=period,
-                                            levels=levels, vector_seed=vec_seed),
-                       lhs=besov, rhs=gam, constant=ratio, std_error=se)
+                       inputs=_row_inputs(est.samples == 0, samples, n=count, q=q, s=s,
+                                          grid_n=grid_n, period=period,
+                                          levels=levels, vector_seed=vec_seed),
+                       lhs=besov, rhs=est.mean, constant=ratio, std_error=est.std_error)
         report.summary[f"max_besov_over_gamma_q={q:g}"] = best
 
 
@@ -236,22 +237,16 @@ def _exp_band_limited(report, *, seed, samples, grid_n, period, width, dim, ps) 
         v = _unit_tuple(space, 1, vec_seed)[0]
         f = make_single_band(1, bank, width=width, vector=v, space=space)
         lp_val = grid_lp_norm(f, p)
-        if space.is_hilbert:
-            gam, se = gamma_norm_hilbert(f), 0.0
-            report.add(case="p=2", inputs=format_inputs(p=2.0, width=width,
-                                                        grid_n=grid_n, period=period,
-                                                        vector_seed=vec_seed),
-                       lhs=gam, rhs=lp_val, constant=1.0, tolerance=1e-9,
-                       asserted=True, margin=1e-9 - abs(gam - lp_val))
+        est = gamma_norm(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
+        inputs = _row_inputs(est.samples == 0, samples, p=p, width=width, grid_n=grid_n,
+                             period=period, vector_seed=vec_seed)
+        if space.is_hilbert:  # the L^2 identity, asserted
+            report.add(case="p=2", inputs=inputs, lhs=est.mean, rhs=lp_val, constant=1.0,
+                       tolerance=1e-9, asserted=True, margin=1e-9 - abs(est.mean - lp_val))
         else:
-            est = gamma_norm_mc(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
-            gam, se = est.mean, est.std_error
-            report.add(case=f"p={p:g}",
-                       inputs=format_inputs(p=p, width=width, grid_n=grid_n,
-                                            period=period, samples=samples,
-                                            vector_seed=vec_seed),
-                       lhs=gam, rhs=lp_val, constant=gam / lp_val, std_error=se)
-        report.summary[f"gamma_over_lp_p={p:g}"] = gam / lp_val
+            report.add(case=f"p={p:g}", inputs=inputs, lhs=est.mean, rhs=lp_val,
+                       constant=est.mean / lp_val, std_error=est.std_error)
+        report.summary[f"gamma_over_lp_p={p:g}"] = est.mean / lp_val
 
 
 def _exp_partition(report, *, seed, samples, cases, dim) -> None:
@@ -265,16 +260,13 @@ def _exp_partition(report, *, seed, samples, cases, dim) -> None:
         cuts = np.sort(rng.uniform(0.05, 0.95, size=n_sets - 1))
         edges = np.concatenate([[0.0], cuts, [1.0]])
         partition = list(zip(edges[:-1], edges[1:]))
-        # exact rows depend on no sample count, so their inputs omit it
         shape = dict(case_seed=case_seed, blocks=blocks, sets=n_sets, dim=dim)
-        exact_inputs = format_inputs(**shape)
-        sampled_inputs = format_inputs(**shape, samples=samples)
 
         f2 = make_step(blocks, vectors, LpSpace(2, dim))
         chk = partition_inequality_check(f2, partition, "type", 2.0, 1.0)
         gap = abs(chk.whole_norm ** 2 - sum(v ** 2 for v in chk.part_norms))
         worst_gap = max(worst_gap, gap)
-        report.add(case=f"case={i};hilbert-p2", inputs=exact_inputs,
+        report.add(case=f"case={i};hilbert-p2", inputs=_row_inputs(chk.exact, samples, **shape),
                    lhs=chk.lhs, rhs=chk.rhs, constant=1.0, tolerance=1e-10,
                    asserted=True, margin=1e-10 - gap)
 
@@ -288,7 +280,7 @@ def _exp_partition(report, *, seed, samples, cases, dim) -> None:
             chk = partition_inequality_check(fp, partition, direction, expo, 1.0, cfg)
             tol = 3.0 * chk.std_error_budget
             report.add(case=f"case={i};{label}",
-                       inputs=exact_inputs if chk.exact else sampled_inputs,
+                       inputs=_row_inputs(chk.exact, samples, **shape),
                        lhs=chk.lhs, rhs=chk.rhs, constant=1.0,
                        std_error=chk.std_error_budget, tolerance=tol,
                        asserted=True, margin=chk.margin)
@@ -445,12 +437,9 @@ def _exp_constant(direction, report, *, seed, samples, budget, restarts, n_vecto
                                 seed=seed, samples=samples, restarts=restarts,
                                 warm_start=warm)
         rad = ratio(space, 2.0, est.witness, est.eval_config(), variant="rademacher")
-        # an exact search depends on no sample count, so its inputs omit it
-        inputs = dict(dim=dim, n_vectors=n_vectors, budget=budget, restarts=restarts,
-                      seed=seed)
-        if not is_exact(space):
-            inputs["samples"] = samples
-        report.add(case=f"{prefix};dim={dim}", inputs=format_inputs(**inputs),
+        inputs = _row_inputs(is_exact(space), samples, dim=dim, n_vectors=n_vectors,
+                             budget=budget, restarts=restarts, seed=seed)
+        report.add(case=f"{prefix};dim={dim}", inputs=inputs,
                    lhs=est.value, rhs=prev_value, constant=est.value,
                    asserted=True, margin=est.value - prev_value)
         key = key_format.format(dim=dim)
@@ -484,7 +473,7 @@ EXPERIMENTS = {
          "ns": Param(list[int], [2, 4, 8, 16], minimum=1, maximum=_MAX_DIM)}),
     "embedding-cotype": Experiment(
         _exp_embedding_cotype,
-        "frequency-route Besov norm vs Gaussian-sum norm of orthonormal bump systems (ratios)",
+        "frequency-route Besov vs Gaussian-sum norm of bump systems; exact on l^2, l^1 and dim 1",
         {"seed": _SEED, "samples": _MC_SAMPLES,
          "grid_n": Param(int, 2048, minimum=64, maximum=_MAX_GRID),
          "period": Param(float, 4.0, above=0.0),
@@ -493,7 +482,7 @@ EXPERIMENTS = {
          "ns": Param(list[int], [1, 2], minimum=1, maximum=_MAX_DIM)}),
     "band-limited": Experiment(
         _exp_band_limited,
-        "Gaussian-sum vs L^p norm for spectra inside [-pi, pi] (exact Hilbert case asserted)",
+        "Gaussian-sum vs L^p norm, spectra in [-pi, pi]; exact on l^2 and l^1, l^2 asserted",
         {"seed": _SEED, "samples": _MC_SAMPLES,
          "grid_n": Param(int, 4096, minimum=256, maximum=_MAX_GRID),
          "period": Param(float, 128.0, above=0.0),

@@ -87,12 +87,12 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo estimate with a batch-means standard error.
+    """A Monte Carlo estimate with a batch-means standard error, or, with
+    samples == 0, an exact value (std_error 0, seed 0; see `gamma.gamma_norm`).
 
-    `std_error` is computed from 32 equal batches; runs with fewer than 320
-    samples cannot support that and report a single batch with
-    std_error = +inf.  Given (seed, samples) the estimate is bit-exact
-    reproducible.
+    `std_error` is computed from 32 equal batches; fewer than 320 samples
+    cannot support that and report a single batch with std_error = +inf.
+    Given (seed, samples) the estimate is bit-exact reproducible.
     """
 
     mean: float

@@ -57,9 +57,9 @@ def as_exponent(p) -> Exponent:
 class LpSpace:
     """The space R^dim with the l^p norm.
 
-    is_hilbert is True exactly for p = 2; the exact (non-sampled) Gaussian
-    paths throughout the package key off that flag, and off p = 1, where
-    `l1_gaussian_second_moment` is exact.
+    is_hilbert is True exactly for p = 2.  `gamma.gamma_norm` is exact there,
+    at p = 1 and at dim = 1 (Nabeya's `l1_gaussian_second_moment`), and the
+    type/cotype ratios at p = 2 and p = 1 (`typecotype.is_exact`).
     """
 
     p: Exponent

@@ -11,11 +11,12 @@ from besovgamma.constructions import (make_psi_system, make_single_band, make_st
 from besovgamma.functions import (Interpolation, PiecewiseFunction,
                                   l2_norm_squared, lp_norm)
 from besovgamma.gamma import (ROUNDOFF_RTOL, GammaOperator, covariance, covariance_operator,
-                              disjoint_lp_from_sigmas, gamma_norm_disjoint_lp,
+                              disjoint_lp_from_sigmas, gamma_norm, gamma_norm_disjoint_lp,
                               gamma_norm_hilbert, gamma_norm_mc, ideal_compose,
                               partition_inequality_check)
 from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
-from besovgamma.spaces import INF, LpSpace, gaussian_p_moment, l1_gaussian_second_moment
+from besovgamma.spaces import (INF, LpSpace, gaussian_p_moment, gaussian_second_moment,
+                               l1_gaussian_second_moment)
 
 
 def step_fn(n, dim, seed, p=2.0):
@@ -194,6 +195,36 @@ def test_ideal_compose_identity_and_contraction():
         ideal_compose(op, np.eye(5))
 
 
+@pytest.mark.parametrize("p, dim", [(1.0, 4), (3.0, 1), (2.0, 3)])
+def test_gamma_norm_exact_forms_agree_with_the_sampled_second_moment(p, dim):
+    # l^1_4 (Nabeya), l^3_1 = R (Nabeya of a 1 x 1 Q) and l^2_3 (trace Q);
+    # make_step puts +-x_k on 2n cells of width 1/(2n), so the norm is that
+    # of the Gaussian sum over the rows x_k / sqrt(2n)
+    n = 5
+    vecs = gaussian_array((n, dim), 91)
+    est = gamma_norm(make_step(n, vecs, LpSpace(p, dim)))
+    assert (est.std_error, est.samples, est.seed) == (0.0, 0, 0)
+    ref = gaussian_second_moment(LpSpace(p, dim), vecs / math.sqrt(2 * n),
+                                 MCConfig(samples=20000, seed=92))
+    assert abs(est.mean ** 2 - ref.mean) < 4.0 * ref.std_error
+
+
+@pytest.mark.parametrize("p", [1.5, INF])
+def test_gamma_norm_samples_every_other_target_through_gamma_norm_mc(p):
+    f = step_fn(4, 3, 93, p=p)
+    cfg = MCConfig(samples=640, seed=5)
+    assert gamma_norm(f, cfg) == gamma_norm_mc(f, cfg)
+    with pytest.raises(ValueError, match="MC config"):
+        gamma_norm(f)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.0])
+def test_gamma_norm_rejects_a_non_finite_exact_value(p):
+    f = make_step(2, np.full((2, 3), 1e200), LpSpace(p, 3))
+    with pytest.raises(ValueError, match="overflowed"):
+        gamma_norm(f)
+
+
 def test_partition_check_hilbert_exact():
     f = step_fn(5, 4, 81)
     chk = partition_inequality_check(f, [(0.0, 0.3), (0.3, 0.8), (0.8, 1.0)],
@@ -277,6 +308,15 @@ def test_partition_check_validation():
         partition_inequality_check(f, [(0.0, 1.0)], "cotype", 1.5, 1.0)
     with pytest.raises(ValueError):
         partition_inequality_check(f, [(0.0, 1.0)], "sideways", 2.0, 1.0)
+
+
+@pytest.mark.parametrize("constant", [math.nan, -1.0, math.inf])
+def test_partition_check_rejects_a_non_finite_or_negative_constant(constant):
+    # NaN gave a NaN margin and budget, -1 a negative budget, and inf a
+    # check that passed trivially with an infinite budget
+    f = step_fn(4, 3, 89, p=1.0)
+    with pytest.raises(ValueError, match="constant"):
+        partition_inequality_check(f, [(0.0, 0.5), (0.5, 1.0)], "type", 1.0, constant)
 
 
 def test_partition_check_needs_config_for_non_hilbert():

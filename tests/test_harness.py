@@ -24,8 +24,8 @@ SMALL_STEPS = {"ps": [2.0], "ns": [4], "samples": 640}
 # A change that moves rows of a default CSV re-pins these and names the rows.
 DEFAULT_CSV_SHA256 = {
     "embedding-type": "126546bdce7a16d6fb002dac52b70554d5f3cbb997fca63fb7b048687d8a4089",
-    "embedding-cotype": "8c00148c56330905a0305317e665080a052b314285da658671a770d85ec31575",
-    "band-limited": "7ecc3e5c5af41736541db02fa0944daf45693c0f9cebc8bc8358de8c94eb683f",
+    "embedding-cotype": "23e6dca8aea198c9232e4c2708b15df62037e904edf4393b4ef9340d7901224a",
+    "band-limited": "e86f746a7f07c3b5c9e8cd848e0a04acd0481aec1d77a927b864d6b4708a43c6",
     "partition": "d996722a9addabf8cc88a9903055046e276842aa65433c28fe14d1dc4c66316c",
     "dilation": "471cc6fa6703ccff13a87e42e9d3e38349156b03ac3c5097ef8d7bb75359862d",
     "step-identities": "073216ea507ad95850fba3180eb0e73aa2db848073da833d4d51d2c129120ae1",
@@ -254,21 +254,30 @@ def test_constant_searches_keep_their_cases_and_summary_keys(direction, cases, k
     assert sweep[0].rhs == 0.0 and sweep[1].rhs == sweep[0].lhs
 
 
-def test_exact_constant_rows_list_no_sample_count():
-    # the l^1 cotype search is exact: its sweep rows omit `samples` and stay
-    # byte-identical when the sample count changes; only the sampled
-    # Rademacher ratios may move
-    a, b = (render_csv(run("cotype-constant", dict(SMALL_SEARCH, samples=samples)))
-            for samples in (320, 640))
-    rows_a, rows_b = ([line for line in text.splitlines() if "l1-cotype2" in line]
-                      for text in (a, b))
-    assert len(rows_a) == 2
-    assert rows_a == rows_b
-    assert all("samples" not in line for line in rows_a)
-    sampled = [line for line in a.splitlines() if "rademacher_ratio" in line]
-    assert sampled and not set(sampled) & set(b.splitlines())
-    linf = run("type-constant", SMALL_SEARCH).rows[2:]
-    assert all("samples=320" in row.inputs for row in linf)
+@pytest.mark.parametrize("experiment, config, counts, exact", [
+    ("cotype-constant", SMALL_SEARCH, (320, 640),
+     ["hilbert-cotype2", "any-cotypeinf", "l1-cotype2;dim=2", "l1-cotype2;dim=3"]),
+    ("type-constant", SMALL_SEARCH, (320, 640), ["hilbert-type2", "any-type1"]),
+    ("band-limited", {}, (640, 20000, 1000), ["p=2", "p=1"]),
+    ("embedding-cotype", {}, (640, 20000, 1000), ["q=2;n=1", "q=2;n=2", "q=3;n=1"]),
+], ids=["cotype-constant", "type-constant", "band-limited", "embedding-cotype"])
+def test_exact_constant_rows_list_no_sample_count(experiment, config, counts, exact):
+    # rows computed exactly (Hilbert, l^1 and dimension-1 targets, analytic
+    # constants) omit `samples` and stay byte-identical when the sample count
+    # changes; every sampled row lists the configured count, not the multiple
+    # of 32 that batch means keeps, and the sampled values move with it
+    reports = [run(experiment, dict(config, samples=n)) for n in counts]
+    for n, report in zip(counts, reports):
+        assert [r.case for r in report.rows if "samples" not in r.inputs] == exact
+        assert all(f"samples={n};" in r.inputs for r in report.rows if r.case not in exact)
+    low, high = reports[:2]
+    rows_low, rows_high = ([line for line in render_csv(report).splitlines()
+                            if line.startswith(tuple(f"{experiment},{case}," for case in exact))]
+                           for report in (low, high))
+    assert len(rows_low) == len(exact) and rows_low == rows_high
+    sampled_low, sampled_high = (([(r.lhs, r.rhs) for r in report.rows if r.case not in exact],
+                                  report.summary) for report in (low, high))
+    assert sampled_low != sampled_high
 
 
 @pytest.mark.parametrize("experiment, upper", [
