@@ -12,8 +12,8 @@ closed form for step, linear and grid sources; `covariance_operator`
 turns it into the dim x dim coefficient matrix S = Q^{1/2}, whose rows
 play the part of the I_f(h_m).  Nothing is truncated, so every source
 gets its exact operator.  `gamma_norm` alone chooses how a norm is computed:
-exactly from Q on Hilbert targets (trace Q), on l^1 and in dimension 1
-(`l1_gaussian_second_moment` of Q), and by `gamma_norm_mc` elsewhere.
+exactly from Q where `LpSpace.gaussian_exact` holds (trace Q on Hilbert
+targets, else `l1_gaussian_second_moment` of Q), else by `gamma_norm_mc`.
 """
 
 from __future__ import annotations
@@ -109,12 +109,11 @@ def gamma_norm_mc(f, cfg: MCConfig) -> MCEstimate:
 
 
 def gamma_norm(f, cfg: MCConfig | None = None) -> MCEstimate:
-    """Gaussian-sum norm of a piecewise or grid function.  Exact from Q, with
-    std_error, samples and seed all 0, where a closed form exists:
-    `gamma_norm_hilbert` on Hilbert targets, sqrt(`l1_gaussian_second_moment`(Q))
-    on l^1 and in dimension 1 (each l^p_1 is R = l^1_1).  Every other target
-    is sampled by `gamma_norm_mc`, which needs `cfg`.  Non-finite norms raise."""
-    if not (f.space.is_hilbert or f.space.p == 1.0 or f.space.dim == 1):
+    """Gaussian-sum norm of a piecewise or grid function: exact from Q where
+    `LpSpace.gaussian_exact` holds (`gamma_norm_hilbert` on Hilbert targets,
+    else sqrt(`l1_gaussian_second_moment`(Q)); std_error, samples and seed
+    0), else `gamma_norm_mc`, which needs `cfg`.  Non-finite norms raise."""
+    if not f.space.gaussian_exact:
         if cfg is None:
             raise ValueError(f"a sampled l^{f.space.p} target needs an MC config")
         return gamma_norm_mc(f, cfg)

@@ -36,7 +36,7 @@ from .gamma import (disjoint_lp_from_sigmas, gamma_norm, gamma_norm_hilbert,
                     gamma_norm_mc, partition_inequality_check)
 from .montecarlo import MCConfig, derive_seed
 from .spaces import INF, LpSpace, gaussian_second_moment
-from .typecotype import _unit_tuple, cotype_ratio, estimate_constant, is_exact, type_ratio
+from .typecotype import _unit_tuple, cotype_ratio, estimate_constant, type_ratio
 
 SCHEMA_VERSION = 1
 
@@ -437,7 +437,7 @@ def _exp_constant(direction, report, *, seed, samples, budget, restarts, n_vecto
                                 seed=seed, samples=samples, restarts=restarts,
                                 warm_start=warm)
         rad = ratio(space, 2.0, est.witness, est.eval_config(), variant="rademacher")
-        inputs = _row_inputs(is_exact(space), samples, dim=dim, n_vectors=n_vectors,
+        inputs = _row_inputs(space.gaussian_exact, samples, dim=dim, n_vectors=n_vectors,
                              budget=budget, restarts=restarts, seed=seed)
         report.add(case=f"{prefix};dim={dim}", inputs=inputs,
                    lhs=est.value, rhs=prev_value, constant=est.value,

@@ -57,9 +57,8 @@ def as_exponent(p) -> Exponent:
 class LpSpace:
     """The space R^dim with the l^p norm.
 
-    is_hilbert is True exactly for p = 2.  `gamma.gamma_norm` is exact there,
-    at p = 1 and at dim = 1 (Nabeya's `l1_gaussian_second_moment`), and the
-    type/cotype ratios at p = 2 and p = 1 (`typecotype.is_exact`).
+    is_hilbert is True exactly for p = 2.  `gaussian_exact` is the one rule for
+    a closed-form Gaussian second moment, read by `gamma` and `typecotype`.
     """
 
     p: Exponent
@@ -74,6 +73,12 @@ class LpSpace:
     @property
     def is_hilbert(self) -> bool:
         return self.p == 2.0
+
+    @property
+    def gaussian_exact(self) -> bool:
+        """Whether E||sum gamma_n x_n||^2 has a closed form: the sum of squares
+        on l^2, Nabeya's on l^1 and in dimension 1 (every l^p_1 is l^1_1)."""
+        return self.p in (1.0, 2.0) or self.dim == 1
 
     def norm(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -181,8 +186,8 @@ def gaussian_second_moment(space: LpSpace, vectors: Sequence, cfg: MCConfig) -> 
     """E || sum_n gamma_n x_n ||^2 for independent standard Gaussians gamma_n,
     as the batch-means estimate over the rows of gaussian_array((cfg.samples,
     n), cfg.seed), streamed from `_box_muller_blocks`; a non-finite square
-    raises ValueError.  The exact forms live elsewhere: sum_n ||x_n||^2 on a
-    Hilbert target, and `l1_gaussian_second_moment` of the covariance on l^1."""
+    raises ValueError.  The exact forms of `LpSpace.gaussian_exact` live
+    elsewhere: sum_n ||x_n||^2 on l^2, Nabeya's form of the covariance else."""
     mat = np.asarray(list(vectors), dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:
         raise ValueError(f"vectors must be one or more vectors of dimension {space.dim}")

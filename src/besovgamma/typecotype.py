@@ -9,14 +9,14 @@ at q = infinity).  `type_ratio` / `cotype_ratio` evaluate the defining
 ratio of one tuple; `estimate_constant` searches for a large ratio by
 random restarts plus greedy coordinatewise hill climbing.  Each value is
 the ratio of an explicit witness tuple under a reproducible evaluation:
-exact, so a lower bound, on Hilbert targets and on l^1 (Gaussian variant:
-Nabeya's closed form, `spaces.l1_gaussian_second_moment`); elsewhere a
-fixed-seed estimate of the witness's ratio, biased up by the search's pick.
+exact, so a lower bound, where `LpSpace.gaussian_exact` holds (Gaussian
+variant; Rademacher signs only on Hilbert targets); elsewhere a fixed-seed
+estimate of the witness's ratio, biased up by the search's pick.
 
 Sampled climbing compares candidates under common random numbers (one
 Gaussian matrix xi per restart), otherwise MC noise would swamp
 single-coordinate gains.  A trial move of X[i, j] changes only column j of
-S = xi X and row i of X (on l^1: only row and column j of Q = X^T X), so
+S = xi X and row i of X (exact: only row and column j of Q = X^T X), so
 `_trials` builds, once per restart and per accepted move, one scorer for
 the climb's kernel, sampled or exact, that re-evaluates only those in
 O(samples + n).  A trial within TIE_RTOL of the best, hence every accepted
@@ -62,25 +62,23 @@ def check_exponent(direction: str, exponent):
     return exponent
 
 
-def is_exact(space: LpSpace, variant: str = "gaussian") -> bool:
-    """Whether ratios on `space` are evaluated exactly, with no draws: on a
-    Hilbert target E||sum eps_n x_n||^2 = sum ||x_n||^2 for Gaussians and
-    signs alike, and on l^1 the Gaussian moment has Nabeya's closed form."""
-    return space.is_hilbert or (space.p == 1.0 and variant == "gaussian")
-
-
 def _ratio(space: LpSpace, direction: str, exponent, vectors, cfg: MCConfig | None,
            variant: str) -> float:
-    """`_objective` of one tuple over xi = cfg.samples rows of Gaussian or
-    Rademacher signs, or xi = None where `is_exact`."""
+    """`_objective` of one (n, dim) tuple over xi = cfg.samples rows of Gaussian
+    or Rademacher signs, or xi = None on Hilbert targets and, for Gaussians,
+    wherever `LpSpace.gaussian_exact` holds."""
     if variant not in ("gaussian", "rademacher"):
         raise ValueError("variant must be 'gaussian' or 'rademacher'")
     vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or vectors.shape[1] != space.dim:
+        raise ValueError(f"vectors must be one or more vectors of dimension {space.dim}")
+    if not np.isfinite(vectors).all():
+        raise ValueError("the tuple must have finite entries")
     if 0.0 < np.abs(vectors).max(initial=0.0) < math.sqrt(np.finfo(float).tiny):
         raise ValueError("the tuple is below float range: its second moment "
                          "underflows (the ratio is scale-invariant, so rescale it)")
     xi = None
-    if not is_exact(space, variant):
+    if not (space.is_hilbert or variant == "gaussian" and space.gaussian_exact):
         if cfg is None:
             raise ValueError(f"the {variant} ratio on this space needs an MC config")
         draw = gaussian_array if variant == "gaussian" else rademacher_array
@@ -109,9 +107,9 @@ class ConstantEstimate:
 
     value is the defining ratio of `witness`, recomputable exactly by the
     closed identity in analytic cases, otherwise by `type_ratio` /
-    `cotype_ratio` with `eval_config()`: exact, so a lower bound, on l^1
-    (Gaussian variant, which ignores the config), and elsewhere a fixed-seed
-    estimate over MCConfig(samples, derive_seed(seed, "final-eval")).
+    `cotype_ratio` with `eval_config()`: exact, so a lower bound, where
+    `LpSpace.gaussian_exact` holds (the config is then ignored), else a
+    fixed-seed estimate over MCConfig(samples, derive_seed(seed, "final-eval")).
     """
 
     value: float
@@ -136,19 +134,19 @@ def _final_eval_config(seed: int, samples: int) -> MCConfig:
 
 def _scored(space, direction, exponent, X, xi):
     """The ratio of X, with the second moment averaged over the fixed draw
-    matrix xi, or exact for xi = None (Hilbert: sum of squares; l^1: Nabeya's
+    matrix xi, or exact for xi = None (Hilbert: sum of squares; else Nabeya's
     sum over the pair terms of X^T X); and the products `_trials` builds a
-    scorer from: (row norms of X, S = xi @ X, or the pair terms on l^1)."""
+    scorer from: (row norms of X, S = xi @ X, or the pair terms)."""
     norms = space.norms(X)
     if xi is not None:
         S = xi @ X
         moment = float(np.mean(space.norms(S) ** 2))
-    elif space.p == 1.0:
-        S = _nabeya_terms(X.T @ X)
-        moment = 2.0 / math.pi * float(S[1].sum())  # l1_gaussian_second_moment
-    else:
+    elif space.is_hilbert:
         S = None
         moment = float((X ** 2).sum())
+    else:
+        S = _nabeya_terms(X.T @ X)
+        moment = 2.0 / math.pi * float(S[1].sum())  # l1_gaussian_second_moment
     den = lq_norm(norms, exponent)
     if den == 0.0:
         return -math.inf, (norms, S)
@@ -181,12 +179,12 @@ def _trials(space, direction, exponent, X, xiT, parts):
     transposed) |S[:, j] + step xi[:, i]| is rebuilt in one buffer and
     folded into a per-sample summary of the other columns: their max for
     p = inf (prefix and suffix maxima, 0 when dim is 1), else their sum of
-    |S|^p clipped at 0.  Exact (xiT = None, l^1): the pairs (j, k) of
-    Nabeya's sum are re-evaluated in plain Python floats from the new row j
-    of Q, formed as one product X[:, j] @ X (an update of the cached row
-    would carry rounding of the old entries, large against a column the
-    move nearly cancels), and added to the sum over the pairs that avoid j
-    (a masked product of nonnegative terms: no difference loses digits)."""
+    |S|^p clipped at 0.  Exact (xiT = None; l^1 or l^p_1, normed by sum |x|):
+    the pairs (j, k) of Nabeya's sum are re-evaluated in plain Python floats
+    from the new row j of Q, formed as one product X[:, j] @ X (an update of
+    the cached row would carry rounding of the old entries, large against a
+    column the move nearly cancels), and added to the sum over the pairs that
+    avoid j (a masked product of nonnegative terms: no difference loses digits)."""
     norms, S = parts[0].tolist(), parts[1]
     if xiT is None:
         sigmas, T = S
@@ -272,24 +270,28 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                       warm_start=None) -> ConstantEstimate:
     """Search for a tuple with a large defining ratio.
 
-    Deterministic given (seed, samples, restarts, budget); on the exact
-    spaces of `is_exact` no draw is made and `samples` only sets
+    Deterministic given (seed, samples, restarts, budget); where
+    `LpSpace.gaussian_exact` holds no draw is made and `samples` only sets
     `eval_config()`.  `warm_start` (a tuple of vectors, possibly found in a
     smaller space and padded with zero coordinates) joins the candidate
-    pool unclimbed and climbed, so a sweep that feeds each winner forward
-    can never report a decrease.
+    pool unclimbed and climbed (unclimbed alone at restarts = 0), so a
+    sweep that feeds each winner forward can never report a decrease.
     """
     exponent = check_exponent(direction, exponent)
     if budget <= 0:
         raise ValueError("budget must be positive")
     if n_vectors < 1:
         raise ValueError("need at least one vector")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if restarts < 0 or restarts == 0 and warm_start is None:
+        raise ValueError("restarts must be positive, or 0 with a warm start")
 
     if (direction == "type" and float(exponent) == 1.0) or \
        (direction == "cotype" and exponent is INF) or space.is_hilbert:
         return _analytic_case(space, direction, exponent, n_vectors, seed, samples)
 
-    exact = is_exact(space)
+    exact = space.gaussian_exact
     evals = 0
     candidates = []
     if warm_start is not None:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovgamma import typecotype
+from besovgamma.constructions import make_step
+from besovgamma.gamma import gamma_norm
 from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
 from besovgamma.spaces import (INF, LpSpace, gaussian_second_moment,
                                l1_gaussian_second_moment)
@@ -103,6 +105,39 @@ def test_ratio_validation():
     # the Gaussian ratio on l^1 is exact and needs none
     assert cotype_ratio(LpSpace(1, 2), 2.0, np.eye(2)) == pytest.approx(
         math.sqrt(2.0 / SUM_PAIR), rel=0.0, abs=1e-15)
+    # a tuple is an (n, dim) array of finite entries, on every path
+    cfg = MCConfig(640, 1)
+    for space, bad in ((LpSpace(INF, 2), np.ones((2, 2, 2))), (LpSpace(1, 2), np.ones((2, 2, 2))),
+                       (LpSpace(1, 2), np.ones(2)), (LpSpace(3, 2), np.ones((2, 3)))):
+        with pytest.raises(ValueError, match="one or more vectors of dimension 2"):
+            type_ratio(space, 2.0, bad, cfg)
+    for space in (LpSpace(1, 2), LpSpace(INF, 2), LpSpace(2, 2)):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite entries"):
+                type_ratio(space, 2.0, [[bad, 1.0]], cfg)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, INF])
+def test_one_exactness_rule_for_gaussian_moments(p, dim):
+    # gamma_norm, the ratios and the search all read LpSpace.gaussian_exact
+    space = LpSpace(p, dim)
+    vecs = gaussian_array((3, dim), 17)
+    cfg = MCConfig(640, 1)
+    assert space.gaussian_exact == (gamma_norm(make_step(3, vecs, space), cfg).samples == 0)
+    for ratio in (type_ratio, cotype_ratio):
+        if space.gaussian_exact:
+            assert ratio(space, 2.0, vecs) == ratio(space, 2.0, vecs, cfg)
+        else:
+            with pytest.raises(ValueError, match="needs an MC config"):
+                ratio(space, 2.0, vecs)
+    if dim == 1:
+        # R is a Hilbert space: every type and cotype constant is 1, and an
+        # exact search cannot read above it
+        for direction in ("type", "cotype"):
+            est = estimate_constant(space, direction, 2.0, 3, budget=400, samples=640,
+                                    restarts=2)
+            assert est.value <= 1.0 + 1e-15
 
 
 def test_estimate_constant_analytic_shortcuts():
@@ -171,6 +206,17 @@ def test_estimate_constant_validation():
         estimate_constant(space, "sideways", 2.0, 2, budget=100)
     with pytest.raises(ValueError):
         estimate_constant(space, "cotype", 2.0, 2, budget=0)
+    linf = LpSpace(INF, 2)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            estimate_constant(linf, "type", 2.0, 2, budget=100, restarts=restarts)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            estimate_constant(linf, "type", 2.0, 2, budget=100, samples=samples)
+    # no restart, but a warm start: the warm tuple is scored alone
+    warm = estimate_constant(linf, "type", 2.0, 2, budget=100, restarts=0, warm_start=np.eye(2))
+    assert (warm.budget, warm.restarts_run) == (0, 0)
+    assert warm.value == type_ratio(linf, 2.0, np.eye(2), warm.eval_config())
 
 
 def test_constant_estimate_fields():
@@ -187,9 +233,9 @@ def _reference_search(space, direction, exponent, n_vectors, budget, seed,
                       samples, restarts, warm_start=None):
     """estimate_constant's search as a plain climb: every trial is scored by
     a fresh `_objective`, i.e. a full product xi @ X and row reduction, or
-    the closed form on the spaces of `is_exact`."""
+    the closed form where `LpSpace.gaussian_exact` holds."""
     exponent = check_exponent(direction, exponent)
-    exact = typecotype.is_exact(space)
+    exact = space.gaussian_exact
     evals, started, candidates = 0, 0, []
     if warm_start is not None:
         candidates.append(np.asarray(warm_start, dtype=float))
@@ -391,11 +437,12 @@ def l1_moves(draw):
 
 @settings(max_examples=300)
 @given(st.sampled_from([("type", 2.0), ("type", 1.5), ("cotype", 2.0), ("cotype", 3.0),
-                        ("cotype", INF)]), l1_moves())
-def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move):
+                        ("cotype", INF)]), l1_moves(), st.sampled_from([1, 1.5, 3, INF]))
+def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move, p):
+    # in dimension 1 every l^p_1 is l^1_1 and takes the same exact scorer
     direction, exponent = case
     X, i, j, step = move
-    space = LpSpace(1, X.shape[1])
+    space = LpSpace(p if X.shape[1] == 1 else 1, X.shape[1])
     _, parts = typecotype._scored(space, direction, exponent, X, None)
     trial = typecotype._trials(space, direction, exponent, X, None, parts)
     X[i, j] += step
