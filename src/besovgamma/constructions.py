@@ -19,7 +19,7 @@ import numpy as np
 from .besov import FilterBank
 from .functions import (GridFunction, Interpolation, PiecewiseFunction,
                         _centered_indices, _every_axis)
-from .spaces import LpSpace
+from .spaces import LpSpace, _finite_tuple
 
 ZETA_TERMS = 10 ** 6
 
@@ -51,8 +51,8 @@ def make_step(n: int, vectors, space: LpSpace) -> PiecewiseFunction:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape != (n, space.dim):
+    vectors = _finite_tuple(space, vectors)
+    if vectors.shape[0] != n:
         raise ValueError(f"need {n} vectors of dimension {space.dim}")
     breakpoints = np.arange(2 * n + 1, dtype=float) / (2 * n)
     values = np.zeros((2 * n + 1, space.dim))
@@ -124,8 +124,8 @@ def make_psi_system(count: int, vectors, bank: FilterBank, space: LpSpace) -> Gr
     the L^2(S; E) norm is exactly sum ||x_n||^2 for Hilbert E, and every
     band multiplier at level >= 3*count + 2 annihilates the function.
     """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape != (count, space.dim):
+    vectors = _finite_tuple(space, vectors)
+    if vectors.shape[0] != count:
         raise ValueError(f"need {count} vectors of dimension {space.dim}")
     profiles = psi_profiles(count, bank)
     values = np.tensordot(profiles, vectors, axes=(0, 0))

@@ -22,11 +22,11 @@ Two representations cover everything the experiments need:
   roundoff.
 
 Dilation by powers of two treats grid samples as a function living in the
-centered window [-L/2, L/2)^d: shrinking (lambda > 1) strides indices and
-zeroes everything dilated in from outside the window, growing
-(lambda < 1) interpolates trigonometrically.  That is the semantics under
-which ||f(lambda .)||_p picks up the lambda^{-d/p} volume factor a
-whole-period stride would lose.
+centered window [-L/2, L/2)^d: after one band rule (the dilated spectrum
+must stay below Nyquist), shrinking (lambda > 1) strides indices and zeroes
+what is dilated in from outside the window, growing (lambda < 1)
+interpolates trigonometrically.  Under these semantics ||f(lambda .)||_p
+picks up the lambda^{-d/p} volume factor a whole-period stride would lose.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from .spaces import INF, LpSpace, as_exponent
 GL_NODES = 32
 
 # Energy fraction `dilate` may silently discard at the window edge, and the
-# spectral-energy fraction allowed to live outside the reported active band
-# (leak floors from windowing sit well below this but far above any
-# amplitude threshold one could safely pick).
+# spectral-energy fraction it allows past the band that its stride keeps
+# below Nyquist (leak floors from windowing sit well below this but far
+# above any amplitude threshold one could safely pick).
 DILATE_DISCARD_TOL = 1e-4
 BAND_ENERGY_TOL = 1e-6
 
@@ -284,31 +284,16 @@ def _centered_indices(n: int) -> np.ndarray:
     return np.where(j < n // 2, j, j - n)
 
 
-def _active_axis_band(f: GridFunction) -> list[int]:
-    """Smallest per-axis |frequency index| band holding all but
-    BAND_ENERGY_TOL of the spectral energy."""
-    energy = (np.abs(f.spectrum()) ** 2).sum(axis=-1)
-    idx = np.abs(_centered_indices(f.n))
-    bands = []
-    for axis in range(f.d):
-        prof = energy.sum(axis=tuple(a for a in range(f.d) if a != axis))
-        total = prof.sum()
-        order = np.argsort(idx, kind="stable")
-        cum = np.cumsum(prof[order])
-        enough = cum >= (1.0 - BAND_ENERGY_TOL) * total  # all True at total = 0: band 0
-        bands.append(int(idx[order][np.argmax(enough)]))
-    return bands
-
-
 def dilate(f: GridFunction, lam: float) -> "GridFunction":
     """Samples of x -> f(lam x) for lam = 2^n, window semantics.
 
-    lam >= 1 strides indices (exact sample reuse) and zeroes content whose
-    preimage falls outside the centered window; if the energy that would be
-    discarded exceeds DILATE_DISCARD_TOL of the total, or the dilated band
-    would cross the Nyquist frequency, this raises instead of silently
-    corrupting the spectrum.  lam = 2^{-s} upsamples by trigonometric
-    interpolation (exact for the stored trigonometric interpolant).
+    One band rule guards both directions: on every axis, the spectral energy
+    at centered indices |m| > (N/2 - 1) // max(lam, 1) may be at most
+    BAND_ENERGY_TOL of the total (for lam < 1, the Nyquist bin alone).
+    lam >= 2 strides indices (exact sample reuse) and zeroes content whose
+    preimage falls outside the centered window, raising if more than
+    DILATE_DISCARD_TOL of the energy would go; lam = 2^{-s} upsamples by
+    trigonometric interpolation (exact for the stored interpolant).
     """
     lam = float(lam)
     n_log = math.log2(lam)
@@ -318,18 +303,21 @@ def dilate(f: GridFunction, lam: float) -> "GridFunction":
     if n_log == 0:
         return GridFunction(f.period, f.values.copy(), f.space)
     N = f.n
+    stride = 2 ** max(n_log, 0)
+    spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
+    power = (np.abs(spec) ** 2).sum(axis=-1)
+    jc = _centered_indices(N)
+    beyond = np.abs(jc) > (N // 2 - 1) // stride
+    for axis in range(f.d):
+        if power.compress(beyond, axis=axis).sum() > BAND_ENERGY_TOL * power.sum():
+            raise ValueError("dilation would push the active band past Nyquist" if n_log > 0
+                             else "content at the Nyquist bin cannot be upsampled unambiguously")
     if n_log > 0:
-        stride = 2 ** n_log
-        for band in _active_axis_band(f):
-            if band * stride > N // 2 - 1:
-                raise ValueError("dilation would push the active band past Nyquist")
-        # Node j keeps sample src = j * stride while j lies in the shrunken
+        # Node j keeps sample j * stride while j lies in the shrunken
         # window [-half, half); f's energy outside it is about to be dropped.
-        jc = _centered_indices(N)
-        src = jc * stride
         half = N // (2 * stride)
         kept = _every_axis(np.logical_and, (jc >= -half) & (jc < half), f.d)
-        gather = np.ix_(*[src % N] * f.d)
+        gather = np.ix_(*[jc * stride % N] * f.d)
         energy = (f.values ** 2).sum(axis=-1)
         discarded = energy[~kept].sum()
         total = energy.sum()
@@ -341,12 +329,6 @@ def dilate(f: GridFunction, lam: float) -> "GridFunction":
     # lam < 1: upsample by zero-padding the spectrum, then sample the fine grid
     # at the original node positions scaled by lam.
     up = 2 ** (-n_log)
-    spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
-    jc = _centered_indices(N)
-    total_energy = max((np.abs(spec) ** 2).sum(), 1e-300)
-    for axis in range(f.d):
-        if (np.abs(spec.take(N // 2, axis=axis)) ** 2).sum() > BAND_ENERGY_TOL * total_energy:
-            raise ValueError("content at the Nyquist bin cannot be upsampled unambiguously")
     fine_n = up * N
     fine_spec = np.zeros((fine_n,) * f.d + (f.space.dim,), dtype=complex)
     # bin m and node j both sit at index (m or j) mod fine_n of the fine grid

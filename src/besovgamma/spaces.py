@@ -59,6 +59,8 @@ class LpSpace:
 
     is_hilbert is True exactly for p = 2.  `gaussian_exact` is the one rule for
     a closed-form Gaussian second moment, read by `gamma` and `typecotype`.
+    A tuple of vectors in it passes one check, `_finite_tuple`, wherever it
+    enters: moments, ratios, warm starts and the step and psi constructions.
     """
 
     p: Exponent
@@ -182,15 +184,24 @@ def l1_gaussian_second_moment(cov) -> float:
     return 2.0 / math.pi * float(_nabeya_terms(cov)[1].sum())
 
 
+def _finite_tuple(space: LpSpace, vectors) -> np.ndarray:
+    """`vectors` as an (n >= 1, space.dim) float array with finite entries."""
+    mat = np.asarray(vectors, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] != space.dim:
+        raise ValueError(f"vectors must be one or more vectors of dimension {space.dim}")
+    if not np.isfinite(mat).all():
+        raise ValueError("the tuple must have finite entries")
+    return mat
+
+
 def gaussian_second_moment(space: LpSpace, vectors: Sequence, cfg: MCConfig) -> MCEstimate:
     """E || sum_n gamma_n x_n ||^2 for independent standard Gaussians gamma_n,
     as the batch-means estimate over the rows of gaussian_array((cfg.samples,
-    n), cfg.seed), streamed from `_box_muller_blocks`; a non-finite square
-    raises ValueError.  The exact forms of `LpSpace.gaussian_exact` live
+    n), cfg.seed), streamed from `_box_muller_blocks`.  The tuple passes
+    `_finite_tuple`, so a non-finite square is an overflow and raises
+    ValueError saying so.  The exact forms of `LpSpace.gaussian_exact` live
     elsewhere: sum_n ||x_n||^2 on l^2, Nabeya's form of the covariance else."""
-    mat = np.asarray(list(vectors), dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != space.dim:
-        raise ValueError(f"vectors must be one or more vectors of dimension {space.dim}")
+    mat = _finite_tuple(space, vectors)
     n = mat.shape[0]
     half = (cfg.samples * n + 1) // 2
     block = max(2, _BLOCK // max(n, space.dim)) * n  # one-row products go to gemv

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MCConfig, derive_seed, gaussian_array, rademacher_array
-from .spaces import INF, LpSpace, _nabeya_cross, _nabeya_terms, as_exponent, lq_norm
+from .spaces import (INF, LpSpace, _finite_tuple, _nabeya_cross, _nabeya_terms, as_exponent,
+                     lq_norm)
 
 DEFAULT_RESTARTS = 64
 CLIMB_SCALES = (0.5, 0.2, 0.08, 0.03)
@@ -69,11 +70,7 @@ def _ratio(space: LpSpace, direction: str, exponent, vectors, cfg: MCConfig | No
     wherever `LpSpace.gaussian_exact` holds."""
     if variant not in ("gaussian", "rademacher"):
         raise ValueError("variant must be 'gaussian' or 'rademacher'")
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2 or vectors.shape[1] != space.dim:
-        raise ValueError(f"vectors must be one or more vectors of dimension {space.dim}")
-    if not np.isfinite(vectors).all():
-        raise ValueError("the tuple must have finite entries")
+    vectors = _finite_tuple(space, vectors)
     if 0.0 < np.abs(vectors).max(initial=0.0) < math.sqrt(np.finfo(float).tiny):
         raise ValueError("the tuple is below float range: its second moment "
                          "underflows (the ratio is scale-invariant, so rescale it)")
@@ -295,8 +292,8 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
     evals = 0
     candidates = []
     if warm_start is not None:
-        warm = np.asarray(warm_start, dtype=float)
-        if warm.shape != (n_vectors, space.dim):
+        warm = _finite_tuple(space, warm_start)
+        if warm.shape[0] != n_vectors:
             raise ValueError("warm start has the wrong shape")
         candidates.append(warm)
 

@@ -261,10 +261,24 @@ def test_dilate_identity_and_inverse():
     assert np.abs(g.values - f.values).max() < 1e-10
 
 
-def test_dilate_rejects_band_past_nyquist():
-    f = make_tone(n=64, freq_index=20)
-    with pytest.raises(ValueError):
-        dilate(f, 2.0)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("lam, freq_index, error", [
+    (2.0, 15, "discard"), (2.0, 16, "past Nyquist"), (4.0, 7, "discard"), (4.0, 8, "past Nyquist"),
+    (0.5, 31, None), (0.5, 32, "Nyquist bin"), (0.25, 31, None), (0.25, 32, "Nyquist bin")])
+def test_dilate_rejects_band_past_nyquist(d, lam, freq_index, error):
+    # the one band rule at its edges on n = 64: a stride s keeps |m| <= 31 // s,
+    # growing keeps every bin but Nyquist; a tone that passes it and shrinks
+    # fills the window, so the discard check stops it next
+    n = 64
+    tone = np.cos(2.0 * math.pi * freq_index * np.arange(n) / n)
+    if d == 2:  # along the second axis only
+        tone = np.multiply.outer(np.ones(n), tone)
+    f = GridFunction(16.0, tone[..., None], LpSpace(2, 1))
+    if error is None:
+        assert dilate(f, lam).values.shape == f.values.shape
+    else:
+        with pytest.raises(ValueError, match=error):
+            dilate(f, lam)
 
 
 def test_dilate_rejects_non_power_of_two():

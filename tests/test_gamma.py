@@ -225,6 +225,19 @@ def test_gamma_norm_rejects_a_non_finite_exact_value(p):
         gamma_norm(f)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_step_and_psi_constructions_reject_a_non_finite_tuple(p, bad):
+    # caught where the tuple enters, not reported later as an overflow
+    vecs = [[bad, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="finite entries"):
+        gamma_norm(make_step(2, vecs, LpSpace(p, 2)), MCConfig(640, 1))
+    with pytest.raises(ValueError, match="finite entries"):
+        make_psi_system(2, vecs, build_filter_bank(8.0, 1024, 1, 8), LpSpace(p, 2))
+    with pytest.raises(ValueError, match="need 3 vectors"):
+        make_step(3, [[0.0, 1.0]] * 2, LpSpace(p, 2))
+
+
 def test_partition_check_hilbert_exact():
     f = step_fn(5, 4, 81)
     chk = partition_inequality_check(f, [(0.0, 0.3), (0.3, 0.8), (0.8, 1.0)],

@@ -224,6 +224,13 @@ def test_second_moment_reports_an_overflowing_norm():
             gaussian_second_moment(LpSpace(700.0, 2), 10.0 * np.eye(2), MCConfig(2000, 3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_second_moment_rejects_a_non_finite_entry_before_sampling(bad):
+    # a tuple that was never finite is not reported as an overflow
+    with pytest.raises(ValueError, match="finite entries"):
+        gaussian_second_moment(LpSpace(3, 2), [[bad, 1.0]], MCConfig(640, 1))
+
+
 def test_second_moment_never_builds_the_draw_matrix():
     # the samples x 16 draws alone would take 24.4 MiB
     space, vecs, cfg = LpSpace(4.0 / 3.0, 16), np.eye(16), MCConfig(200000, 5)

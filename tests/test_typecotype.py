@@ -217,6 +217,14 @@ def test_estimate_constant_validation():
     warm = estimate_constant(linf, "type", 2.0, 2, budget=100, restarts=0, warm_start=np.eye(2))
     assert (warm.budget, warm.restarts_run) == (0, 0)
     assert warm.value == type_ratio(linf, 2.0, np.eye(2), warm.eval_config())
+    # a warm tuple passes the same check as a ratio's tuple; a wrong count
+    # keeps its own message
+    for sp, bad in ((space, math.nan), (linf, math.nan), (linf, math.inf)):
+        with pytest.raises(ValueError, match="finite entries"):
+            estimate_constant(sp, "type", 2.0, 2, budget=50, restarts=1, samples=640,
+                              warm_start=[[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="wrong shape"):
+        estimate_constant(linf, "type", 2.0, 2, budget=50, warm_start=np.eye(3, 2))
 
 
 def test_constant_estimate_fields():
