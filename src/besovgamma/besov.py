@@ -44,7 +44,7 @@ import numpy as np
 from .functions import (GL_NODES, GridFunction, Interpolation, PiecewiseFunction,
                         _affine_powers, _frequency_radii, _gl_rule, grid_lp_norm,
                         lp_norm)
-from .spaces import INF, as_exponent, lq_norm
+from .spaces import INF, _finite_exponent, as_exponent, lq_norm
 
 
 def smoothstep(u):
@@ -209,19 +209,11 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
     return out
 
 
-def _finite_p(p) -> float:
-    """p as a float, checked to be finite and >= 1 (NaN fails the check)."""
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise ValueError("the difference route needs a finite p >= 1")
-    return p
-
-
 def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
     """||f(. + h) - f||_{L^p(R)}: `_shift_powers` at the one shift |h| (F is
     even in h by t -> t - h), to the 1/p.  From the support length L on the
     supports are disjoint and F = 2 ||f||_p^p, so |h| is clamped to L."""
-    p = _finite_p(p)
+    p = _finite_exponent(p)
     h = abs(float(h))
     if math.isnan(h):
         raise ValueError("the shift h must not be NaN")
@@ -257,7 +249,7 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     t, so each entry equals its own scalar call; a scalar t returns a float.
     A t beyond the support length L (itself a shift) reads as L.
     """
-    p = _finite_p(p)
+    p = _finite_exponent(p)
     ts = np.asarray(t, dtype=float)
     if not (ts > 0.0).all():
         raise ValueError("t must be positive")
@@ -315,7 +307,7 @@ def besov_norm_difference(f: PiecewiseFunction, s: float, p: float, q) -> float:
     s = float(s)
     if not (0.0 < s < 1.0):
         raise ValueError("smoothness s must lie in (0, 1)")
-    p = _finite_p(p)
+    p = _finite_exponent(p)
     q = as_exponent(q)
     return lp_norm(f, p) + _seminorm(f, s, p, q)
 

@@ -160,9 +160,7 @@ def make_single_band(k0: int, bank: FilterBank, width: float = 0.0,
     if vector is None:
         vector = np.zeros(space.dim)
         vector[0] = 1.0
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (space.dim,):
-        raise ValueError("direction vector does not match the space dimension")
+    vector = _finite_tuple(space, [vector])[0]
     if width < 0.0:
         raise ValueError("width must be nonnegative")
     shell = 2.0 ** k0

@@ -67,7 +67,7 @@ class PiecewiseFunction:
     """A vector-valued function given by breakpoints and per-breakpoint values.
 
     breakpoints: strictly increasing array (m+1,) spanning the support.
-    values: array (m+1, dim); for STEP, values[j] is the value on
+    values: finite array (m+1, dim); for STEP, values[j] is the value on
         (t_{j-1}, t_j] (values[0] only pins f at the left endpoint); for
         LINEAR, values are nodal and the function interpolates linearly.
     """
@@ -87,6 +87,8 @@ class PiecewiseFunction:
         expected = (self.breakpoints.size, self.space.dim)
         if self.values.shape != expected:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must have finite entries")
         if not isinstance(self.interpolation, Interpolation):
             self.interpolation = Interpolation(self.interpolation)
 
@@ -208,7 +210,7 @@ def _frequency_radii(period: float, n: int, d: int) -> np.ndarray:
 
 @dataclass
 class GridFunction:
-    """Vector-valued samples on a uniform periodic grid of [0, period)^d."""
+    """Vector-valued finite samples on a uniform periodic grid of [0, period)^d."""
 
     period: float
     values: np.ndarray
@@ -230,6 +232,8 @@ class GridFunction:
             raise ValueError("grid must be square")
         if self.values.shape[-1] != self.space.dim:
             raise ValueError("last axis must match the space dimension")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must have finite entries")
 
     @property
     def d(self) -> int:

@@ -25,9 +25,8 @@ import numpy as np
 
 from .functions import GridFunction, Interpolation, PiecewiseFunction, l2_norm_squared
 from .montecarlo import MCConfig, MCEstimate, derive_seed
-from .spaces import (INF, LpSpace, as_exponent, gaussian_p_moment, gaussian_second_moment,
-                     l1_gaussian_second_moment)
-from .typecotype import check_exponent
+from .spaces import (INF, LpSpace, _finite_exponent, check_exponent, gaussian_p_moment,
+                     gaussian_second_moment, l1_gaussian_second_moment)
 
 # Partition endpoints must sit this close (absolutely) to each other and to
 # the ends of the support for a user's partition to count as a tiling.
@@ -135,10 +134,7 @@ class DisjointGammaNorm:
 
 
 def disjoint_lp_from_sigmas(sigmas, p) -> DisjointGammaNorm:
-    p = as_exponent(p)
-    if p is INF:
-        raise ValueError("the closed form needs a finite exponent")
-    p = float(p)
+    p = _finite_exponent(p)
     sigmas = np.asarray(sigmas, dtype=float)
     # E|N(0, s^2)|^p = s^p E|N(0,1)|^p, vectorized over the variances
     pth = gaussian_p_moment(1.0, p) * float((sigmas ** p).sum())
@@ -238,21 +234,15 @@ def partition_inequality_check(f: PiecewiseFunction, partition, direction: str,
     (whole, *part_norms), (whole_se, *part_ses) = zip(*[(e.mean, e.std_error) for e in ests])
     exact = ests[0].samples == 0
 
+    # the parts' l^r combination, r = p or q, and the sum of their errors: the
+    # combination moves by at most one per unit move of a part norm
     arr = np.asarray(part_norms)
-    if direction == "type":
-        p = float(exponent)
-        lhs = whole
-        rhs = constant * float((arr ** p).sum()) ** (1.0 / p)
-        # d rhs / d part_j has magnitude <= constant, so sum the part errors
-        budget = whole_se + constant * float(np.sum(part_ses))
-    else:
-        if exponent is INF:
-            lhs = float(arr.max())
-        else:
-            q = float(exponent)
-            lhs = float((arr ** q).sum()) ** (1.0 / q)
-        rhs = constant * whole
-        budget = float(np.sum(part_ses)) + constant * whole_se
+    combined = (float(arr.max()) if exponent is INF
+                else float((arr ** exponent).sum()) ** (1.0 / exponent))
+    combined_se = float(np.sum(part_ses))
+    lhs, rhs, budget = ((whole, constant * combined, whole_se + constant * combined_se)
+                        if direction == "type" else
+                        (combined, constant * whole, combined_se + constant * whole_se))
     if exact and not f.space.is_hilbert:
         budget = ROUNDOFF_RTOL * (lhs + rhs)
     return PartitionCheck(direction=direction, exponent=exponent, constant=constant,

@@ -99,8 +99,9 @@ class Report:
             constant: float = 1.0, std_error: float = 0.0,
             tolerance: float = 0.0, asserted: bool = False,
             margin: float | None = None) -> ReportRow:
-        """Margin defaults to rhs - lhs; an asserted row passes when the
-        margin is not below minus its tolerance."""
+        """Margin defaults to rhs - lhs, and an identity row passes minus its
+        deviation.  An asserted row passes when the margin is not below minus
+        its tolerance, so an identity row when its deviation is within it."""
         if margin is None:
             margin = rhs - lhs
         passed = (margin >= -tolerance) if asserted else True
@@ -242,7 +243,7 @@ def _exp_band_limited(report, *, seed, samples, grid_n, period, width, dim, ps) 
                              period=period, vector_seed=vec_seed)
         if space.is_hilbert:  # the L^2 identity, asserted
             report.add(case="p=2", inputs=inputs, lhs=est.mean, rhs=lp_val, constant=1.0,
-                       tolerance=1e-9, asserted=True, margin=1e-9 - abs(est.mean - lp_val))
+                       tolerance=1e-9, asserted=True, margin=-abs(est.mean - lp_val))
         else:
             report.add(case=f"p={p:g}", inputs=inputs, lhs=est.mean, rhs=lp_val,
                        constant=est.mean / lp_val, std_error=est.std_error)
@@ -268,7 +269,7 @@ def _exp_partition(report, *, seed, samples, cases, dim) -> None:
         worst_gap = max(worst_gap, gap)
         report.add(case=f"case={i};hilbert-p2", inputs=_row_inputs(chk.exact, samples, **shape),
                    lhs=chk.lhs, rhs=chk.rhs, constant=1.0, tolerance=1e-10,
-                   asserted=True, margin=1e-10 - gap)
+                   asserted=True, margin=-gap)
 
         for label, space_p, direction, expo in (
                 ("l1-type1", 1.0, "type", 1.0),
@@ -308,7 +309,7 @@ def _exp_dilation(report, *, grid_n, period, levels, k0, width, s, p, q, lambdas
                    inputs=format_inputs(k0=k0, width=width, s=s, p=p, q=q,
                                         grid_n=grid_n, period=period, levels=levels),
                    lhs=ratio, rhs=gmean, constant=gmean, tolerance=tolerance,
-                   asserted=True, margin=tolerance - abs(ratio / gmean - 1.0))
+                   asserted=True, margin=-abs(ratio / gmean - 1.0))
     report.summary["dilation_constant_gmean"] = gmean
     report.summary["max_relative_spread"] = max(abs(r / gmean - 1.0) for r in ratios)
 
@@ -321,21 +322,21 @@ def _exp_step_identities(report, *, seed, samples, ps, ns) -> None:
             vec_seed = derive_seed(seed, "step-identities", _fmt(p), n)
             vectors = _unit_tuple(space, n, vec_seed)
             f = make_step(n, vectors, space)
-            inputs = format_inputs(n=n, p=p, samples=samples, vector_seed=vec_seed)
+            inputs = partial(_row_inputs, samples=samples, n=n, p=p, vector_seed=vec_seed)
 
             s_p = float((space.norms(vectors) ** p).sum()) ** (1.0 / p)
             closed = (2 * n) ** (-1.0 / p) * s_p
             got = lp_norm(f, p)
-            report.add(case=f"p={p:g};n={n};lp", inputs=inputs, lhs=got,
+            report.add(case=f"p={p:g};n={n};lp", inputs=inputs(True), lhs=got,
                        rhs=closed, tolerance=1e-12, asserted=True,
-                       margin=1e-12 - abs(got - closed))
+                       margin=-abs(got - closed))
 
             if space.is_hilbert:
                 target = (2 * n) ** -0.5 * math.sqrt(float((vectors ** 2).sum()))
                 got_g = gamma_norm_hilbert(f)
-                report.add(case=f"p={p:g};n={n};gamma-exact", inputs=inputs,
+                report.add(case=f"p={p:g};n={n};gamma-exact", inputs=inputs(True),
                            lhs=got_g, rhs=target, tolerance=1e-12, asserted=True,
-                           margin=1e-12 - abs(got_g - target))
+                           margin=-abs(got_g - target))
             else:
                 est = gamma_norm_mc(f, MCConfig(samples, derive_seed(vec_seed, "mc")))
                 ref = gaussian_second_moment(space, vectors,
@@ -343,10 +344,9 @@ def _exp_step_identities(report, *, seed, samples, ps, ns) -> None:
                 target = (2 * n) ** -0.5 * math.sqrt(ref.mean)
                 ref_se = (2 * n) ** -0.5 * ref.std_error / (2.0 * math.sqrt(ref.mean))
                 tol = 3.0 * (est.std_error + ref_se)
-                report.add(case=f"p={p:g};n={n};gamma-mc", inputs=inputs,
+                report.add(case=f"p={p:g};n={n};gamma-mc", inputs=inputs(False),
                            lhs=est.mean, rhs=target, std_error=est.std_error + ref_se,
-                           tolerance=tol, asserted=True,
-                           margin=tol - abs(est.mean - target))
+                           tolerance=tol, asserted=True, margin=-abs(est.mean - target))
 
             if 1.0 < p < 2.0:
                 s = 1.0 / p - 0.5
@@ -354,7 +354,7 @@ def _exp_step_identities(report, *, seed, samples, ps, ns) -> None:
                 besov = besov_norm_difference(f, s, p, 1.0)
                 rhs = bound_c * (2 * n) ** -0.5 * s_p
                 worst_ratio = max(worst_ratio, besov / rhs)
-                report.add(case=f"p={p:g};n={n};besov-bound", inputs=inputs,
+                report.add(case=f"p={p:g};n={n};besov-bound", inputs=inputs(True),
                            lhs=besov, rhs=rhs, constant=bound_c,
                            asserted=True)
         if 1.0 < p < 2.0:
@@ -389,7 +389,7 @@ def _exp_tent_scaling(report, *, p, alpha, r, holder_ns, slope_ns, slope_toleran
     report.add(case="slope",
                inputs=format_inputs(p=p, r=r, n_min=slope_ns[0], n_max=slope_ns[-1]),
                lhs=slope, rhs=target, tolerance=slope_tolerance * target,
-               asserted=True, margin=slope_tolerance * target - abs(slope - target))
+               asserted=True, margin=-abs(slope - target))
     report.add(case="contradiction-exponents",
                inputs=format_inputs(p=p, r=r, alpha=alpha),
                lhs=r * alpha, rhs=slope, asserted=True)

@@ -4,7 +4,9 @@ The exponent p lives in [1, inf].  Infinity is the singleton `INF`, a
 distinguished object rather than a float, so p-dependent arithmetic
 (1/p, 2^{ks/p}, ...) never silently runs on a float infinity; every
 formula branches explicitly.  Constructors accept float("inf"), numpy
-inf, or the string "inf" and normalize to `INF` at the boundary.
+inf, or the string "inf" and normalize to `INF` at the boundary.  Every
+exponent rule lives here: `as_exponent`, `check_exponent` (type and
+cotype ranges) and `_finite_exponent` (formulas that need p < inf).
 """
 
 from __future__ import annotations
@@ -51,6 +53,28 @@ def as_exponent(p) -> Exponent:
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     return p
+
+
+def check_exponent(direction: str, exponent):
+    """Normalize `exponent` for `direction`: type needs p in [1, 2],
+    cotype needs q in [2, inf]."""
+    exponent = as_exponent(exponent)
+    if direction == "type":
+        if exponent is INF or float(exponent) > 2.0:
+            raise ValueError("type exponent must lie in [1, 2]")
+    elif direction == "cotype":
+        if exponent is not INF and float(exponent) < 2.0:
+            raise ValueError("cotype exponent must lie in [2, inf]")
+    else:
+        raise ValueError("direction must be 'type' or 'cotype'")
+    return exponent
+
+
+def _finite_exponent(p) -> float:
+    """p as a float in [1, inf): INF, inf, NaN and p < 1 raise."""
+    if p is INF or not 1.0 <= float(p) < math.inf:
+        raise ValueError(f"the exponent must be a finite p >= 1, got {p}")
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -130,9 +154,7 @@ def gaussian_p_moment(sigma: float, p: float) -> float:
     Evaluated through lgamma so large p cannot overflow the Gamma factor
     before the final exp.
     """
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    p = _finite_exponent(p)
     sigma = float(sigma)
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")

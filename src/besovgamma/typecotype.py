@@ -40,27 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MCConfig, derive_seed, gaussian_array, rademacher_array
-from .spaces import (INF, LpSpace, _finite_tuple, _nabeya_cross, _nabeya_terms, as_exponent,
+from .spaces import (INF, LpSpace, _finite_tuple, _nabeya_cross, _nabeya_terms, check_exponent,
                      lq_norm)
 
 DEFAULT_RESTARTS = 64
 CLIMB_SCALES = (0.5, 0.2, 0.08, 0.03)
 TIE_RTOL = 1e-10
-
-
-def check_exponent(direction: str, exponent):
-    """Normalize `exponent` for `direction`: type needs p in [1, 2],
-    cotype needs q in [2, inf]."""
-    exponent = as_exponent(exponent)
-    if direction == "type":
-        if exponent is INF or float(exponent) > 2.0:
-            raise ValueError("type exponent must lie in [1, 2]")
-    elif direction == "cotype":
-        if exponent is not INF and float(exponent) < 2.0:
-            raise ValueError("cotype exponent must lie in [2, inf]")
-    else:
-        raise ValueError("direction must be 'type' or 'cotype'")
-    return exponent
 
 
 def _ratio(space: LpSpace, direction: str, exponent, vectors, cfg: MCConfig | None,

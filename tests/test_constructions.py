@@ -189,6 +189,16 @@ def test_single_band_vector_direction():
     assert col_energy[1] / col_energy[0] == pytest.approx((0.8 / 0.6) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("vector, error", [([0.6, math.nan], "finite entries"),
+                                           ([0.6, math.inf], "finite entries"),
+                                           ([0.6], "vectors of dimension 2")])
+def test_single_band_vector_passes_the_tuple_check(vector, error):
+    # a nan entry once returned a grid of nan values
+    bank = build_filter_bank(16.0 * math.pi, 2048, 1, 5)
+    with pytest.raises(ValueError, match=error):
+        make_single_band(3, bank, vector=vector, space=LpSpace(2, 2))
+
+
 def test_single_band_envelope_2d_unit_norm_and_level():
     bank = build_filter_bank(16.0, 256, 2, 5)
     f = make_single_band(3, bank, width=0.5)

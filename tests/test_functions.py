@@ -196,6 +196,27 @@ def test_grid_function_validation():
         GridFunction(8.0, np.zeros((8, 2)), LpSpace(2, 1))  # dim mismatch
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", list(Interpolation))
+def test_piecewise_function_rejects_non_finite_values(kind, bad):
+    # a nan step once made lp_norm and besov_norm_difference return nan
+    values = np.zeros((3, 2))
+    values[1, 1] = bad
+    with pytest.raises(ValueError, match="finite entries"):
+        PiecewiseFunction([0.0, 0.5, 1.0], values, kind, LpSpace(2, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_function_rejects_non_finite_values(d, bad):
+    # one nan sample once made dilate(g, 0.5) return 64 nan values, while
+    # dilate(g, 2.0) dropped it and besov_norm_fourier returned nan
+    values = np.zeros((64,) * d + (1,))
+    values[(3,) * d] = bad
+    with pytest.raises(ValueError, match="finite entries"):
+        GridFunction(8.0, values, LpSpace(2, 1))
+
+
 def test_spectrum_roundtrip_and_parseval():
     rng = np.random.Generator(np.random.Philox(key=41))
     f = GridFunction(8.0, rng.normal(size=(64, 3)), LpSpace(2, 3))

@@ -153,6 +153,12 @@ def test_disjoint_lp_from_sigmas_matches_mc_oracle():
     assert dg.lp_moment == pytest.approx(closed, rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [INF, math.inf, math.nan, 0.5])
+def test_disjoint_lp_from_sigmas_needs_a_finite_p_at_least_one(p):
+    with pytest.raises(ValueError, match="finite p >= 1"):
+        disjoint_lp_from_sigmas([0.5, 1.0], p)
+
+
 def test_gamma_norm_disjoint_lp_on_tent_family():
     n, r, p = 8, 1.2, 1.5
     g = make_tent_family(n, r, p)

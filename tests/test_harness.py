@@ -25,11 +25,11 @@ SMALL_STEPS = {"ps": [2.0], "ns": [4], "samples": 640}
 DEFAULT_CSV_SHA256 = {
     "embedding-type": "126546bdce7a16d6fb002dac52b70554d5f3cbb997fca63fb7b048687d8a4089",
     "embedding-cotype": "23e6dca8aea198c9232e4c2708b15df62037e904edf4393b4ef9340d7901224a",
-    "band-limited": "e86f746a7f07c3b5c9e8cd848e0a04acd0481aec1d77a927b864d6b4708a43c6",
-    "partition": "d996722a9addabf8cc88a9903055046e276842aa65433c28fe14d1dc4c66316c",
-    "dilation": "471cc6fa6703ccff13a87e42e9d3e38349156b03ac3c5097ef8d7bb75359862d",
-    "step-identities": "073216ea507ad95850fba3180eb0e73aa2db848073da833d4d51d2c129120ae1",
-    "tent-scaling": "43cd95614c167fd97b2d7d9843c02c1036ccd6b5a6db9c50b88478666f8500ec",
+    "band-limited": "7a85d9d9cedffaef5585048eaea39b8ea389081edc527543966f5048814b6fd8",
+    "partition": "2b79b93362b21511f36d01fbfd871235759eea6a5f7b0edbff11ac2440cb215f",
+    "dilation": "47c729be3632a82b22585af0cbf763bef6ce793e40496512268dac2e40686d34",
+    "step-identities": "c094fca4ee3385e5af5883615025670e851fd0bc5f008bc84701e28a3203ebd1",
+    "tent-scaling": "3155ad71b14a21a198939f99378a962e44f5a95a44fc783756179913490e08ae",
     "type-constant": "bb00acbbe974840c36ccdd18872139d98200d9e9915b1190c4f1c85de5cbb2c9",
     "cotype-constant": "4704ea248a6047258ce1e5ccb692add1f7ac7824bddadcfed81ad5eaeccf5d55",
 }
@@ -260,7 +260,10 @@ def test_constant_searches_keep_their_cases_and_summary_keys(direction, cases, k
     ("type-constant", SMALL_SEARCH, (320, 640), ["hilbert-type2", "any-type1"]),
     ("band-limited", {}, (640, 20000, 1000), ["p=2", "p=1"]),
     ("embedding-cotype", {}, (640, 20000, 1000), ["q=2;n=1", "q=2;n=2", "q=3;n=1"]),
-], ids=["cotype-constant", "type-constant", "band-limited", "embedding-cotype"])
+    ("step-identities", {"ps": [2.0, 1.5], "ns": [4]}, (640, 20000, 1000),
+     ["p=2;n=4;lp", "p=2;n=4;gamma-exact", "p=1.5;n=4;lp", "p=1.5;n=4;besov-bound"]),
+], ids=["cotype-constant", "type-constant", "band-limited", "embedding-cotype",
+        "step-identities"])
 def test_exact_constant_rows_list_no_sample_count(experiment, config, counts, exact):
     # rows computed exactly (Hilbert, l^1 and dimension-1 targets, analytic
     # constants) omit `samples` and stay byte-identical when the sample count
@@ -278,6 +281,19 @@ def test_exact_constant_rows_list_no_sample_count(experiment, config, counts, ex
     sampled_low, sampled_high = (([(r.lhs, r.rhs) for r in report.rows if r.case not in exact],
                                   report.summary) for report in (low, high))
     assert sampled_low != sampled_high
+
+
+@pytest.mark.parametrize("experiment, config, case", [
+    ("dilation", {"tolerance": 5e-4}, "lambda=16"),
+    ("tent-scaling", {"slope_tolerance": 0.05}, "slope"),
+])
+def test_identity_rows_fail_once_the_deviation_passes_the_tolerance(experiment, config, case):
+    # an identity row's margin is minus its deviation, so it fails past its
+    # tolerance; lambda = 16 is 7.5e-4 off its mean, the slope 6.3% off its target
+    report = run(experiment, config)
+    failed = [r for r in report.rows if not r.passed]
+    assert [r.case for r in failed] == [case] and not report.passed
+    assert -2.0 * failed[0].tolerance < failed[0].margin < -failed[0].tolerance
 
 
 @pytest.mark.parametrize("experiment, upper", [

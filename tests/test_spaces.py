@@ -122,6 +122,13 @@ def test_gaussian_p_moment_against_quadrature():
             assert gaussian_p_moment(s, p) == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, INF, "inf", 0.5])
+def test_gaussian_p_moment_needs_a_finite_p_at_least_one(p):
+    # nan and inf once returned nan, and INF raised a TypeError
+    with pytest.raises(ValueError, match="finite p >= 1"):
+        gaussian_p_moment(1.0, p)
+
+
 def test_gaussian_p_moment_large_p_does_not_overflow():
     val = gaussian_p_moment(1.0, 300.0)
     assert math.isfinite(val) and val > 0.0
