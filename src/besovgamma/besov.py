@@ -10,8 +10,8 @@ so the level multipliers
 
 sum to chi(|xi|/2^K) over k = 0..K, which is exactly 1 for |xi| <= 2^K.
 The smoothness norm is then the weighted l^q sequence norm of the block
-L^p norms, weight 2^{ks} at level k: one forward transform of f, then one
-inverse transform per level, all levels filtered in one reused buffer.
+L^p norms, weight 2^{ks} at level k: one real-input forward transform of f
+(rfftn, the half spectrum), then one irfftn per level in one reused buffer.
 
 Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
@@ -36,6 +36,7 @@ corner, i.e. at breakpoints.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,23 +120,30 @@ def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
                       levels=int(levels), multipliers=mults)
 
 
-def _filtered(f: GridFunction, spec: np.ndarray, mult, scale: float, out=None) -> GridFunction:
-    """Inverse transform of mult * spec, in `out` if given; imaginary part checked."""
-    out = np.multiply(spec, np.asarray(mult)[..., None], out=out)
-    np.fft.ifftn(out, axes=tuple(range(f.d)), out=out)
-    if max(float(out.imag.max()), -float(out.imag.min())) > 1e-9 * scale:
-        raise ValueError("multiplier output has a non-negligible imaginary part")
-    return GridFunction(f.period, out.real, f.space)
+def _filtered(f: GridFunction, spec: np.ndarray, mult, out=None) -> GridFunction:
+    """irfftn of mult times the half spectrum `spec` (rfftn of f), in `out` if given:
+    f filtered by mult exactly when mult is real and equals m(-xi), index (-j) mod n
+    per axis; checked on views (per axis, index 0 mirrors itself, 1: mirrors :0:-1)."""
+    mult = np.asarray(mult)
+    if mult.shape != (f.n,) * f.d:
+        raise ValueError(f"the multiplier must have shape {(f.n,) * f.d}, got {mult.shape}")
+    parts = itertools.product([(slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1))],
+                              repeat=f.d)
+    if np.iscomplexobj(mult) or not all(np.array_equal(mult[a], mult[r])
+                                        for a, r in (zip(*part) for part in parts)):
+        raise ValueError("a multiplier not real and even in xi gives an imaginary part")
+    vals = np.fft.irfftn(spec * mult[..., :f.n // 2 + 1, None], s=(f.n,) * f.d,
+                         axes=tuple(range(f.d)), out=out)
+    return GridFunction(f.period, vals, f.space)
 
 
 def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    """Pointwise Fourier multiplier on the grid (circular convolution with
-    the multiplier's kernel).  The multiplier must be real; the output's
-    imaginary part is checked against the input's scale, so an (exactly or
-    nearly) annihilated function stays unflagged.  Its result owns its
-    values, unlike the levels `besov_norm_fourier` filters in one buffer."""
-    spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
-    return _filtered(f, spec, mult, float(np.abs(f.values).max()))
+    """Pointwise Fourier multiplier on the grid (circular convolution with its
+    kernel) by real-input half-spectrum transforms.  mult must be real and
+    even, m(-xi) = m(xi), as every bank level is; any other raises for every
+    input.  The result owns its values, unlike the levels
+    `besov_norm_fourier` filters in one buffer."""
+    return _filtered(f, np.fft.rfftn(f.values, axes=tuple(range(f.d))), mult)
 
 
 def lp_block(f: GridFunction, bank: FilterBank, k: int) -> GridFunction:
@@ -154,11 +162,9 @@ def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> flo
         raise ValueError("filter bank was built for a different grid")
     if not s * bank.levels < 1024:  # 2^(ks) overflows for some k <= levels, or s is nan
         raise ValueError(f"weights 2^(ks), k <= levels = {bank.levels}, overflow at s = {s!r}")
-    spec = np.fft.fftn(f.values, axes=tuple(range(f.d)))
-    scale = float(np.abs(f.values).max())
-    buf = np.empty_like(spec)
-    blocks = np.array([grid_lp_norm(_filtered(f, spec, m, scale, buf), p)
-                       for m in bank.multipliers])
+    spec = np.fft.rfftn(f.values, axes=tuple(range(f.d)))
+    buf = np.empty_like(f.values)
+    blocks = np.array([grid_lp_norm(_filtered(f, spec, m, buf), p) for m in bank.multipliers])
     weights = 2.0 ** (s * np.arange(bank.levels + 1))
     return lq_norm(weights * blocks, q)
 

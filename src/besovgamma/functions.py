@@ -66,7 +66,7 @@ def _gl_rule(n: int):
 class PiecewiseFunction:
     """A vector-valued function given by breakpoints and per-breakpoint values.
 
-    breakpoints: strictly increasing array (m+1,) spanning the support.
+    breakpoints: finite, strictly increasing array (m+1,) spanning the support.
     values: finite array (m+1, dim); for STEP, values[j] is the value on
         (t_{j-1}, t_j] (values[0] only pins f at the left endpoint); for
         LINEAR, values are nodal and the function interpolates linearly.
@@ -82,8 +82,8 @@ class PiecewiseFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.breakpoints.ndim != 1 or self.breakpoints.size < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(self.breakpoints) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not (np.isfinite(self.breakpoints).all() and np.all(np.diff(self.breakpoints) > 0)):
+            raise ValueError("breakpoints must be finite and strictly increasing")
         expected = (self.breakpoints.size, self.space.dim)
         if self.values.shape != expected:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
@@ -260,6 +260,8 @@ class GridFunction:
     @staticmethod
     def from_spectrum(spec: np.ndarray, period: float, space: LpSpace) -> "GridFunction":
         spec = np.asarray(spec, dtype=complex)
+        if not np.isfinite(spec).all():
+            raise ValueError("spectrum must have finite entries")
         d = spec.ndim - 1
         n = spec.shape[0]
         dxi = 2.0 * math.pi / period

@@ -136,6 +136,8 @@ class DisjointGammaNorm:
 def disjoint_lp_from_sigmas(sigmas, p) -> DisjointGammaNorm:
     p = _finite_exponent(p)
     sigmas = np.asarray(sigmas, dtype=float)
+    if not ((sigmas >= 0.0) & (sigmas < math.inf)).all():
+        raise ValueError("sigmas must be finite and >= 0")
     # E|N(0, s^2)|^p = s^p E|N(0,1)|^p, vectorized over the variances
     pth = gaussian_p_moment(1.0, p) * float((sigmas ** p).sum())
     return DisjointGammaNorm(lp_moment=pth ** (1.0 / p),

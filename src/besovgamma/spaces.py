@@ -156,8 +156,8 @@ def gaussian_p_moment(sigma: float, p: float) -> float:
     """
     p = _finite_exponent(p)
     sigma = float(sigma)
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return 0.0
     log_moment = (p * math.log(sigma) + 0.5 * p * math.log(2.0)

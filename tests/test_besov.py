@@ -229,6 +229,101 @@ def test_blocks_and_multiplier_outputs_own_their_values():
         assert not np.shares_memory(first.values, second.values)
 
 
+def _long_double_levels(f, bank):
+    # reference: the complex transform in long double (NumPy >= 2 runs pocketfft on it)
+    axes = tuple(range(f.d))
+    spec = np.fft.fftn(f.values.astype(np.longdouble), axes=axes)
+    return [np.fft.ifftn(spec * m[..., None], axes=axes).real for m in bank.multipliers]
+
+
+def _long_double_lp(v, r, p, cell):
+    # L^p norm, cell volume `cell`, of l^r-valued samples v, in long double
+    ld = np.longdouble
+    pts = np.abs(v).max(axis=-1) if r is INF else (np.abs(v) ** ld(r)).sum(axis=-1) ** (1 / ld(r))
+    return pts.max() if p is INF else ((pts ** ld(p)).sum() * ld(cell)) ** (1 / ld(p))
+
+
+@pytest.mark.parametrize("d,dim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_half_spectrum_route_matches_a_long_double_complex_reference(d, dim):
+    # every block and every norm of the real-input route agrees with a
+    # complex transform in long double to 1e-14 relative (measured: 5e-16)
+    n, levels = (256, 6) if d == 1 else (64, 4)
+    s = 0.4
+    bank = build_filter_bank(8.0, n, d, levels)
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(31, d, dim)))
+    f = GridFunction(8.0, rng.normal(size=(n,) * d + (dim,)), LpSpace(3.0, dim))
+    levels_ld = _long_double_levels(f, bank)
+    for k, ref in enumerate(levels_ld):
+        assert np.abs(lp_block(f, bank, k).values - ref).max() <= 1e-14 * np.abs(ref).max()
+    weights = np.longdouble(2.0) ** (s * np.arange(levels + 1))
+    for p in (1.0, 4.0 / 3.0, 2.0, 3.0, INF):
+        blocks = weights * np.array([_long_double_lp(v, 3.0, p, f.dx ** d) for v in levels_ld])
+        for q in (1.0, 2.0, INF):
+            ref = _long_double_lp(blocks[:, None], 1.0, q, 1.0)
+            assert abs(besov_norm_fourier(f, s, p, q, bank) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("period,n,d,levels", [(8.0, 512, 1, 7), (64.0, 32768, 1, 10),
+                                               (3.0, 64, 2, 4), (8.0, 128, 2, 5)])
+def test_every_bank_multiplier_equals_its_reflection(period, n, d, levels):
+    # m_k(-xi) = m_k(xi) bin for bin, index (-j) mod n on every axis, so
+    # every level passes the evenness check of the half-spectrum route
+    bank = build_filter_bank(period, n, d, levels)
+    reflect = np.ix_(*[-np.arange(n) % n] * d)
+    f = GridFunction(period, np.ones((n,) * d + (1,)), LpSpace(2, 1))
+    for k, m in enumerate(bank.multipliers):
+        assert np.array_equal(m[reflect], m)
+        lp_block(f, bank, k)
+
+
+@pytest.mark.parametrize("d,index", [(1, (5,)), (1, (511,)), (2, (0, 3)), (2, (7, 0)),
+                                     (2, (5, 60)), (2, (32, 1))])
+def test_one_ulp_off_its_reflection_raises_on_every_route(d, index):
+    # one bin of a level one ulp off its mirror bin: every route raises, even
+    # for the zero function, whose old output-side check saw nothing
+    n, levels = (512, 7) if d == 1 else (64, 4)
+    bank = build_filter_bank(8.0, n, d, levels)
+    mults = bank.multipliers.copy()
+    mults[1][index] = np.nextafter(mults[1][index], math.inf)
+    lopsided = FilterBank(8.0, n, d, levels, mults)
+    for values in (np.zeros((n,) * d + (1,)), np.ones((n,) * d + (1,))):
+        f = GridFunction(8.0, values, LpSpace(2, 1))
+        with pytest.raises(ValueError, match="imaginary part"):
+            apply_multiplier(f, mults[1])
+        with pytest.raises(ValueError, match="imaginary part"):
+            lp_block(f, lopsided, 1)
+        with pytest.raises(ValueError, match="imaginary part"):
+            besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
+    # bins that are their own reflection (0 and n/2 per axis) may move freely
+    mults[1][index] = bank.multipliers[1][index]
+    mults[1][(n // 2,) * d] += 0.5
+    besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
+
+
+@pytest.mark.parametrize("d,shape", [(1, (1024,)), (1, (256,)), (2, (64,)), (2, (64, 32))])
+def test_a_multiplier_of_another_shape_raises(d, shape):
+    # the half-spectrum slice would read a longer multiplier's first bins
+    f = GridFunction(8.0, np.ones((512, 1) if d == 1 else (64, 64, 1)), LpSpace(2, 1))
+    with pytest.raises(ValueError, match="must have shape"):
+        apply_multiplier(f, np.ones(shape))
+
+
+def test_multipliers_odd_along_one_axis_or_complex_raise():
+    n = 64
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(32, 2)))
+    f = GridFunction(8.0, rng.normal(size=(n, n, 1)), LpSpace(2, 1))
+    odd = np.fft.fftfreq(n)
+    odd[n // 2] = 0.0  # the Nyquist bin is its own reflection
+    with pytest.raises(ValueError, match="imaginary part"):
+        apply_multiplier(f, np.outer(odd, np.ones(n)))  # odd in xi_1, even in xi_2
+    with pytest.raises(ValueError, match="imaginary part"):
+        apply_multiplier(f, 1j * build_filter_bank(8.0, n, 2, 4).multipliers[2])
+    # odd along both axes is even: the real route returns the complex one's values
+    both = np.outer(odd, odd)
+    ref = np.fft.ifftn(np.fft.fftn(f.values, axes=(0, 1)) * both[..., None], axes=(0, 1))
+    assert np.abs(apply_multiplier(f, both).values - ref.real).max() <= 1e-14 * np.abs(ref).max()
+
+
 def indicator(p):
     return PiecewiseFunction([0.0, 1.0], [[1.0], [1.0]], Interpolation.STEP,
                              LpSpace(p if p != INF else 2, 1))

@@ -217,6 +217,24 @@ def test_grid_function_rejects_non_finite_values(d, bad):
         GridFunction(8.0, values, LpSpace(2, 1))
 
 
+@pytest.mark.parametrize("breaks", [[0.0, math.inf], [-math.inf, 0.0, 1.0], [0.0, math.nan, 1.0]])
+def test_piecewise_function_rejects_non_finite_breakpoints(breaks):
+    # [0, inf] once built, and lp_norm of it returned inf
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        PiecewiseFunction(breaks, np.ones((len(breaks), 1)), "step", LpSpace(2, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_from_spectrum_rejects_non_finite_entries_before_scaling(d, bad):
+    # an inf entry once raised RuntimeWarning "invalid value encountered in
+    # multiply" from the scaled inverse transform, before any finiteness check
+    spec = np.zeros((16,) * d + (1,), dtype=complex)
+    spec[(3,) * d] = bad
+    with pytest.raises(ValueError, match="finite entries"):
+        GridFunction.from_spectrum(spec, 8.0, LpSpace(2, 1))
+
+
 def test_spectrum_roundtrip_and_parseval():
     rng = np.random.Generator(np.random.Philox(key=41))
     f = GridFunction(8.0, rng.normal(size=(64, 3)), LpSpace(2, 3))

@@ -159,6 +159,13 @@ def test_disjoint_lp_from_sigmas_needs_a_finite_p_at_least_one(p):
         disjoint_lp_from_sigmas([0.5, 1.0], p)
 
 
+@pytest.mark.parametrize("sigmas", [[math.nan, 1.0], [1.0, math.inf], [-0.5, 1.0]])
+def test_disjoint_lp_from_sigmas_needs_finite_sigmas_at_least_zero(sigmas):
+    # [nan, 1.0] once gave a nan lp_moment
+    with pytest.raises(ValueError, match="sigmas must be finite and >= 0"):
+        disjoint_lp_from_sigmas(sigmas, 1.5)
+
+
 def test_gamma_norm_disjoint_lp_on_tent_family():
     n, r, p = 8, 1.2, 1.5
     g = make_tent_family(n, r, p)

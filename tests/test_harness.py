@@ -24,10 +24,10 @@ SMALL_STEPS = {"ps": [2.0], "ns": [4], "samples": 640}
 # A change that moves rows of a default CSV re-pins these and names the rows.
 DEFAULT_CSV_SHA256 = {
     "embedding-type": "126546bdce7a16d6fb002dac52b70554d5f3cbb997fca63fb7b048687d8a4089",
-    "embedding-cotype": "23e6dca8aea198c9232e4c2708b15df62037e904edf4393b4ef9340d7901224a",
+    "embedding-cotype": "e1be80259dd8696ddf54483549f4ebbe09754fbaf4458163a1144d6ef02d4c21",
     "band-limited": "7a85d9d9cedffaef5585048eaea39b8ea389081edc527543966f5048814b6fd8",
     "partition": "2b79b93362b21511f36d01fbfd871235759eea6a5f7b0edbff11ac2440cb215f",
-    "dilation": "47c729be3632a82b22585af0cbf763bef6ce793e40496512268dac2e40686d34",
+    "dilation": "c52dc1a2dff4ea84aa62c9e87ff55d76e01c9d7c39614f158aa74b93decfb0c2",
     "step-identities": "c094fca4ee3385e5af5883615025670e851fd0bc5f008bc84701e28a3203ebd1",
     "tent-scaling": "3155ad71b14a21a198939f99378a962e44f5a95a44fc783756179913490e08ae",
     "type-constant": "bb00acbbe974840c36ccdd18872139d98200d9e9915b1190c4f1c85de5cbb2c9",

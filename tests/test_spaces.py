@@ -129,6 +129,13 @@ def test_gaussian_p_moment_needs_a_finite_p_at_least_one(p):
         gaussian_p_moment(1.0, p)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])
+def test_gaussian_p_moment_needs_a_finite_sigma_at_least_zero(sigma):
+    # nan and inf once returned nan and inf
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        gaussian_p_moment(sigma, 1.5)
+
+
 def test_gaussian_p_moment_large_p_does_not_overflow():
     val = gaussian_p_moment(1.0, 300.0)
     assert math.isfinite(val) and val > 0.0
