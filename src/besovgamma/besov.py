@@ -11,7 +11,8 @@ so the level multipliers
 sum to chi(|xi|/2^K) over k = 0..K, which is exactly 1 for |xi| <= 2^K.
 The smoothness norm is then the weighted l^q sequence norm of the block
 L^p norms, weight 2^{ks} at level k: one real-input forward transform of f
-(rfftn, the half spectrum), then one irfftn per level in one reused buffer.
+(rfftn, the half spectrum), then one irfftn per level, each level's product
+and values in two buffers the norm reuses.
 
 Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
@@ -54,15 +55,31 @@ def smoothstep(u):
     return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
 
 
+def _on_ramp(r: np.ndarray, lo: float, ramp):
+    """ramp(r) where lo < r < 2 and where r is nan (which stays nan), exact 0
+    elsewhere: the ramp runs only on its support, and the output is made
+    after its temporaries are gone."""
+    inside = ~((r <= lo) | (r >= 2.0))
+    vals = ramp(r[inside])
+    out = np.zeros(r.shape)
+    out[inside] = vals
+    return out[()]
+
+
+def _chi_ramp(r):
+    return 1.0 - smoothstep(r - 1.0)
+
+
 def chi(r):
     """Radial cutoff: 1 on [0, 1], 0 on [2, inf), smoothstep ramp between."""
     r = np.asarray(r, dtype=float)
-    return 1.0 - smoothstep(r - 1.0)
+    return np.where(r <= 1.0, 1.0, _on_ramp(r, 1.0, _chi_ramp))[()]
 
 
 def band_profile(r):
     """chi(r) - chi(2r): nonnegative, supported on 1/2 <= r <= 2."""
-    return chi(r) - chi(2.0 * np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    return _on_ramp(r, 0.5, lambda x: _chi_ramp(x) - _chi_ramp(2.0 * x))
 
 
 @dataclass
@@ -86,11 +103,11 @@ class FilterBank:
         return float(np.abs(total[mask] - 1.0).max())
 
     def kernel(self, k: int) -> np.ndarray:
-        """Spatial convolution kernel of level k on the grid."""
-        axes = tuple(range(self.d))
+        """Spatial convolution kernel of level k on the grid: irfftn of the
+        multiplier's half spectrum, which `_half` checks is real and even."""
         scale = (self.n / self.period) ** self.d
-        kern = np.fft.ifftn(self.multipliers[k], axes=axes) * scale
-        return kern.real
+        half = _half(self.multipliers[k], self.n, self.d)
+        return np.fft.irfftn(half, s=(self.n,) * self.d, axes=tuple(range(self.d))) * scale
 
     def kernel_l1(self, k: int) -> float:
         dx = self.period / self.n
@@ -120,20 +137,39 @@ def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
                       levels=int(levels), multipliers=mults)
 
 
-def _filtered(f: GridFunction, spec: np.ndarray, mult, out=None) -> GridFunction:
-    """irfftn of mult times the half spectrum `spec` (rfftn of f), in `out` if given:
-    f filtered by mult exactly when mult is real and equals m(-xi), index (-j) mod n
-    per axis; checked on views (per axis, index 0 mirrors itself, 1: mirrors :0:-1)."""
+def _mirror_pairs(n: int, d: int) -> list:
+    """Index pairs (a, r), m[a] facing m[r] under xi -> -xi (index (-j) mod n
+    per axis), that meet each bin of an n^d grid but the self-mirrors once:
+    first-axis bins 1..n/2-1 against n-1..n/2+1 over every block of the other
+    axes (0 mirrors itself, 1: mirrors :0:-1), then rows 0 and n/2 alone."""
+    if d == 0:
+        return []
+    pairs = [((slice(1, n // 2),), (slice(None, n // 2, -1),))]
+    for _ in range(d - 1):
+        pairs = [(a + (sa,), r + (sr,)) for a, r in pairs
+                 for sa, sr in ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))]
+    return pairs + [((j,) + a, (j,) + r) for j in (0, n // 2) for a, r in _mirror_pairs(n, d - 1)]
+
+
+def _half(mult, n: int, d: int) -> np.ndarray:
+    """Columns 0..n/2 of an n^d multiplier's last axis, which define its
+    real-input filter when it is real and equals its reflection m(-xi), each
+    mirror pair compared exactly on views; any other multiplier raises."""
     mult = np.asarray(mult)
-    if mult.shape != (f.n,) * f.d:
-        raise ValueError(f"the multiplier must have shape {(f.n,) * f.d}, got {mult.shape}")
-    parts = itertools.product([(slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1))],
-                              repeat=f.d)
+    if mult.shape != (n,) * d:
+        raise ValueError(f"the multiplier must have shape {(n,) * d}, got {mult.shape}")
     if np.iscomplexobj(mult) or not all(np.array_equal(mult[a], mult[r])
-                                        for a, r in (zip(*part) for part in parts)):
+                                        for a, r in _mirror_pairs(n, d)):
         raise ValueError("a multiplier not real and even in xi gives an imaginary part")
-    vals = np.fft.irfftn(spec * mult[..., :f.n // 2 + 1, None], s=(f.n,) * f.d,
-                         axes=tuple(range(f.d)), out=out)
+    return mult[..., :n // 2 + 1]
+
+
+def _filtered(f: GridFunction, spec: np.ndarray, mult, out=None, prod=None) -> GridFunction:
+    """irfftn of mult times the half spectrum `spec` (rfftn of f): f filtered
+    by mult, checked by `_half`.  The product goes to `prod` and the values
+    to `out` when given, so one norm reuses two buffers over its levels."""
+    prod = np.multiply(spec, _half(mult, f.n, f.d)[..., None], out=prod)
+    vals = np.fft.irfftn(prod, s=(f.n,) * f.d, axes=tuple(range(f.d)), out=out)
     return GridFunction(f.period, vals, f.space)
 
 
@@ -142,7 +178,7 @@ def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     kernel) by real-input half-spectrum transforms.  mult must be real and
     even, m(-xi) = m(xi), as every bank level is; any other raises for every
     input.  The result owns its values, unlike the levels
-    `besov_norm_fourier` filters in one buffer."""
+    `besov_norm_fourier` filters in reused buffers."""
     return _filtered(f, np.fft.rfftn(f.values, axes=tuple(range(f.d))), mult)
 
 
@@ -157,14 +193,15 @@ def lp_block(f: GridFunction, bank: FilterBank, k: int) -> GridFunction:
 
 def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> float:
     """Weighted l^q over levels of the block L^p norms, weight 2^{ks}; one
-    forward transform and one reused buffer, each block `lp_block(f, bank, k)` to the bit."""
+    forward transform and two reused buffers, each block `lp_block(f, bank, k)` to the bit."""
     if not bank.compatible_with(f):
         raise ValueError("filter bank was built for a different grid")
     if not s * bank.levels < 1024:  # 2^(ks) overflows for some k <= levels, or s is nan
         raise ValueError(f"weights 2^(ks), k <= levels = {bank.levels}, overflow at s = {s!r}")
     spec = np.fft.rfftn(f.values, axes=tuple(range(f.d)))
-    buf = np.empty_like(f.values)
-    blocks = np.array([grid_lp_norm(_filtered(f, spec, m, buf), p) for m in bank.multipliers])
+    out, prod = np.empty_like(f.values), np.empty_like(spec)
+    blocks = np.array([grid_lp_norm(_filtered(f, spec, m, out, prod), p)
+                       for m in bank.multipliers])
     weights = 2.0 ** (s * np.arange(bank.levels + 1))
     return lq_norm(weights * blocks, q)
 

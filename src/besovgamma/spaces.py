@@ -119,19 +119,35 @@ class LpSpace:
         coordinates together with one elementwise maximum per coordinate
         instead of running a reduction loop per (short) row.  Max is exact,
         so the result equals a row-wise max bit for bit.
+
+        In dimension 1 the sum or max over the one coordinate is read, not
+        reduced (`_over_coordinates`): the same bits without NumPy's
+        per-row loop.  Each p keeps its own formula there, not plain |x|,
+        so (|x|^p)^{1/p} still leaves float range where it did (l^1e300 of
+        1.0 is inf), and callers that check for that still see it.
         """
         arr = np.asarray(arr, dtype=float)
         if arr.shape[-1] != self.dim:
             raise ValueError(f"last axis has length {arr.shape[-1]}, expected {self.dim}")
         if self.p is INF:
-            return np.abs(arr, order="F").max(axis=-1)
+            return _over_coordinates(np.maximum, np.abs(arr, order="F"))[()]
         if self.p == 1.0:
-            return np.abs(arr).sum(axis=-1)
+            return _over_coordinates(np.add, np.abs(arr))[()]
         if self.p == 2.0:
-            return np.sqrt((arr * arr).sum(axis=-1))
+            total = _over_coordinates(np.add, arr * arr)
+            return np.sqrt(total, out=total)[()]
         # np.power, not **: a 1-D input sums to a NumPy scalar, whose ** takes
         # a different pow path than the array ufunc and can differ in the last bit
-        return np.power(np.power(np.abs(arr), self.p).sum(axis=-1), 1.0 / self.p)
+        total = _over_coordinates(np.add, np.power(np.abs(arr), self.p))
+        return np.power(total, 1.0 / self.p, out=total)[()]
+
+
+def _over_coordinates(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """op.reduce over the last (coordinate) axis of the temporary a, as an
+    array the caller may overwrite (0-d for a vector; [()] makes it the
+    scalar a reduction returns); a length-1 axis is read instead, since a
+    sum or max of one element is that element."""
+    return a[..., 0] if a.shape[-1] == 1 else np.asarray(op.reduce(a, axis=-1))
 
 
 def lq_norm(seq, q) -> float:

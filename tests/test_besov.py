@@ -63,6 +63,31 @@ def test_band_profile_support_and_telescoping():
     assert np.abs(acc - chi(r / 2.0 ** 11)).max() == 0.0
 
 
+def direct_chi(r):
+    return 1.0 - smoothstep(np.asarray(r, dtype=float) - 1.0)
+
+
+def test_band_profile_and_chi_equal_the_direct_formula_bit_for_bit():
+    # the ramp runs only inside the support; the exact 0s and 1s filled in
+    # elsewhere, and nan, are what the formula gives there
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(33)))
+    edges = np.array([0.0, 0.5, 1.0, 2.0])
+    r = np.concatenate([rng.uniform(0.0, 3.0, 4000), rng.uniform(-3.0, 0.0, 100),
+                        np.geomspace(1e-300, 1e300, 200), edges,
+                        np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
+                        [0.25, 4.0, 1e300, 1.7976931348623157e308, math.inf, -math.inf,
+                         -0.0, math.nan]])
+    with np.errstate(over="ignore"):  # 2r overflows for the largest radii
+        want_band = direct_chi(r) - direct_chi(2.0 * r)
+    for radii in (r, r.reshape(-1, 2)):
+        for got, want in ((band_profile(radii), want_band), (chi(radii), direct_chi(r))):
+            assert got.shape == radii.shape
+            assert got.tobytes() == want.tobytes()
+    assert math.isnan(band_profile(math.nan)) and math.isnan(chi(math.nan))
+    assert type(band_profile(0.7)) is type(direct_chi(0.7)) is np.float64
+    assert band_profile(3.0) == 0.0 and chi(0.3) == 1.0
+
+
 def test_lq_norm_matches_numpy():
     x = np.array([0.3, 1.7, 0.2, 2.4])
     assert lq_norm(x, 1) == pytest.approx(x.sum(), rel=1e-15)
@@ -131,6 +156,14 @@ def test_kernel_l2_matches_multiplier_parseval():
         lhs = (ker ** 2).sum() * dx
         rhs = (bank.multipliers[k] ** 2).sum() * dxi / (2.0 * math.pi)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("period,n,d,levels", [(8.0, 512, 1, 7), (3.0, 64, 2, 4)])
+def test_kernel_is_the_real_part_of_the_complex_inverse_transform(period, n, d, levels):
+    bank = build_filter_bank(period, n, d, levels)
+    for k in range(levels + 1):
+        ref = np.fft.ifftn(bank.multipliers[k]).real * (n / period) ** d
+        assert np.abs(bank.kernel(k) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_apply_multiplier_annihilates_disjoint_band():
@@ -277,7 +310,11 @@ def test_every_bank_multiplier_equals_its_reflection(period, n, d, levels):
 
 
 @pytest.mark.parametrize("d,index", [(1, (5,)), (1, (511,)), (2, (0, 3)), (2, (7, 0)),
-                                     (2, (5, 60)), (2, (32, 1))])
+                                     (2, (5, 60)), (2, (32, 1)),
+                                     # the edges of the half of each mirror pair compared
+                                     (1, (1,)), (1, (255,)), (1, (257,)), (2, (1, 0)),
+                                     (2, (31, 63)), (2, (33, 1)), (2, (0, 31)), (2, (32, 33)),
+                                     (2, (63, 32))])
 def test_one_ulp_off_its_reflection_raises_on_every_route(d, index):
     # one bin of a level one ulp off its mirror bin: every route raises, even
     # for the zero function, whose old output-side check saw nothing
@@ -286,6 +323,8 @@ def test_one_ulp_off_its_reflection_raises_on_every_route(d, index):
     mults = bank.multipliers.copy()
     mults[1][index] = np.nextafter(mults[1][index], math.inf)
     lopsided = FilterBank(8.0, n, d, levels, mults)
+    with pytest.raises(ValueError, match="imaginary part"):
+        lopsided.kernel(1)
     for values in (np.zeros((n,) * d + (1,)), np.ones((n,) * d + (1,))):
         f = GridFunction(8.0, values, LpSpace(2, 1))
         with pytest.raises(ValueError, match="imaginary part"):

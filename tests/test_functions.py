@@ -1,12 +1,13 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from besovgamma.besov import translate_diff_norm
-from besovgamma.functions import (GridFunction, Interpolation,
-                                  PiecewiseFunction, _frequency_radii, dilate,
-                                  grid_lp_norm, l2_norm_squared, lp_norm)
+from besovgamma.functions import (BAND_ENERGY_TOL, DILATE_DISCARD_TOL, GridFunction,
+                                  Interpolation, PiecewiseFunction, _frequency_radii,
+                                  dilate, grid_lp_norm, l2_norm_squared, lp_norm)
 from besovgamma.montecarlo import derive_seed, gaussian_array
 from besovgamma.spaces import INF, LpSpace
 
@@ -377,6 +378,95 @@ def test_dilate_2d_rejects_discarded_mass_and_the_nyquist_bin():
     alternating = np.multiply.outer(np.ones(n), (-1.0) ** np.arange(n))
     with pytest.raises(ValueError, match="Nyquist bin"):
         dilate(GridFunction(period, alternating[..., None], space), 0.5)
+
+
+def dilate_on_the_full_spectrum(f, lam):
+    """`dilate` on the complex spectrum, as it was before the half-spectrum
+    route: the band rule on every bin of np.fft.fftn, shrinking by a strided
+    gather, and growing through the real part of np.fft.ifftn of the
+    zero-padded spectrum."""
+    n, d, n_log = f.n, f.d, int(round(math.log2(lam)))
+    axes = tuple(range(d))
+    spec = np.fft.fftn(f.values, axes=axes)
+    power = (np.abs(spec) ** 2).sum(axis=-1)
+    jc = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) - n)
+    beyond = np.abs(jc) > (n // 2 - 1) // 2 ** max(n_log, 0)
+    for axis in axes:
+        if power.compress(beyond, axis=axis).sum() > BAND_ENERGY_TOL * power.sum():
+            raise ValueError("dilation would push the active band past Nyquist" if n_log > 0
+                             else "content at the Nyquist bin cannot be upsampled unambiguously")
+    if n_log > 0:
+        stride, half = 2 ** n_log, n // 2 ** (n_log + 1)
+        kept = reduce(np.logical_and.outer, [(jc >= -half) & (jc < half)] * d)
+        energy = (f.values ** 2).sum(axis=-1)
+        discarded, total = energy[~kept].sum(), energy.sum()
+        if total > 0 and discarded > DILATE_DISCARD_TOL * total:
+            raise ValueError("dilation would discard too much mass at the window edge "
+                             f"({discarded / total:.2e} of the total energy)")
+        return np.where(kept[..., None], f.values[np.ix_(*[jc * stride % n] * d)], 0.0)
+    fine_n = 2 ** -n_log * n
+    fine = np.zeros((fine_n,) * d + (f.space.dim,), dtype=complex)
+    at = np.ix_(*[jc % fine_n] * d)
+    fine[at] = spec
+    return (np.fft.ifftn(fine, axes=axes).real * 2.0 ** (-n_log * d))[at]
+
+
+def parity_source(rng, d, lam):
+    # a band-limited random field whose energy past the band the stride
+    # keeps (the Nyquist bin when growing), along one axis, is a share within
+    # a factor 10 of BAND_ENERGY_TOL; or a modulated bump that shrinks
+    # without leaving the window
+    shrink = max(lam, 1.0)
+    is_bump = rng.uniform() < 0.5
+    # a bump of width w < 0.26 / lam keeps all but 1e-4 of its energy in the
+    # shrunk window, and all but 1e-6 below bin n / (2 lam) if w n / (2 lam) > 0.8
+    n = int(2 ** math.ceil(math.log2(8.0 * shrink ** 2))) if is_bump else int(rng.choice([16, 64]))
+    dim = int(rng.integers(1, 3))
+    jc = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) - n)
+    if is_bump:
+        x = jc / n
+        width = rng.uniform(0.19, 0.22) / shrink
+        carrier = rng.uniform() * max(n / (2.0 * shrink) - 0.8 / width, 0.0)
+        bump = np.exp(-reduce(np.add.outer, [x ** 2] * d) / width ** 2)
+        bump = bump * np.cos(2.0 * math.pi * carrier * x)
+        return GridFunction(8.0, bump[..., None] * rng.normal(size=dim), LpSpace(2, dim))
+    band = np.abs(jc) <= (n // 2 - 1) // int(shrink)
+    axis = int(rng.integers(d))
+    inside = reduce(np.logical_and.outer, [band] * d)
+    leak = reduce(np.logical_and.outer, [~band if a == axis else band for a in range(d)])
+    spec = np.fft.fftn(rng.normal(size=(n,) * d + (dim,)), axes=tuple(range(d)))
+    share = BAND_ENERGY_TOL * 10.0 ** rng.uniform(-1.0, 1.0)
+    power = (np.abs(spec) ** 2).sum(axis=-1)
+    scale = np.where(inside, 1.0, 0.0) + leak * math.sqrt(share * power[inside].sum()
+                                                         / power[leak].sum())
+    values = np.fft.ifftn(spec * scale[..., None], axes=tuple(range(d))).real
+    return GridFunction(8.0, values, LpSpace(2, dim))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("lam", [0.25, 0.5, 2.0, 4.0, 8.0])
+def test_dilate_matches_the_full_spectrum_rule_and_upsample(d, lam):
+    # the same raise or no-raise and the same message as the complex-spectrum
+    # rule, shrunk grids bit for bit, grown grids within 1e-12 relative
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(43, d, int(4 * lam))))
+    outcomes = set()
+    for _ in range(24):
+        f = parity_source(rng, d, lam)
+        try:
+            want = dilate_on_the_full_spectrum(f, lam)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                dilate(f, lam)
+            assert str(got.value) == str(err)
+            outcomes.add(str(err).split()[-1])
+            continue
+        got = dilate(f, lam).values
+        if lam > 1.0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        outcomes.add("returned")
+    assert "returned" in outcomes and len(outcomes) >= 2
 
 
 def test_frequency_radii_are_the_frequency_moduli():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-from besovgamma.montecarlo import _BLOCK, MCConfig, batch_means, gaussian_array
+from besovgamma.montecarlo import _BLOCK, MCConfig, batch_means, derive_seed, gaussian_array
 from besovgamma.spaces import (INF, LpSpace, as_exponent, gaussian_p_moment,
                                gaussian_second_moment, l1_gaussian_second_moment)
 
@@ -88,6 +88,34 @@ def test_fractional_norms_of_a_vector_equal_its_batch_row_bit_for_bit(batch, p):
     x, i = batch
     space = LpSpace(p, x.shape[-1])
     assert space.norms(x[i]).tobytes() == space.norms(x)[i].tobytes()
+
+
+def summed_norms(x, p):
+    # the reduction over the last axis that every dimension used before a
+    # length-1 axis was read instead of reduced
+    if p is INF:
+        return np.abs(x, order="F").max(axis=-1)
+    if p == 1.0:
+        return np.abs(x).sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((x * x).sum(axis=-1))
+    return np.power(np.power(np.abs(x), p).sum(axis=-1), 1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 700.0, 1e300, INF])
+def test_dimension_one_norms_equal_the_reduction_bit_for_bit(p):
+    # squares that underflow (1e-160) or overflow (1e160), and l^1e300 of
+    # 1.0 leaving float range, come out as the sum would give them
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(41)))
+    entries = np.concatenate([rng.normal(size=64), [0.0, -0.0, 1.0, -1.0, 1e-160, -1e-160,
+                                                    1e160, -1e160, 1e-308, 5e-324, 1.7e308]])
+    space = LpSpace(p, 1)
+    for x in (entries[:, None], entries.reshape(3, 25, 1), entries[:1], entries[-1:],
+              entries[:0, None]):
+        with np.errstate(all="ignore"):
+            got, want = space.norms(x), summed_norms(x, p)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_norms_reject_a_wrong_last_axis():
