@@ -19,7 +19,9 @@ line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
 continuity.  One algorithm serves steps and linear sources: the shift
 profile F(h) = ||f(.+h) - f||_p^p is evaluated at a set of shifts in one
 vectorised pass (`_shift_powers`, the only code that computes F; the
-single-shift `translate_diff_norm` calls it too), and the modulus and the
+single-shift `translate_diff_norm` calls it too; over many shifts a step's
+cells read each power ||v_c - v_a||^p from one table of its value pairs,
+to the bit of the per-cell power), and the modulus and the
 integral read one profile of those values (`_profile`): rho(t)^p is the
 larger of the running max of F and F interpolated linearly between the
 shifts.  The source kind decides only which shifts are sampled: for steps
@@ -44,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (GL_NODES, GridFunction, Interpolation, PiecewiseFunction,
-                        _affine_powers, _frequency_radii, _gl_rule, grid_lp_norm,
-                        lp_norm)
+                        _affine_powers, _frequency_radii, _gl_rule, _in_float_range,
+                        grid_lp_norm, lp_norm)
 from .spaces import INF, _finite_exponent, as_exponent, lq_norm
 
 
@@ -218,6 +220,25 @@ def _shifts(f: PiecewiseFunction) -> np.ndarray:
     return np.union1d(gaps, grid[(grid <= 1.0) | (grid < gaps[-1])])
 
 
+def _framed(a: np.ndarray) -> np.ndarray:
+    """a between one zero row above and one below: np.pad by a row, without its cost."""
+    out = np.zeros((a.shape[0] + 2,) + a.shape[1:])
+    out[1:-1] = a
+    return out
+
+
+def _pair_powers(space, table: np.ndarray, p: float) -> np.ndarray:
+    """pairs[a, c] = ||table[c] - table[a]||^p for every pair of rows, as the
+    per-cell kernel forms them, in row blocks of at most 2^18 floats."""
+    size = table.shape[0]
+    pairs = np.empty((size, size))
+    block = max(1, 2 ** 18 // (size * space.dim))
+    for lo in range(0, size, block):
+        pairs[lo:lo + block] = space.norms(table - table[lo:lo + block, None]) ** p
+    return pairs
+
+
+@np.errstate(over="ignore", invalid="ignore")  # `_in_float_range` names what leaves float range
 def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndarray:
     """F(h) = ||f(.+h) - f||_p^p at every shift h: per row, the merged
     breakpoints of f and f(.+h) cut cells where both are constant (steps) or
@@ -225,31 +246,46 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
     values; a sampled value, not a bound, since the rule misses the |u|^p
     kink where a coordinate of the difference changes sign inside a cell).  Chunks
     keep each temporary array near 2^18 floats.  Shifts far beyond the
-    support length round b - h together; the public callers clamp to it."""
+    support length round b - h together; the public callers clamp to it.
+
+    A step's cells pair only T = b.size + 1 values (zero on either side).
+    When the call covers at least T^2 cells (2 b.size - 1 per shift) and
+    T^2 <= 2^18, each ||v_c - v_a||^p is taken once into a T x T table
+    (`_pair_powers`, T^2 floats) that the cells read; otherwise, as for one
+    shift, each cell takes its own.  The operands, ufuncs and row
+    reduction are the same, so both give F to the bit.  F that leaves
+    float range raises (`_in_float_range`)."""
     b = f.breakpoints
     step = f.interpolation is Interpolation.STEP
     if step:
-        table = np.pad(f.values[1:], ((1, 1), (0, 0)))  # row i: the value on (b_{i-1}, b_i]
+        table = _framed(f.values[1:])  # row i: the value on (b_{i-1}, b_i]
+        gate = table.shape[0] ** 2 <= min(2 ** 18, shifts.size * (2 * b.size - 1))
+        pairs = _pair_powers(f.space, table, p) if gate else None
     else:
         # row i: the affine piece on (b_{i-1}, b_i], start + (x - origin) slope; zero outside
-        start, origin = np.pad(f.values[:-1], ((1, 1), (0, 0))), np.pad(b[:-1], 1)
-        slope = np.pad(np.diff(f.values, axis=0) / np.diff(b)[:, None], ((1, 1), (0, 0)))
+        start, origin = _framed(f.values[:-1]), _framed(b[:-1])
+        slope = _framed((f.values[1:] - f.values[:-1]) / (b[1:] - b[:-1])[:, None])
     rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim * (1 if step else GL_NODES)))
     out = np.empty(shifts.size)
     for lo in range(0, shifts.size, rows):
         h = shifts[lo:lo + rows, None]
-        pts = np.sort(np.hstack([np.broadcast_to(b, (h.shape[0], b.size)), b - h]), axis=1)
+        pts = np.empty((h.shape[0], 2 * b.size))
+        pts[:, :b.size] = b
+        np.subtract(b, h, out=pts[:, b.size:])
+        pts.sort(axis=1)
+        lens = pts[:, 1:] - pts[:, :-1]
         mids = 0.5 * (pts[:, 1:] + pts[:, :-1])
         here, there = np.searchsorted(b, mids), np.searchsorted(b, mids + h)
         if step:
-            diff = table[there] - table[here]
-            out[lo:lo + rows] = (np.diff(pts, axis=1) * f.space.norms(diff) ** p).sum(axis=1)
+            powered = (f.space.norms(table[there] - table[here]) ** p if pairs is None
+                       else pairs[here, there])
+            out[lo:lo + rows] = (lens * powered).sum(axis=1)
             continue
         d0, d1 = (start[there] + (x + h - origin[there])[..., None] * slope[there]
                   - start[here] - (x - origin[here])[..., None] * slope[here]
                   for x in (pts[:, :-1], pts[:, 1:]))
-        out[lo:lo + rows] = _affine_powers(f.space, np.diff(pts, axis=1), d0, d1, p)
-    return out
+        out[lo:lo + rows] = _affine_powers(f.space, lens, d0, d1, p)
+    return _in_float_range(out, f, p)
 
 
 def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
@@ -272,9 +308,12 @@ def _profile(f: PiecewiseFunction, p: float, top: float):
     shift (0 after `top`): rho(t)^p = max(M_k, F_k + slope_k (t - h_k)) on
     [h_k, h_{k+1}].  The modulus and the difference norm both read it."""
     h = _shifts(f)
-    kinks = np.append(h[h < top], top)
+    below = np.searchsorted(h, top)  # h is sorted: h[:below] = h[h < top]
+    kinks = np.empty(below + 1)
+    kinks[:below], kinks[below] = h[:below], top
     F = _shift_powers(f, kinks, p)
-    slope = np.append(np.diff(F) / np.diff(kinks), 0.0)
+    slope = np.zeros(below + 1)
+    slope[:-1] = (F[1:] - F[:-1]) / (kinks[1:] - kinks[:-1])
     return kinks, F, np.maximum.accumulate(F), slope
 
 
@@ -289,25 +328,30 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     a coordinate changing sign inside a cell.
 
     `t` may be an array, read off one profile cut at the first shift >= max
-    t, so each entry equals its own scalar call; a scalar t returns a float.
-    A t beyond the support length L (itself a shift) reads as L.
+    t, so each entry equals its own scalar call; a scalar t returns a float,
+    an empty t an empty array of its shape.  A t beyond the support length
+    L (itself a shift) reads as L.
     """
     p = _finite_exponent(p)
     ts = np.asarray(t, dtype=float)
     if not (ts > 0.0).all():
         raise ValueError("t must be positive")
+    if ts.size == 0:
+        return np.empty(ts.shape)
     a, b = f.support
     flat = np.minimum(ts.ravel(), b - a)
     h = _shifts(f)
     kinks, F, best, slope = _profile(f, p, h[np.searchsorted(h, flat.max())])
     k = np.searchsorted(kinks, flat, side="right") - 1
     rho_p = np.maximum(best[k], F[k] + slope[k] * (flat - kinks[k]))
-    rho_p[k < 0] = _shift_powers(f, flat[k < 0], p)
+    if (k < 0).any():
+        rho_p[k < 0] = _shift_powers(f, flat[k < 0], p)
     # Python's float pow, not np.power, keeps the scalar results' bits
     rho = np.array([float(v) ** (1.0 / p) for v in rho_p]).reshape(ts.shape)
     return float(rho) if ts.ndim == 0 else rho
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a total out of float range raises below
 def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
     """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} over `_profile(f, p, 1)`.
     Below the smallest shift g, F(h) = F(g) (h/g)^a, with a = 1 where f
@@ -330,22 +374,32 @@ def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
     rising = r1 > top
     cross = lo + (hi - lo) * np.where(rising, (top - r0) / np.where(rising, r1 - r0, 1.0), 1.0)
     nodes, weights = _gl_rule(20)
-    for a, c in ((lo, cross), (cross, hi)):
-        la, lc = np.log(a)[:, None], np.log(c)[:, None]
-        t = np.exp(0.5 * (lc - la) * nodes + 0.5 * (lc + la))
-        rho_p = np.maximum(top[:, None], r0[:, None] + slope[:-1, None] * (t - lo[:, None]))
-        total += float((0.5 * (lc - la) * weights * t ** (-s * q) * rho_p ** (q / p)).sum())
+    # both halves, [lo, cross] and [cross, hi], in one pass; each sums on its own
+    ends = np.log(np.array((lo, cross, hi)))[..., None]
+    la, lc = ends[:2], ends[1:]
+    t = np.exp(0.5 * (lc - la) * nodes + 0.5 * (lc + la))
+    rho_p = np.maximum(top[:, None], r0[:, None] + slope[:-1, None] * (t - lo[:, None]))
+    halves = (0.5 * (lc - la) * weights * t ** (-s * q) * rho_p ** (q / p)).reshape(2, -1)
+    for half in halves.sum(axis=1):
+        total += float(half)
+    if not total < math.inf:
+        raise ValueError(f"the difference seminorm leaves float range at p = {p}, q = {q}")
+    if total == 0.0 and F.any():
+        raise ValueError(f"f is below float range: its difference seminorm underflows to 0 "
+                         f"at p = {p}, q = {q} (rescale it)")
     return total ** (1.0 / q)
 
 
 def besov_norm_difference(f: PiecewiseFunction, s: float, p: float, q) -> float:
     """L^p norm plus (int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q}, rho the modulus.
 
-    s must lie in (0, 1) and p in [1, inf).  Steps: exact up to quadrature
-    roundoff.  Linear sources: F(h) = ||f(.+h) - f||_p^p sampled at the
-    breakpoint differences and on a geometric grid of 32 shifts per octave
-    over 30 octaves, interpolated linearly between them.  +inf for s >= 1/p
-    where f jumps: every step, and a linear source nonzero at an end.
+    s must lie in (0, 1) and p in [1, inf).  A p-th or q-th power total that
+    leaves float range, or underflows to 0 for a nonzero f, raises.  Steps:
+    exact up to quadrature roundoff.  Linear sources: F(h) = ||f(.+h) - f||_p^p
+    sampled at the breakpoint differences and on a geometric grid of 32
+    shifts per octave over 30 octaves, interpolated linearly between them.
+    +inf for s >= 1/p where f jumps: every step, and a linear source
+    nonzero at an end.
     """
     s = float(s)
     if not (0.0 < s < 1.0):

@@ -173,20 +173,45 @@ def _affine_powers(space: LpSpace, lens, a, b, p: float):
     return 0.5 * (lens * (powered @ weights)).sum(axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_in_float_range` names what leaves float range
+def _power_total(f: PiecewiseFunction, p: float) -> float:
+    """||f||_p^p: closed form for steps, `_affine_powers` for linear
+    segments; inf or nan, without a warning, where it leaves float range."""
+    lens = f.breakpoints[1:] - f.breakpoints[:-1]
+    if f.interpolation is Interpolation.STEP:
+        return float(lens @ f.space.norms(f.values[1:]) ** p)
+    return float(_affine_powers(f.space, lens, f.values[:-1], f.values[1:], p))
+
+
+def _in_float_range(powers: np.ndarray, f: PiecewiseFunction, p: float) -> np.ndarray:
+    """`powers`, sums of p-th powers over f (||f||_p^p, or F at some shifts),
+    once each is finite and no 0 hides a nonzero f whose ||f||_p^p
+    underflows; either fault raises, naming p.  A 0 from f = 0 stands, and
+    so does F at a shift that rounds away against the breakpoints."""
+    if powers.min(initial=math.inf) > 0.0 and powers.max(initial=0.0) < math.inf:
+        return powers
+    if not np.isfinite(powers).all():
+        raise ValueError(f"a p-th power of f leaves float range at p = {p}")
+    nonzero = (f.values[1:] if f.interpolation is Interpolation.STEP else f.values).any()
+    if nonzero and _power_total(f, p) == 0.0:
+        raise ValueError(f"f is below float range: ||f||_p^p underflows to 0 at p = {p} "
+                         "(rescale it)")
+    return powers
+
+
 def lp_norm(f: PiecewiseFunction, p) -> float:
     """L^p(R; E) norm.  Steps are closed-form exact; linear segments use
     `_affine_powers`; p = INF is exact for both kinds (a linear path's norm
-    is convex, so its sup sits at a breakpoint)."""
+    is convex, so its sup sits at a breakpoint).  For finite p, a norm whose
+    p-th power leaves float range raises (`_in_float_range`)."""
     p = as_exponent(p)
     if p is INF:
         if f.interpolation is Interpolation.STEP:
             return float(f.space.norms(f.values[1:]).max())
         return float(f.space.norms(f.values).max())
-    lens = np.diff(f.breakpoints)
-    if f.interpolation is Interpolation.STEP:
-        total = float(lens @ f.space.norms(f.values[1:]) ** p)
-    else:
-        total = float(_affine_powers(f.space, lens, f.values[:-1], f.values[1:], p))
+    total = _power_total(f, p)
+    if not 0.0 < total < math.inf:  # `_in_float_range` raises unless f = 0
+        _in_float_range(np.array([total]), f, p)
     return total ** (1.0 / p)
 
 

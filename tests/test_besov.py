@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -7,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besovgamma
-from besovgamma.besov import (FilterBank, _shift_powers, apply_multiplier,
+from besovgamma import besov
+from besovgamma.besov import (FilterBank, _profile, _seminorm, _shift_powers, apply_multiplier,
                               band_profile, besov_norm_difference,
                               besov_norm_fourier, build_filter_bank, chi,
                               holder_norm, lp_block, lq_norm,
                               modulus_of_continuity, smoothstep,
                               translate_diff_norm)
 from besovgamma.constructions import make_step, make_tent_family
-from besovgamma.functions import (GridFunction, Interpolation,
-                                  PiecewiseFunction, grid_lp_norm, lp_norm)
+from besovgamma.functions import (GridFunction, Interpolation, PiecewiseFunction,
+                                  _gl_rule, grid_lp_norm, lp_norm)
 from besovgamma.montecarlo import derive_seed
 from besovgamma.spaces import INF, LpSpace
 from conftest import dense_shift_power
@@ -508,6 +510,147 @@ def test_step_shift_powers_match_translate_diff_norm(step, shifts):
     np.testing.assert_allclose(single, want, rtol=1e-12, atol=0.0)
 
 
+def per_cell_shift_powers(f, shifts, p):
+    """A step's F as the kernel computed it before the pair table: every
+    cell takes its own difference of padded values to the p-th power."""
+    b = f.breakpoints
+    table = np.pad(f.values[1:], ((1, 1), (0, 0)))
+    rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim))
+    out = np.empty(shifts.size)
+    for lo in range(0, shifts.size, rows):
+        h = shifts[lo:lo + rows, None]
+        pts = np.sort(np.hstack([np.broadcast_to(b, (h.shape[0], b.size)), b - h]), axis=1)
+        mids = 0.5 * (pts[:, 1:] + pts[:, :-1])
+        here, there = np.searchsorted(b, mids), np.searchsorted(b, mids + h)
+        diff = table[there] - table[here]
+        out[lo:lo + rows] = (np.diff(pts, axis=1) * f.space.norms(diff) ** p).sum(axis=1)
+    return out
+
+
+def gate_sides(f):
+    """Shift counts just below and at the pair table's gate: the call covers
+    2 b.size - 1 cells per shift, against (b.size + 1)^2 table entries."""
+    cells, entries = 2 * f.breakpoints.size - 1, (f.breakpoints.size + 1) ** 2
+    return (entries - 1) // cells, -(-entries // cells)
+
+
+def counting_pair_powers(monkeypatch):
+    """Patch `besov._pair_powers` to count its calls; returns the counter."""
+    calls, real = [], besov._pair_powers
+    monkeypatch.setattr(besov, "_pair_powers", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@settings(max_examples=40)
+@given(random_steps(), st.integers(0, 2 ** 32 - 1))
+def test_both_shift_paths_equal_the_per_cell_formula_bit_for_bit(step, seed):
+    # random shifts plus every breakpoint difference, where cells degenerate,
+    # with as many shifts as stay below the table gate and as reach it
+    f, p = step
+    b = f.breakpoints
+    diffs = (b[None, :] - b[:, None]).ravel()
+    pool = np.concatenate([diffs[diffs > 0], np.random.default_rng(seed).uniform(1e-4, 4.0, 400)])
+    for count in gate_sides(f) + (1,):
+        h = pool[:count]
+        assert np.array_equal(_shift_powers(f, h, p), per_cell_shift_powers(f, h, p))
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 1.5, 3.0])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_even_steps_read_the_pair_table_to_the_bit(monkeypatch, dim, p):
+    # make_step's even breakpoints make kinks tie (b_i - h = b_j) at every
+    # breakpoint difference; the table serves exactly the calls at the gate
+    rng = np.random.default_rng(dim * 10 + int(3 * p))
+    f = make_step(8, rng.normal(size=(8, dim)), LpSpace(p, dim))
+    pool = np.concatenate([besov._shifts(f), rng.uniform(1e-3, 1.5, 40)])
+    calls = counting_pair_powers(monkeypatch)
+    for count, table in zip(gate_sides(f), (False, True)):
+        before = len(calls)
+        assert np.array_equal(_shift_powers(f, pool[:count], p),
+                              per_cell_shift_powers(f, pool[:count], p))
+        assert len(calls) - before == table
+    kinks, F, _, _ = _profile(f, p, 1.0)
+    assert np.array_equal(F, per_cell_shift_powers(f, kinks, p))
+
+
+def test_pair_table_across_chunks_and_its_size_limit(monkeypatch):
+    # 200 blocks in l^{4/3}_8: T = 402, T^2 fits 2^18, and shifts are cut in
+    # chunks of 40; 300 blocks in dimension 1 give T^2 > 2^18, which keeps
+    # the per-cell path however many shifts there are
+    rng = np.random.default_rng(3)
+    calls = counting_pair_powers(monkeypatch)
+    p = 4.0 / 3.0
+    wide = make_step(200, rng.normal(size=(200, 8)), LpSpace(p, 8))
+    h = np.concatenate([besov._shifts(wide)[:150], rng.uniform(1e-4, 1.2, 90)])
+    assert h.size >= gate_sides(wide)[1] > 40
+    assert np.array_equal(_shift_powers(wide, h, p), per_cell_shift_powers(wide, h, p))
+    assert len(calls) == 1
+    huge = make_step(300, rng.normal(size=(300, 1)), LpSpace(1.5, 1))
+    h = np.concatenate([besov._shifts(huge)[:500], rng.uniform(1e-4, 1.2, 300)])
+    assert h.size * (2 * huge.breakpoints.size - 1) >= (huge.breakpoints.size + 1) ** 2 > 2 ** 18
+    assert np.array_equal(_shift_powers(huge, h, 1.5), per_cell_shift_powers(huge, h, 1.5))
+    assert len(calls) == 1
+    # two breakpoints: T^2 = 9 table entries against 3 cells per shift, so
+    # 3 shifts reach the gate exactly and take the table
+    for count, table_calls in ((2, 1), (3, 2)):
+        h = np.array([0.2, 0.5, 0.9])[:count]
+        assert np.array_equal(_shift_powers(indicator(1.5), h, 1.5),
+                              per_cell_shift_powers(indicator(1.5), h, 1.5))
+        assert len(calls) == table_calls
+
+
+def scaled_sources(scale):
+    """A step and a linear source into l^{4/3}_2 with entries of size `scale`."""
+    vals = scale * np.array([[0.0, 0.0], [1.0, -1.0], [0.5, 0.0]])
+    return [PiecewiseFunction([0.0, 0.5, 1.0], vals, kind, LpSpace(4.0 / 3.0, 2))
+            for kind in Interpolation]
+
+
+def difference_route(f, p):
+    return (lambda: lp_norm(f, p), lambda: translate_diff_norm(f, 0.3, p),
+            lambda: modulus_of_continuity(f, np.array([0.1, 0.3]), p),
+            lambda: besov_norm_difference(f, 0.2, p, 1.0))
+
+
+@pytest.mark.parametrize("scale, message", [(1e300, r"leaves float range at p = 1\.333"),
+                                            (1e-300, r"below float range.*p = 1\.333.*rescale it")])
+def test_the_difference_route_names_a_power_out_of_float_range(scale, message):
+    # 1e300 at p = 4/3 overflowed with a RuntimeWarning into inf and nan;
+    # 1e-300 read 0.0 everywhere although f is nonzero
+    p = 4.0 / 3.0
+    for f in scaled_sources(scale):
+        for call in difference_route(f, p):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    call()
+    # q-th powers of the modulus can leave float range where F does not
+    for f in scaled_sources(1e-200):
+        with pytest.raises(ValueError, match=r"below float range.*q = 2\.0 \(rescale it\)"):
+            besov_norm_difference(f, 0.2, p, 2.0)
+    for f in scaled_sources(1e200):
+        with pytest.raises(ValueError, match=r"leaves float range at p = 1\.333\d*, q = 3\.0"):
+            besov_norm_difference(f, 0.2, p, 3.0)
+
+
+def test_the_zero_function_and_rounded_shifts_still_read_zero():
+    # a 0 from f = 0, or from a shift that rounds away against the
+    # breakpoints, is no underflow
+    zero = PiecewiseFunction([0.0, 1.0], [[0.0], [0.0]], Interpolation.STEP, LpSpace(1.5, 1))
+    assert [call() for call in difference_route(zero, 1.5)[:2]] == [0.0, 0.0]
+    assert besov_norm_difference(zero, 0.2, 1.5, 2.0) == 0.0
+    away = PiecewiseFunction([1.0, 2.0], [[1.0], [1.0]], Interpolation.STEP, LpSpace(1.5, 1))
+    assert translate_diff_norm(away, 1e-300, 1.5) == 0.0  # 1 - 1e-300 rounds to 1
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_an_empty_modulus_sweep_returns_an_empty_array(shape):
+    f = make_step(3, np.eye(3), LpSpace(1.5, 3))
+    for source in (f, random_linear(jumps=True)):
+        rho = modulus_of_continuity(source, np.empty(shape), 1.5)
+        assert isinstance(rho, np.ndarray) and rho.shape == shape
+
+
 @settings(max_examples=12)
 @given(random_steps(), st.floats(0.01, 2.0))
 def test_step_modulus_matches_dense_scan(step, t):
@@ -620,6 +763,41 @@ def test_linear_difference_norm_matches_dense_reference(f, s, p):
     qs = (1.0, 2.0, INF)
     for q, want in zip(qs, dense_reference(f, s, p, qs)):
         assert besov_norm_difference(f, s, p, q) == pytest.approx(want, rel=1e-4)
+
+
+def two_pass_seminorm(f, s, p, q):
+    """`_seminorm` for finite q as it stood with one loop pass per half of
+    each piece, [lo, cross] and then [cross, hi], each added to the total."""
+    jumps = f.interpolation is Interpolation.STEP or f.space.norms(f.values[[0, -1]]).any()
+    order = 1.0 if jumps else p
+    kinks, F, best, slope = _profile(f, p, 1.0)
+    expo = (order / p - s) * q
+    total = float((F[0] / kinks[0] ** order) ** (q / p) * kinks[0] ** expo / expo)
+    lo, hi, r0, r1, top = kinks[:-1], kinks[1:], F[:-1], F[1:], best[:-1]
+    rising = r1 > top
+    cross = lo + (hi - lo) * np.where(rising, (top - r0) / np.where(rising, r1 - r0, 1.0), 1.0)
+    nodes, weights = _gl_rule(20)
+    for a, c in ((lo, cross), (cross, hi)):
+        la, lc = np.log(a)[:, None], np.log(c)[:, None]
+        t = np.exp(0.5 * (lc - la) * nodes + 0.5 * (lc + la))
+        rho_p = np.maximum(top[:, None], r0[:, None] + slope[:-1, None] * (t - lo[:, None]))
+        total += float((0.5 * (lc - la) * weights * t ** (-s * q) * rho_p ** (q / p)).sum())
+    return total ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("f, s, p", [
+    (make_step(8, np.random.default_rng(8).normal(size=(8, 8)), LpSpace(4.0 / 3.0, 8)),
+     0.25, 4.0 / 3.0),
+    (make_step(3, np.eye(3), LpSpace(1.5, 3)), 0.4, 1.5),
+    (PiecewiseFunction([0.0, 0.13, 0.31, 0.32, 0.58, 0.9], np.random.default_rng(1).normal(
+        size=(6, 2)), Interpolation.STEP, LpSpace(1.5, 2)), 0.3, 1.5),
+    (make_tent_family(4, 1.05, 1.5), 0.2, 1.5),
+    (make_tent_family(3, 1.05, 3.0), 0.6, 3.0),
+    (random_linear(jumps=True), 0.5, 1.7),
+])
+def test_one_pass_seminorm_equals_the_two_pass_loop_bit_for_bit(f, s, p, q):
+    assert _seminorm(f, s, p, q) == two_pass_seminorm(f, s, p, q)
 
 
 def test_linear_modulus_is_nondecreasing_in_t():
