@@ -302,12 +302,11 @@ def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
     return float(_shift_powers(f, np.array([min(h, b - a)]), p)[0]) ** (1.0 / p)
 
 
-def _profile(f: PiecewiseFunction, p: float, top: float):
-    """The shifts of `_shifts` below `top` and then `top`, F there
+def _profile(f: PiecewiseFunction, p: float, h: np.ndarray, top: float):
+    """The shifts h = `_shifts(f)` below `top` and then `top`, F there
     (`_shift_powers`), the running max M of F and the slope of F to the next
     shift (0 after `top`): rho(t)^p = max(M_k, F_k + slope_k (t - h_k)) on
     [h_k, h_{k+1}].  The modulus and the difference norm both read it."""
-    h = _shifts(f)
     below = np.searchsorted(h, top)  # h is sorted: h[:below] = h[h < top]
     kinks = np.empty(below + 1)
     kinks[:below], kinks[below] = h[:below], top
@@ -341,7 +340,7 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     a, b = f.support
     flat = np.minimum(ts.ravel(), b - a)
     h = _shifts(f)
-    kinks, F, best, slope = _profile(f, p, h[np.searchsorted(h, flat.max())])
+    kinks, F, best, slope = _profile(f, p, h, h[np.searchsorted(h, flat.max())])
     k = np.searchsorted(kinks, flat, side="right") - 1
     rho_p = np.maximum(best[k], F[k] + slope[k] * (flat - kinks[k]))
     if (k < 0).any():
@@ -353,7 +352,7 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
 
 @np.errstate(over="ignore", invalid="ignore")  # a total out of float range raises below
 def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
-    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} over `_profile(f, p, 1)`.
+    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} over `_profile` cut at 1.
     Below the smallest shift g, F(h) = F(g) (h/g)^a, with a = 1 where f
     jumps (steps, linear sources nonzero at an end) and a = p for continuous
     ones: closed form, +inf for s >= a/p.  Later pieces split where F
@@ -365,7 +364,7 @@ def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
     order = 1.0 if jumps else p
     if s >= order / p:
         return math.inf
-    kinks, F, best, slope = _profile(f, p, 1.0)
+    kinks, F, best, slope = _profile(f, p, _shifts(f), 1.0)
     if q is INF:
         return float((kinks ** -s * F ** (1.0 / p)).max())
     expo = (order / p - s) * q

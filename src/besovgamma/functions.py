@@ -202,13 +202,21 @@ def _in_float_range(powers: np.ndarray, f: PiecewiseFunction, p: float) -> np.nd
 def lp_norm(f: PiecewiseFunction, p) -> float:
     """L^p(R; E) norm.  Steps are closed-form exact; linear segments use
     `_affine_powers`; p = INF is exact for both kinds (a linear path's norm
-    is convex, so its sup sits at a breakpoint).  For finite p, a norm whose
-    p-th power leaves float range raises (`_in_float_range`)."""
+    is convex, so its sup sits at a breakpoint).  A norm whose p-th power
+    (for p = INF, the space's norm of a value) leaves float range, or
+    underflows to 0 for a nonzero f, raises a ValueError naming p
+    (`_in_float_range` for finite p)."""
     p = as_exponent(p)
     if p is INF:
-        if f.interpolation is Interpolation.STEP:
-            return float(f.space.norms(f.values[1:]).max())
-        return float(f.space.norms(f.values).max())
+        values = f.values[1:] if f.interpolation is Interpolation.STEP else f.values
+        with np.errstate(over="ignore", under="ignore"):  # named below
+            top = float(f.space.norms(values).max())
+        if top == math.inf:
+            raise ValueError(f"the l^{f.space.p} norm of f leaves float range at p = {p}")
+        if top == 0.0 and values.any():
+            raise ValueError(f"f is below float range: its l^{f.space.p} norm underflows "
+                             f"to 0 at p = {p} (rescale it)")
+        return top
     total = _power_total(f, p)
     if not 0.0 < total < math.inf:  # `_in_float_range` raises unless f = 0
         _in_float_range(np.array([total]), f, p)
@@ -313,7 +321,9 @@ def grid_lp_norm(f: GridFunction, p) -> float:
     norms = f.space.norms(f.values)
     if p is INF:
         return float(norms.max())
-    return float((norms ** p).sum() * f.dx ** f.d) ** (1.0 / p)
+    # in place on the norms' own array: np.square at p = 2, as ** takes it
+    powers = np.square(norms, out=norms) if p == 2.0 else np.power(norms, p, out=norms)
+    return float(powers.sum() * f.dx ** f.d) ** (1.0 / p)
 
 
 def _centered_indices(n: int) -> np.ndarray:

@@ -19,9 +19,11 @@ single-coordinate gains.  A trial move of X[i, j] changes only column j of
 S = xi X and row i of X (exact: only row and column j of Q = X^T X), so
 `_trials` builds, once per restart and per accepted move, one scorer for
 the climb's kernel, sampled or exact, that re-evaluates only those in
-O(samples + n).  A trial within TIE_RTOL of the best, hence every accepted
-move, is re-scored by the fresh objective, and the scorer is rebuilt from
-that re-score on acceptance, so the climb makes the decisions and holds
+O(samples + n), from the products the fresh score already formed (on
+l^inf, S^T and |S^T|, so a rebuild only takes the other columns' maxima).
+A trial within TIE_RTOL of the best, hence every accepted move, is
+re-scored by the fresh objective, and the scorer is rebuilt from that
+re-score on acceptance, so the climb makes the decisions and holds
 the values of fresh scoring unless rounding moves a trial by more than
 TIE_RTOL (it moved trials by at most 6e-16 relative in the default
 type-constant and cotype-constant searches).  The final value re-scores
@@ -118,9 +120,16 @@ def _scored(space, direction, exponent, X, xi):
     """The ratio of X, with the second moment averaged over the fixed draw
     matrix xi, or exact for xi = None (Hilbert: sum of squares; else Nabeya's
     sum over the pair terms of X^T X); and the products `_trials` builds a
-    scorer from: (row norms of X, S = xi @ X, or the pair terms)."""
+    scorer from: (row norms of X, S = xi @ X, or the pair terms).  On l^inf
+    those are S^T, coordinate-major, and A = |S^T|, whose column maxima are
+    the sample norms (max and abs are exact: `space.norms(S)` to the bit)."""
     norms = space.norms(X)
-    if xi is not None:
+    if xi is not None and space.p is INF:
+        St = np.ascontiguousarray((xi @ X).T)
+        A = np.abs(St)
+        S = (St, A)
+        moment = float(np.mean(A.max(axis=0) ** 2))
+    elif xi is not None:
         S = xi @ X
         moment = float(np.mean(space.norms(S) ** 2))
     elif space.is_hilbert:
@@ -153,6 +162,17 @@ def _moved_den(exponent, norms, i, moved) -> float:
     return top * sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
 
 
+def _max_of_others(A):
+    """others[j] = the max of rows k != j of A (0 for one row), from prefix
+    and suffix maxima: two buffers, the first of which holds the result."""
+    before, after = np.empty_like(A), np.empty_like(A)
+    before[0], after[-1] = 0.0, 0.0
+    for k in range(1, len(A)):
+        np.maximum(before[k - 1], A[k - 1], out=before[k])
+        np.maximum(after[-k], A[-k], out=after[-k - 1])
+    return np.maximum(before, after, out=before)
+
+
 def _trials(space, direction, exponent, X, xiT, parts):
     """The trial scorer of one climb state: `trial(i, j, step)` is
     `_objective` after X[i, j] moved by `step` (X already holds the move),
@@ -160,13 +180,14 @@ def _trials(space, direction, exponent, X, xiT, parts):
     before the move; only row i's norm is recomputed.  With draws (xiT = xi
     transposed) |S[:, j] + step xi[:, i]| is rebuilt in one buffer and
     folded into a per-sample summary of the other columns: their max for
-    p = inf (prefix and suffix maxima, 0 when dim is 1), else their sum of
-    |S|^p clipped at 0.  Exact (xiT = None; l^1 or l^p_1, normed by sum |x|):
-    the pairs (j, k) of Nabeya's sum are re-evaluated in plain Python floats
-    from the new row j of Q, formed as one product X[:, j] @ X (an update of
-    the cached row would carry rounding of the old entries, large against a
-    column the move nearly cancels), and added to the sum over the pairs that
-    avoid j (a masked product of nonnegative terms: no difference loses digits)."""
+    p = inf (`_max_of_others` of the A = |S^T| the fresh score formed; row
+    norms as Python maxima), else their sum of |S|^p clipped at 0.  Exact
+    (xiT = None; l^1 or l^p_1, normed by sum |x|): the pairs (j, k) of
+    Nabeya's sum are re-evaluated in plain Python floats from the new row j
+    of Q, formed as one product X[:, j] @ X (an update of the cached row
+    would carry rounding of the old entries, large against a column the move
+    nearly cancels), and added to the sum over the pairs that avoid j (a
+    masked product of nonnegative terms: no difference loses digits)."""
     norms, S = parts[0].tolist(), parts[1]
     if xiT is None:
         sigmas, T = S
@@ -182,21 +203,20 @@ def _trials(space, direction, exponent, X, xiT, parts):
             return 2.0 / math.pi * (avoid[j] + 0.5 * math.pi * q[j]
                                     + 2.0 * _nabeya_cross(j, sigmas, q))
     else:
-        St = np.ascontiguousarray(S.T)
-        A = np.abs(St)
-        if space.p is not INF:
-            A = A ** space.p
-            others = np.maximum(A.sum(axis=0) - A, 0.0)
-        else:
-            before, after = np.zeros_like(A), np.zeros_like(A)
-            for k in range(1, len(A)):
-                np.maximum(before[k - 1], A[k - 1], out=before[k])
-                np.maximum(after[-k], A[-k], out=after[-k - 1])
-            others = np.maximum(before, after)
-        buf = np.empty(xiT.shape[1])
+        if space.p is INF:
+            St, A = S
+            others = _max_of_others(A)
 
-        def row_norm(i):
-            return float(space.norms(X[i]))
+            def row_norm(i):
+                return max(map(abs, X[i].tolist()))
+        else:
+            St = np.ascontiguousarray(S.T)
+            A = np.abs(St) ** space.p
+            others = np.maximum(A.sum(axis=0) - A, 0.0)
+
+            def row_norm(i):
+                return float(space.norms(X[i]))
+        buf = np.empty(xiT.shape[1])
 
         def moment(i, j, step):
             np.multiply(xiT[i], step, out=buf)

@@ -569,7 +569,7 @@ def test_even_steps_read_the_pair_table_to_the_bit(monkeypatch, dim, p):
         assert np.array_equal(_shift_powers(f, pool[:count], p),
                               per_cell_shift_powers(f, pool[:count], p))
         assert len(calls) - before == table
-    kinks, F, _, _ = _profile(f, p, 1.0)
+    kinks, F, _, _ = _profile(f, p, besov._shifts(f), 1.0)
     assert np.array_equal(F, per_cell_shift_powers(f, kinks, p))
 
 
@@ -641,6 +641,65 @@ def test_the_zero_function_and_rounded_shifts_still_read_zero():
     assert besov_norm_difference(zero, 0.2, 1.5, 2.0) == 0.0
     away = PiecewiseFunction([1.0, 2.0], [[1.0], [1.0]], Interpolation.STEP, LpSpace(1.5, 1))
     assert translate_diff_norm(away, 1e-300, 1.5) == 0.0  # 1 - 1e-300 rounds to 1
+
+
+@pytest.mark.parametrize("scale, message",
+                         [(1e300, r"l\^1\.333\d* norm of f leaves float range at p = INF"),
+                          (1e-300, r"below float range.*l\^1\.333\d* norm.*p = INF.*rescale it")])
+def test_the_sup_norm_names_a_value_norm_out_of_float_range(scale, message):
+    # the space's own l^{4/3} norm of each value overflowed with a
+    # RuntimeWarning into inf, or read 0.0 for a nonzero f
+    for f in scaled_sources(scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                lp_norm(f, INF)
+
+
+def test_the_sup_norm_of_ordinary_and_zero_sources_keeps_its_bits():
+    for f in scaled_sources(1.0) + [random_linear(jumps=True)]:
+        values = f.values[1:] if f.interpolation is Interpolation.STEP else f.values
+        assert lp_norm(f, INF) == float(f.space.norms(values).max())
+    f = make_step(8, np.random.default_rng(5).normal(size=(8, 8)), LpSpace(4.0 / 3.0, 8))
+    assert lp_norm(f, INF) == float(f.space.norms(f.values[1:]).max())
+    for f in scaled_sources(0.0):
+        assert lp_norm(f, INF) == 0.0
+
+
+def modulus_taking_shifts_twice(f, t, p):
+    """`modulus_of_continuity` as it stood, its `_profile` inlined, which
+    took the shifts a second time."""
+    ts = np.asarray(t, dtype=float)
+    a, b = f.support
+    flat = np.minimum(ts.ravel(), b - a)
+    h = besov._shifts(f)
+    top = h[np.searchsorted(h, flat.max())]
+    below = np.searchsorted(h, top)
+    kinks = np.append(h[:below], top)
+    F = _shift_powers(f, kinks, p)
+    slope = np.zeros(below + 1)
+    slope[:-1] = (F[1:] - F[:-1]) / (kinks[1:] - kinks[:-1])
+    best = np.maximum.accumulate(F)
+    k = np.searchsorted(kinks, flat, side="right") - 1
+    rho_p = np.maximum(best[k], F[k] + slope[k] * (flat - kinks[k]))
+    if (k < 0).any():
+        rho_p[k < 0] = _shift_powers(f, flat[k < 0], p)
+    return np.array([float(v) ** (1.0 / p) for v in rho_p]).reshape(ts.shape)
+
+
+@pytest.mark.parametrize("t", [0.3, np.array([1e-4, 0.05, 0.3, 0.9, 2.0])])
+def test_a_modulus_call_takes_the_shifts_once(monkeypatch, t):
+    rng = np.random.default_rng(11)
+    sources = [(make_step(8, rng.normal(size=(8, 8)), LpSpace(4.0 / 3.0, 8)), 4.0 / 3.0),
+               (make_tent_family(4, 1.05, 1.5), 1.5), (random_linear(jumps=True), 1.7)]
+    shifts, calls = besov._shifts, []
+    monkeypatch.setattr(besov, "_shifts", lambda f: calls.append(f) or shifts(f))
+    for f, p in sources:
+        want = modulus_taking_shifts_twice(f, t, p)
+        del calls[:]
+        rho = modulus_of_continuity(f, t, p)
+        assert len(calls) == 1
+        assert np.asarray(rho).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
@@ -770,7 +829,7 @@ def two_pass_seminorm(f, s, p, q):
     each piece, [lo, cross] and then [cross, hi], each added to the total."""
     jumps = f.interpolation is Interpolation.STEP or f.space.norms(f.values[[0, -1]]).any()
     order = 1.0 if jumps else p
-    kinks, F, best, slope = _profile(f, p, 1.0)
+    kinks, F, best, slope = _profile(f, p, besov._shifts(f), 1.0)
     expo = (order / p - s) * q
     total = float((F[0] / kinks[0] ** order) ** (q / p) * kinks[0] ** expo / expo)
     lo, hi, r0, r1, top = kinks[:-1], kinks[1:], F[:-1], F[1:], best[:-1]

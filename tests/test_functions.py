@@ -274,6 +274,23 @@ def test_grid_lp_norm_against_direct_sum():
     assert grid_lp_norm(f, INF) == np.abs(f.values).sum(axis=-1).max()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, INF])
+def test_grid_lp_norm_powers_in_place_to_the_bit(p, dim, d):
+    # the norms' p-th powers are taken on the array `LpSpace.norms` returns;
+    # the sum, weight and root are those of the (norms ** p).sum() form
+    for r in (1.0, 1.5, 2.0, INF):
+        values = gaussian_array((16,) * d + (dim,), derive_seed(d * 10 + dim, "grid", r))
+        f = GridFunction(4.0, values, LpSpace(r, dim))
+        kept = values.copy()
+        norms = f.space.norms(kept)
+        want = (float(norms.max()) if p is INF
+                else float((norms ** p).sum() * f.dx ** f.d) ** (1.0 / p))
+        assert grid_lp_norm(f, p) == want
+        assert f.values.tobytes() == kept.tobytes()
+
+
 def make_bump(period=32.0, n=1024, carrier=4.0, sigma=1.0):
     xs = np.arange(n) * (period / n)
     xc = np.where(xs < period / 2, xs, xs - period)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from besovgamma import typecotype
 from besovgamma.constructions import make_step
 from besovgamma.gamma import gamma_norm
-from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array
-from besovgamma.spaces import (INF, LpSpace, gaussian_second_moment,
+from besovgamma.montecarlo import MCConfig, derive_seed, gaussian_array, rademacher_array
+from besovgamma.spaces import (INF, LpSpace, gaussian_second_moment, lq_norm,
                                l1_gaussian_second_moment)
 from besovgamma.typecotype import (CLIMB_SCALES, ConstantEstimate, check_exponent,
                                    cotype_ratio, estimate_constant, type_ratio)
@@ -460,3 +460,112 @@ def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move, p):
         assert got == fresh == -math.inf
     else:
         assert got == pytest.approx(fresh, rel=1e-13, abs=0.0)
+
+
+def zero_filled_max_of_others(A):
+    """The l^inf scorer's per-sample max of the other columns as it stood:
+    zero-filled prefix and suffix maxima and a third array for their max."""
+    before, after = np.zeros_like(A), np.zeros_like(A)
+    for k in range(1, len(A)):
+        np.maximum(before[k - 1], A[k - 1], out=before[k])
+        np.maximum(after[-k], A[-k], out=after[-k - 1])
+    return np.maximum(before, after)
+
+
+@st.composite
+def linf_samples(draw):
+    # S = xi X for 1..64 samples in l^inf_d, d = 1..8, whose columns are
+    # free, zero, or equal or opposite to an earlier one (ties in |S|)
+    samples, dim = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    S = gaussian_array((samples, dim), derive_seed(draw(st.integers(0, 2 ** 32 - 1)), "S"))
+    for j in range(dim):
+        kind = draw(st.sampled_from(["free", "zero", "tie"]))
+        if kind == "zero":
+            S[:, j] = 0.0
+        elif kind == "tie" and j > 0:
+            S[:, j] = draw(st.sampled_from([-1.0, 1.0])) * S[:, draw(st.integers(0, j - 1))]
+    return S
+
+
+@settings(max_examples=200)
+@given(linf_samples())
+def test_linf_max_of_others_matches_the_zero_filled_prefix_and_suffix(S):
+    A = np.abs(np.ascontiguousarray(S.T))
+    kept = A.tobytes()
+    got = typecotype._max_of_others(A)
+    assert got.tobytes() == zero_filled_max_of_others(A).tobytes()
+    assert A.tobytes() == kept
+
+
+@pytest.mark.parametrize("draw", [gaussian_array, rademacher_array])
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_fresh_linf_score_forms_the_scorer_products_to_the_bit(draw, dim):
+    space = LpSpace(INF, dim)
+    X = gaussian_array((6, dim), derive_seed(dim, "tuple"))
+    xi = draw((512, 6), derive_seed(dim, "xi"))
+    S = xi @ X
+    moment = float(np.mean(space.norms(S) ** 2))
+    den = lq_norm(space.norms(X), 2.0)
+    for direction in ("type", "cotype"):
+        value, (norms, (St, A)) = typecotype._scored(space, direction, 2.0, X, xi)
+        assert St.flags.c_contiguous and St.tobytes() == np.ascontiguousarray(S.T).tobytes()
+        assert A.tobytes() == np.abs(St).tobytes()
+        assert float(np.mean(A.max(axis=0) ** 2)) == moment
+        num = math.sqrt(moment)
+        assert value == (num / den if direction == "type" else den / num)
+        assert norms.tobytes() == space.norms(X).tobytes()
+
+
+def rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step):
+    """The sampled l^inf trial value as its scorer stood: S, |S^T| and the
+    zero-filled maxima rebuilt from X before the move, and row i's norm after
+    it by `space.norms`."""
+    xiT = np.ascontiguousarray(xi.T)
+    St = np.ascontiguousarray((xi @ X).T)
+    others = zero_filled_max_of_others(np.abs(St))
+    norms = space.norms(X).tolist()
+    moved = X[i].copy()
+    moved[j] += step
+    den = typecotype._moved_den(exponent, norms, i, float(space.norms(moved)))
+    if den == 0.0:
+        return -math.inf
+    buf = np.empty(xi.shape[0])
+    np.multiply(xiT[i], step, out=buf)
+    np.add(St[j], buf, out=buf)
+    np.abs(buf, out=buf)
+    np.maximum(others[j], buf, out=buf)
+    num = math.sqrt(float(buf @ buf) / len(buf))
+    return num / den if direction == "type" else den / num
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([("type", 2.0), ("type", 1.5), ("cotype", 2.0), ("cotype", INF)]),
+       st.integers(1, 4), st.integers(1, 8), st.integers(1, 64),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_linf_trial_matches_a_scorer_rebuilt_from_scratch_bit_for_bit(case, n, dim, samples, seed, data):
+    direction, exponent = case
+    space = LpSpace(INF, dim)
+    X = gaussian_array((n, dim), derive_seed(seed, "tuple"))
+    if data.draw(st.booleans()):
+        X[:, data.draw(st.integers(0, dim - 1))] = 0.0
+    xi = gaussian_array((samples, n), derive_seed(seed, "xi"))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))
+    step = data.draw(st.sampled_from([-X[i, j], 0.5, -0.2, 0.08, data.draw(st.floats(-1.0, 1.0))]))
+    want = rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step)
+    _, parts = typecotype._scored(space, direction, exponent, X, xi)
+    trial = typecotype._trials(space, direction, exponent, X, np.ascontiguousarray(xi.T), parts)
+    X[i, j] += step
+    assert trial(i, j, step) == want
+
+
+@pytest.mark.parametrize("seed,budget,restarts,cut", [(9, 4000, 12, True), (31, 20000, 2, False)])
+def test_linf_search_at_full_size_matches_fresh_scoring_per_seed(seed, budget, restarts, cut):
+    # seed 9 runs out of budget in its third restart; seed 31 finishes both
+    space = LpSpace(INF, 8)
+    kw = dict(budget=budget, seed=seed, samples=2048, restarts=restarts)
+    est = estimate_constant(space, "type", 2.0, 8, **kw)
+    value, witness, evals, started = _reference_search(space, "type", 2.0, 8, **kw)
+    assert est.value == value
+    assert est.witness.tobytes() == witness.tobytes()
+    assert (est.budget, est.restarts_run) == (evals, started)
+    assert est.budget_exhausted == cut and (started < restarts) == cut
