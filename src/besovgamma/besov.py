@@ -12,7 +12,8 @@ sum to chi(|xi|/2^K) over k = 0..K, which is exactly 1 for |xi| <= 2^K.
 The smoothness norm is then the weighted l^q sequence norm of the block
 L^p norms, weight 2^{ks} at level k: one real-input forward transform of f
 (rfftn, the half spectrum), then one irfftn per level, each level's product
-and values in two buffers the norm reuses.
+and values in two buffers the norm reuses.  A bank checks once, when it is
+built, that each level is real and even (m(-xi) = m(xi)), as that needs.
 
 Difference route (for compactly supported piecewise functions on the
 line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
@@ -39,14 +40,14 @@ corner, i.e. at breakpoints.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import (GL_NODES, GridFunction, Interpolation, PiecewiseFunction,
-                        _affine_powers, _frequency_radii, _gl_rule, _in_float_range,
+                        _affine_powers, _check_grid, _frequency_radii, _gl_rule, _in_float_range,
                         grid_lp_norm, lp_norm)
 from .spaces import INF, _finite_exponent, as_exponent, lq_norm
 
@@ -84,9 +85,10 @@ def band_profile(r):
     return _on_ramp(r, 0.5, lambda x: _chi_ramp(x) - _chi_ramp(2.0 * x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterBank:
-    """Sampled dyadic multipliers m_0..m_K on one grid's frequency bins."""
+    """Sampled dyadic multipliers m_0..m_K on one grid's frequency bins, checked
+    once and then held read-only (a view is copied), so its routes check nothing."""
 
     period: float
     n: int
@@ -94,8 +96,26 @@ class FilterBank:
     levels: int
     multipliers: np.ndarray  # (levels + 1, n) or (levels + 1, n, n)
 
+    def __post_init__(self):
+        _check_grid(self.period, self.n, self.d)
+        mults = np.asarray(self.multipliers)
+        shape = (self.levels + 1,) + (self.n,) * self.d
+        if mults.shape != shape:
+            raise ValueError(f"the multipliers must have shape {shape}, got {mults.shape}")
+        for m in mults:
+            _even(m, self.n, self.d)
+        mults = mults if mults.base is None else mults.copy()  # a view's base stays writable
+        mults.flags.writeable = False
+        object.__setattr__(self, "multipliers", mults)
+
     def compatible_with(self, f: GridFunction) -> bool:
         return (f.period == self.period and f.n == self.n and f.d == self.d)
+
+    def _level(self, k: int) -> np.ndarray:
+        """The multiplier m_k; k must be an integer in 0..levels."""
+        if not (isinstance(k, numbers.Integral) and 0 <= k <= self.levels):
+            raise ValueError(f"level must be in 0..{self.levels}")
+        return self.multipliers[k]
 
     def partition_residual(self, radius_limit: float) -> float:
         """max |sum_k m_k - 1| over bins with |xi| <= radius_limit."""
@@ -106,9 +126,9 @@ class FilterBank:
 
     def kernel(self, k: int) -> np.ndarray:
         """Spatial convolution kernel of level k on the grid: irfftn of the
-        multiplier's half spectrum, which `_half` checks is real and even."""
+        multiplier's half spectrum, columns 0..n/2 of its last axis."""
         scale = (self.n / self.period) ** self.d
-        half = _half(self.multipliers[k], self.n, self.d)
+        half = self._level(k)[..., :self.n // 2 + 1]
         return np.fft.irfftn(half, s=(self.n,) * self.d, axes=tuple(range(self.d))) * scale
 
     def kernel_l1(self, k: int) -> float:
@@ -122,14 +142,12 @@ def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
     Requires 2^levels strictly below the grid Nyquist frequency pi n / period
     so every level it claims to resolve actually has bins.
     """
-    if d not in (1, 2):
-        raise ValueError("d must be 1 or 2")
     if levels < 1:
         raise ValueError("need at least one band level")
-    nyquist = math.pi * n / period
-    if levels > 1023 or 2.0 ** levels >= nyquist:  # 2^1024 exceeds every float
+    if levels > 1023 or 2.0 ** levels * period >= math.pi * n:  # 2^1024 exceeds every float
         raise ValueError(f"2^levels (levels = {levels}) must stay below the "
-                         f"Nyquist frequency {nyquist:.3f}")
+                         f"Nyquist frequency {math.pi * n / period:.3f}")
+    _check_grid(period, n, d)
     radii = _frequency_radii(period, n, d)
     mults = np.empty((levels + 1,) + radii.shape)
     mults[0] = chi(radii)
@@ -139,38 +157,24 @@ def build_filter_bank(period: float, n: int, d: int, levels: int) -> FilterBank:
                       levels=int(levels), multipliers=mults)
 
 
-def _mirror_pairs(n: int, d: int) -> list:
-    """Index pairs (a, r), m[a] facing m[r] under xi -> -xi (index (-j) mod n
-    per axis), that meet each bin of an n^d grid but the self-mirrors once:
-    first-axis bins 1..n/2-1 against n-1..n/2+1 over every block of the other
-    axes (0 mirrors itself, 1: mirrors :0:-1), then rows 0 and n/2 alone."""
-    if d == 0:
-        return []
-    pairs = [((slice(1, n // 2),), (slice(None, n // 2, -1),))]
-    for _ in range(d - 1):
-        pairs = [(a + (sa,), r + (sr,)) for a, r in pairs
-                 for sa, sr in ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))]
-    return pairs + [((j,) + a, (j,) + r) for j in (0, n // 2) for a, r in _mirror_pairs(n, d - 1)]
-
-
-def _half(mult, n: int, d: int) -> np.ndarray:
-    """Columns 0..n/2 of an n^d multiplier's last axis, which define its
-    real-input filter when it is real and equals its reflection m(-xi), each
-    mirror pair compared exactly on views; any other multiplier raises."""
+def _even(mult, n: int, d: int) -> np.ndarray:
+    """mult as an array, if it is an n^d multiplier that is real and equals
+    its reflection m(-xi) (index (-j) mod n per axis), so that columns
+    0..n/2 of its last axis define its real-input filter; any other raises."""
     mult = np.asarray(mult)
     if mult.shape != (n,) * d:
         raise ValueError(f"the multiplier must have shape {(n,) * d}, got {mult.shape}")
-    if np.iscomplexobj(mult) or not all(np.array_equal(mult[a], mult[r])
-                                        for a, r in _mirror_pairs(n, d)):
+    if np.iscomplexobj(mult) or not np.array_equal(mult[np.ix_(*[-np.arange(n) % n] * d)], mult):
         raise ValueError("a multiplier not real and even in xi gives an imaginary part")
-    return mult[..., :n // 2 + 1]
+    return mult
 
 
 def _filtered(f: GridFunction, spec: np.ndarray, mult, out=None, prod=None) -> GridFunction:
-    """irfftn of mult times the half spectrum `spec` (rfftn of f): f filtered
-    by mult, checked by `_half`.  The product goes to `prod` and the values
+    """irfftn of mult's half (columns 0..n/2 of its last axis) times the
+    half spectrum `spec` (rfftn of f): f filtered by mult, which the caller
+    has checked is real and even.  The product goes to `prod` and the values
     to `out` when given, so one norm reuses two buffers over its levels."""
-    prod = np.multiply(spec, _half(mult, f.n, f.d)[..., None], out=prod)
+    prod = np.multiply(spec, mult[..., :f.n // 2 + 1, None], out=prod)
     vals = np.fft.irfftn(prod, s=(f.n,) * f.d, axes=tuple(range(f.d)), out=out)
     return GridFunction(f.period, vals, f.space)
 
@@ -179,18 +183,16 @@ def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     """Pointwise Fourier multiplier on the grid (circular convolution with its
     kernel) by real-input half-spectrum transforms.  mult must be real and
     even, m(-xi) = m(xi), as every bank level is; any other raises for every
-    input.  The result owns its values, unlike the levels
-    `besov_norm_fourier` filters in reused buffers."""
-    return _filtered(f, np.fft.rfftn(f.values, axes=tuple(range(f.d))), mult)
+    input (`_even`, on every call).  The result owns its values, unlike the
+    levels `besov_norm_fourier` filters in reused buffers."""
+    return _filtered(f, np.fft.rfftn(f.values, axes=tuple(range(f.d))), _even(mult, f.n, f.d))
 
 
 def lp_block(f: GridFunction, bank: FilterBank, k: int) -> GridFunction:
     """Level-k band component: inverse transform of m_k times the spectrum."""
     if not bank.compatible_with(f):
         raise ValueError("filter bank was built for a different grid")
-    if not (0 <= k <= bank.levels):
-        raise ValueError(f"level must be in 0..{bank.levels}")
-    return apply_multiplier(f, bank.multipliers[k])
+    return _filtered(f, np.fft.rfftn(f.values, axes=tuple(range(f.d))), bank._level(k))
 
 
 def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> float:

@@ -241,6 +241,18 @@ def _every_axis(op: np.ufunc, a: np.ndarray, d: int) -> np.ndarray:
     return reduce(op.outer, [a] * d)
 
 
+def _check_grid(period: float, n: int, d: int) -> None:
+    """The rule every periodic grid keeps, a `GridFunction`'s and a filter
+    bank's: a finite positive period, d in {1, 2} axes and a power of two
+    n >= 2 points per axis."""
+    if not 0.0 < period < math.inf:
+        raise ValueError("period must be positive and finite")
+    if d not in (1, 2):
+        raise ValueError("grid dimension must be 1 or 2")
+    if n < 2 or (n & (n - 1)) != 0:
+        raise ValueError("points per axis must be a power of two")
+
+
 def _frequency_radii(period: float, n: int, d: int) -> np.ndarray:
     """|xi| at every bin of an n-point-per-axis grid of the given period."""
     xi = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
@@ -258,16 +270,9 @@ class GridFunction:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.period = float(self.period)
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        d = self.values.ndim - 1
-        if d not in (1, 2):
-            raise ValueError("grid dimension must be 1 or 2")
-        n = self.values.shape[0]
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError("points per axis must be a power of two")
-        axes = self.values.shape[:-1]
-        if any(m != n for m in axes):
+        n = self.values.shape[0] if self.values.ndim else 0
+        _check_grid(self.period, n, self.values.ndim - 1)
+        if any(m != n for m in self.values.shape[:-1]):
             raise ValueError("grid must be square")
         if self.values.shape[-1] != self.space.dim:
             raise ValueError("last axis must match the space dimension")
@@ -347,7 +352,7 @@ def dilate(f: GridFunction, lam: float) -> "GridFunction":
     Nyquist bin split evenly between the fine bins -N/2 and +N/2.
     """
     lam = float(lam)
-    n_log = math.log2(lam)
+    n_log = math.log2(lam) if 0.0 < lam < math.inf else 0.5  # 0.5: no power of two
     if abs(n_log - round(n_log)) > 1e-12:
         raise ValueError("dilation factor must be a power of two")
     n_log = int(round(n_log))

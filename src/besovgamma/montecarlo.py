@@ -84,6 +84,10 @@ class MCConfig:
     samples: int = 20000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("samples must be positive")
+
 
 @dataclass(frozen=True)
 class MCEstimate:

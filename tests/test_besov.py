@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -223,12 +224,11 @@ def test_bank_compatibility_guard():
         lp_block(other, bank, 0)
     with pytest.raises(ValueError, match="different grid"):
         besov_norm_fourier(other, 0.5, 2.0, 2.0, bank)
-    # a real multiplier that is not even in xi makes a real input complex
-    f = band_limited_random(8.0, 512, 1, radius=100.0, seed=22)
+    # a real multiplier that is not even in xi makes a real input complex:
+    # the bank that holds one is refused when it is built
     xi = np.fft.fftfreq(512)
-    lopsided = FilterBank(8.0, 512, 1, 1, np.stack([(xi >= 0.0) * 1.0, (xi < 0.0) * 0.5]))
     with pytest.raises(ValueError, match="imaginary part"):
-        besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
+        FilterBank(8.0, 512, 1, 1, np.stack([(xi >= 0.0) * 1.0, (xi < 0.0) * 0.5]))
 
 
 def test_imaginary_check_sees_a_negative_extreme():
@@ -243,11 +243,10 @@ def test_imaginary_check_sees_a_negative_extreme():
     mult = 1.0 + 1e-9 * scale * np.sign(np.fft.fftfreq(512))
     imag = np.fft.ifft(np.fft.fft(f.values[:, 0]) * mult).imag
     assert imag.max() < 1e-9 * scale < -imag.min()  # only the negative side exceeds
-    lopsided = FilterBank(8.0, 512, 1, 1, np.stack([mult, np.zeros(512)]))
     with pytest.raises(ValueError, match="imaginary part"):
         apply_multiplier(f, mult)
     with pytest.raises(ValueError, match="imaginary part"):
-        besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
+        FilterBank(8.0, 512, 1, 1, np.stack([mult, np.zeros(512)]))
 
 
 def test_blocks_and_multiplier_outputs_own_their_values():
@@ -302,7 +301,7 @@ def test_half_spectrum_route_matches_a_long_double_complex_reference(d, dim):
                                                (3.0, 64, 2, 4), (8.0, 128, 2, 5)])
 def test_every_bank_multiplier_equals_its_reflection(period, n, d, levels):
     # m_k(-xi) = m_k(xi) bin for bin, index (-j) mod n on every axis, so
-    # every level passes the evenness check of the half-spectrum route
+    # every level passes the evenness check the bank makes when it is built
     bank = build_filter_bank(period, n, d, levels)
     reflect = np.ix_(*[-np.arange(n) % n] * d)
     f = GridFunction(period, np.ones((n,) * d + (1,)), LpSpace(2, 1))
@@ -318,27 +317,95 @@ def test_every_bank_multiplier_equals_its_reflection(period, n, d, levels):
                                      (2, (31, 63)), (2, (33, 1)), (2, (0, 31)), (2, (32, 33)),
                                      (2, (63, 32))])
 def test_one_ulp_off_its_reflection_raises_on_every_route(d, index):
-    # one bin of a level one ulp off its mirror bin: every route raises, even
-    # for the zero function, whose old output-side check saw nothing
+    # one bin of a level one ulp off its mirror bin: the bank is refused when
+    # it is built, and apply_multiplier raises on every call, even for the
+    # zero function, whose old output-side check saw nothing
     n, levels = (512, 7) if d == 1 else (64, 4)
     bank = build_filter_bank(8.0, n, d, levels)
     mults = bank.multipliers.copy()
     mults[1][index] = np.nextafter(mults[1][index], math.inf)
-    lopsided = FilterBank(8.0, n, d, levels, mults)
     with pytest.raises(ValueError, match="imaginary part"):
-        lopsided.kernel(1)
+        FilterBank(8.0, n, d, levels, mults)
     for values in (np.zeros((n,) * d + (1,)), np.ones((n,) * d + (1,))):
         f = GridFunction(8.0, values, LpSpace(2, 1))
         with pytest.raises(ValueError, match="imaginary part"):
             apply_multiplier(f, mults[1])
-        with pytest.raises(ValueError, match="imaginary part"):
-            lp_block(f, lopsided, 1)
-        with pytest.raises(ValueError, match="imaginary part"):
-            besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
-    # bins that are their own reflection (0 and n/2 per axis) may move freely
-    mults[1][index] = bank.multipliers[1][index]
-    mults[1][(n // 2,) * d] += 0.5
-    besov_norm_fourier(f, 0.5, 2.0, 2.0, lopsided)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bins_that_are_their_own_reflection_may_move(d):
+    # bins 0 and n/2 per axis mirror themselves: a bank whose level moved
+    # there is still even, so it builds and every route runs
+    n, levels = (512, 7) if d == 1 else (64, 4)
+    mults = build_filter_bank(8.0, n, d, levels).multipliers.copy()
+    for corner in itertools.product((0, n // 2), repeat=d):
+        mults[1][corner] += 0.5
+    moved = FilterBank(8.0, n, d, levels, mults)
+    f = GridFunction(8.0, np.ones((n,) * d + (1,)), LpSpace(2, 1))
+    assert np.array_equal(lp_block(f, moved, 1).values, apply_multiplier(f, mults[1]).values)
+    assert besov_norm_fourier(f, 0.5, 2.0, 2.0, moved) > 0.0
+    moved.kernel(1)
+
+
+def test_a_built_bank_cannot_be_written():
+    bank = build_filter_bank(8.0, 64, 2, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        bank.multipliers[1, 3, 5] += 1.0
+    with pytest.raises(AttributeError):
+        bank.multipliers = np.zeros_like(bank.multipliers)
+    # a view is copied, so its writable base cannot reach the bank either
+    base = build_filter_bank(8.0, 64, 2, 4).multipliers.copy()
+    view = FilterBank(8.0, 64, 2, 3, base[:4])
+    base[1, 3, 5] += 1.0
+    assert not np.shares_memory(view.multipliers, base)
+    assert np.array_equal(view.multipliers, bank.multipliers[:4])
+
+
+def test_bank_routes_make_no_evenness_check(monkeypatch):
+    # the bank checked its levels when it was built; only apply_multiplier,
+    # whose multiplier comes from the caller, checks on every call
+    bank = build_filter_bank(8.0, 512, 1, 7)
+    f = band_limited_random(8.0, 512, 2, radius=100.0, seed=24)
+    calls = []
+    even = besov._even
+    monkeypatch.setattr(besov, "_even", lambda *a: calls.append(a) or even(*a))
+    besov_norm_fourier(f, 0.5, 1.5, 2.0, bank)
+    lp_block(f, bank, 3)
+    bank.kernel(3)
+    bank.kernel_l1(2)
+    assert calls == []
+    apply_multiplier(f, bank.multipliers[3])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape", [(7, 512), (8, 256), (8, 512, 1)])
+def test_a_bank_of_another_shape_raises(shape):
+    with pytest.raises(ValueError, match="must have shape"):
+        FilterBank(8.0, 512, 1, 7, np.ones(shape))
+
+
+@pytest.mark.parametrize("period,n,d,message,builder", [
+    (math.nan, 512, 1, "period must be positive", None),
+    (math.inf, 512, 1, "period must be positive", "Nyquist"),  # no band below Nyquist 0
+    (0.0, 512, 1, "period must be positive", None), (8.0, 500, 1, "power of two", None),
+    (8.0, 1, 1, "power of two", "Nyquist"), (8.0, 8, 3, "grid dimension must be 1 or 2", None)])
+def test_banks_and_grids_keep_one_grid_rule(period, n, d, message, builder):
+    with pytest.raises(ValueError, match=message):
+        FilterBank(period, n, d, 1, np.ones((2,) + (n,) * d))
+    with pytest.raises(ValueError, match=message):
+        GridFunction(period, np.ones((n,) * d + (1,)), LpSpace(2, 1))
+    with pytest.raises(ValueError, match=builder or message):
+        build_filter_bank(period, n, d, 1)
+
+
+def test_every_level_route_keeps_one_level_rule():
+    bank = build_filter_bank(8.0, 512, 1, 7)
+    f = GridFunction(8.0, np.ones((512, 1)), LpSpace(2, 1))
+    for k in (-1, -2, 8, 1.5, 2.0):
+        for route in (bank.kernel, bank.kernel_l1, lambda k: lp_block(f, bank, k)):
+            with pytest.raises(ValueError, match=r"level must be in 0\.\.7"):
+                route(k)
+    assert np.array_equal(bank.kernel(np.int64(7)), bank.kernel(7))
 
 
 @pytest.mark.parametrize("d,shape", [(1, (1024,)), (1, (256,)), (2, (64,)), (2, (64, 32))])

@@ -339,9 +339,11 @@ def test_dilate_rejects_band_past_nyquist(d, lam, freq_index, error):
 
 
 def test_dilate_rejects_non_power_of_two():
+    # 0, negative, nan and inf factors once failed inside math.log2 or round
     f = make_tone()
-    with pytest.raises(ValueError):
-        dilate(f, 3.0)
+    for lam in (3.0, 0.0, -2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dilation factor must be a power of two"):
+            dilate(f, lam)
 
 
 def test_dilate_localized_bump_matches_pointwise():

@@ -138,3 +138,10 @@ def test_mcconfig_defaults():
     assert cfg.samples == 20000
     assert cfg.seed == 0
     assert isinstance(batch_means(np.ones(320), 0), MCEstimate)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_mcconfig_rejects_fewer_than_one_sample(samples):
+    # 0 once gave a nan mean through "Mean of empty slice", -5 a NumPy shape error
+    with pytest.raises(ValueError, match="samples must be positive"):
+        MCConfig(samples, 1)
