@@ -200,7 +200,9 @@ def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> flo
     forward transform and two reused buffers, each block `lp_block(f, bank, k)` to the bit."""
     if not bank.compatible_with(f):
         raise ValueError("filter bank was built for a different grid")
-    if not s * bank.levels < 1024:  # 2^(ks) overflows for some k <= levels, or s is nan
+    if not math.isfinite(s):  # s = -inf would weight level 0 by 2^(-inf * 0) = nan
+        raise ValueError(f"s must be finite, got {s!r}")
+    if not s * bank.levels < 1024:  # 2^(ks) overflows for some k <= levels
         raise ValueError(f"weights 2^(ks), k <= levels = {bank.levels}, overflow at s = {s!r}")
     spec = np.fft.rfftn(f.values, axes=tuple(range(f.d)))
     out, prod = np.empty_like(f.values), np.empty_like(spec)

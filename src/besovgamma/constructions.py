@@ -32,7 +32,7 @@ def zeta_sum(r: float) -> float:
     1e-12 for any r > 1.
     """
     r = float(r)
-    if r <= 1.0:
+    if not r > 1.0:  # nan too
         raise ValueError("the series needs r > 1")
     head = float(np.sum(np.arange(1, ZETA_TERMS + 1, dtype=float) ** (-r)))
     a = float(ZETA_TERMS + 1)

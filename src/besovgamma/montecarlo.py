@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.samples, numbers.Integral):
+            raise ValueError("samples must be an integer")
         if self.samples < 1:
             raise ValueError("samples must be positive")
 

@@ -92,8 +92,8 @@ class LpSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_exponent(self.p))
-        if int(self.dim) < 1:
-            raise ValueError("dim must be >= 1")
+        if not (float(self.dim).is_integer() and self.dim >= 1):
+            raise ValueError("dim must be a whole number >= 1")
         object.__setattr__(self, "dim", int(self.dim))
 
     @property

@@ -16,11 +16,14 @@ estimate of the witness's ratio, biased up by the search's pick.
 Sampled climbing compares candidates under common random numbers (one
 Gaussian matrix xi per restart), otherwise MC noise would swamp
 single-coordinate gains.  A trial move of X[i, j] changes only column j of
-S = xi X and row i of X (exact: only row and column j of Q = X^T X), so
-`_trials` builds, once per restart and per accepted move, one scorer for
-the climb's kernel, sampled or exact, that re-evaluates only those in
-O(samples + n), from the products the fresh score already formed (on
-l^inf, S^T and |S^T|, so a rebuild only takes the other columns' maxima).
+S = xi X and row i of X (exact: only row and column j of Q = X^T X).  The
+fresh score `_scored` chooses the climb's kernel in one branch and returns a
+builder of its trial scorer; once per restart and per accepted move, that
+builder makes, from the products the score formed, a scorer that
+re-evaluates only those: in O(samples + n) on l^inf (from S^T and |S^T|,
+so a build only takes the other columns' maxima), and over the Nabeya pairs
+of the moved column where the moment is exact (l^1 and dimension 1).
+Sampled finite-p targets score each trial by the fresh objective.
 A trial within TIE_RTOL of the best, hence every accepted move, is
 re-scored by the fresh objective, and the scorer is rebuilt from that
 re-score on acceptance, so the climb makes the decisions and holds
@@ -37,6 +40,7 @@ exactly monotone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,35 +123,88 @@ def _final_eval_config(seed: int, samples: int) -> MCConfig:
 def _scored(space, direction, exponent, X, xi):
     """The ratio of X, with the second moment averaged over the fixed draw
     matrix xi, or exact for xi = None (Hilbert: sum of squares; else Nabeya's
-    sum over the pair terms of X^T X); and the products `_trials` builds a
-    scorer from: (row norms of X, S = xi @ X, or the pair terms).  On l^inf
-    those are S^T, coordinate-major, and A = |S^T|, whose column maxima are
-    the sample norms (max and abs are exact: `space.norms(S)` to the bit)."""
+    sum over the pair terms of X^T X); and `build(xiT)` (xiT = xi transposed,
+    or None), which makes the climb's scorer for X from the products formed
+    here: `trial(i, j, step)` is `_objective` after X[i, j] moved by `step`
+    (X already holds the move), up to rounding.
+
+    - Sampled l^inf: S^T = (xi X)^T, coordinate-major, and A = |S^T|, whose
+      column maxima are the sample norms (max and abs are exact:
+      `space.norms(xi @ X)` to the bit).  The scorer takes the other
+      columns' maxima once (`_max_of_others`); a trial rebuilds
+      |S[:, j] + step xi[:, i]| in one buffer, folds those maxima in, and
+      reads row i's norm as a Python max, in O(samples + n).
+    - Exact l^1 and l^p_1 (normed by sum |x|): the pairs (j, k) of Nabeya's
+      sum are re-evaluated in plain Python floats from the new row j of
+      Q = X^T X, formed as one product X[:, j] @ X (an update of the cached
+      row would carry rounding of the old entries, large against a column
+      the move nearly cancels), and added to the sum over the pairs that
+      avoid j (a masked product of nonnegative terms: no difference loses
+      digits).
+    - Sampled finite p: the trial is the fresh `_objective`.
+    - Hilbert targets are analytic and never climbed: no builder."""
     norms = space.norms(X)
     if xi is not None and space.p is INF:
         St = np.ascontiguousarray((xi @ X).T)
         A = np.abs(St)
-        S = (St, A)
         moment = float(np.mean(A.max(axis=0) ** 2))
+
+        def build(xiT):
+            others, buf = _max_of_others(A), np.empty(len(xi))
+
+            def moved(i, j, step):
+                np.multiply(xiT[i], step, out=buf)
+                np.add(St[j], buf, out=buf)
+                np.abs(buf, out=buf)
+                np.maximum(others[j], buf, out=buf)
+                return max(map(abs, X[i].tolist())), float(buf @ buf) / len(buf)
+            return _trial(direction, exponent, norms, moved)
     elif xi is not None:
-        S = xi @ X
-        moment = float(np.mean(space.norms(S) ** 2))
+        moment = float(np.mean(space.norms(xi @ X) ** 2))
+
+        def build(xiT):
+            return lambda i, j, step: _objective(space, direction, exponent, X, xi)
     elif space.is_hilbert:
-        S = None
-        moment = float((X ** 2).sum())
+        moment, build = float((X ** 2).sum()), None
     else:
-        S = _nabeya_terms(X.T @ X)
-        moment = 2.0 / math.pi * float(S[1].sum())  # l1_gaussian_second_moment
+        sigmas, T = _nabeya_terms(X.T @ X)
+        moment = 2.0 / math.pi * float(T.sum())  # l1_gaussian_second_moment
+
+        def build(xiT):
+            off = 1.0 - np.eye(len(sigmas))
+            s, avoid = sigmas.tolist(), ((off @ T) * off).sum(axis=1).tolist()
+
+            def moved(i, j, step):
+                q = X[:, j].dot(X).tolist()
+                # the diagonal term T_jj = (pi/2) q_j: E|G_j|^2 = q_j
+                return sum(map(abs, X[i].tolist())), 2.0 / math.pi * (
+                    avoid[j] + 0.5 * math.pi * q[j] + 2.0 * _nabeya_cross(j, s, q))
+            return _trial(direction, exponent, norms, moved)
     den = lq_norm(norms, exponent)
     if den == 0.0:
-        return -math.inf, (norms, S)
+        return -math.inf, build
     num = math.sqrt(moment)
-    return (num / den if direction == "type" else den / num), (norms, S)
+    return (num / den if direction == "type" else den / num), build
 
 
 def _objective(space, direction, exponent, X, xi) -> float:
-    """The ratio of X: `_scored` without the scorer's products."""
+    """The ratio of X: `_scored` without the builder."""
     return _scored(space, direction, exponent, X, xi)[0]
+
+
+def _trial(direction, exponent, norms, moved):
+    """The trial scorer over the row norms before a move, where
+    `moved(i, j, step)` gives row i's norm and the second moment after it."""
+    norms = norms.tolist()
+
+    def trial(i, j, step):
+        norm, moment = moved(i, j, step)
+        den = _moved_den(exponent, norms, i, norm)
+        if den == 0.0:
+            return -math.inf
+        num = math.sqrt(moment)
+        return num / den if direction == "type" else den / num
+    return trial
 
 
 def _moved_den(exponent, norms, i, moved) -> float:
@@ -171,72 +228,6 @@ def _max_of_others(A):
         np.maximum(before[k - 1], A[k - 1], out=before[k])
         np.maximum(after[-k], A[-k], out=after[-k - 1])
     return np.maximum(before, after, out=before)
-
-
-def _trials(space, direction, exponent, X, xiT, parts):
-    """The trial scorer of one climb state: `trial(i, j, step)` is
-    `_objective` after X[i, j] moved by `step` (X already holds the move),
-    up to rounding, from the products `parts` that `_scored` returned for X
-    before the move; only row i's norm is recomputed.  With draws (xiT = xi
-    transposed) |S[:, j] + step xi[:, i]| is rebuilt in one buffer and
-    folded into a per-sample summary of the other columns: their max for
-    p = inf (`_max_of_others` of the A = |S^T| the fresh score formed; row
-    norms as Python maxima), else their sum of |S|^p clipped at 0.  Exact
-    (xiT = None; l^1 or l^p_1, normed by sum |x|): the pairs (j, k) of
-    Nabeya's sum are re-evaluated in plain Python floats from the new row j
-    of Q, formed as one product X[:, j] @ X (an update of the cached row
-    would carry rounding of the old entries, large against a column the move
-    nearly cancels), and added to the sum over the pairs that avoid j (a
-    masked product of nonnegative terms: no difference loses digits)."""
-    norms, S = parts[0].tolist(), parts[1]
-    if xiT is None:
-        sigmas, T = S
-        off = 1.0 - np.eye(len(sigmas))
-        sigmas, avoid = sigmas.tolist(), ((off @ T) * off).sum(axis=1).tolist()
-
-        def row_norm(i):
-            return sum(map(abs, X[i].tolist()))
-
-        def moment(i, j, step):
-            q = X[:, j].dot(X).tolist()
-            # the diagonal term T_jj = (pi/2) q_j: E|G_j|^2 = q_j
-            return 2.0 / math.pi * (avoid[j] + 0.5 * math.pi * q[j]
-                                    + 2.0 * _nabeya_cross(j, sigmas, q))
-    else:
-        if space.p is INF:
-            St, A = S
-            others = _max_of_others(A)
-
-            def row_norm(i):
-                return max(map(abs, X[i].tolist()))
-        else:
-            St = np.ascontiguousarray(S.T)
-            A = np.abs(St) ** space.p
-            others = np.maximum(A.sum(axis=0) - A, 0.0)
-
-            def row_norm(i):
-                return float(space.norms(X[i]))
-        buf = np.empty(xiT.shape[1])
-
-        def moment(i, j, step):
-            np.multiply(xiT[i], step, out=buf)
-            np.add(St[j], buf, out=buf)
-            np.abs(buf, out=buf)
-            if space.p is INF:
-                np.maximum(others[j], buf, out=buf)
-            else:
-                np.power(buf, space.p, out=buf)
-                np.add(others[j], buf, out=buf)
-                np.power(buf, 1.0 / space.p, out=buf)
-            return float(buf @ buf) / len(buf)
-
-    def trial(i, j, step):
-        den = _moved_den(exponent, norms, i, row_norm(i))
-        if den == 0.0:
-            return -math.inf
-        num = math.sqrt(moment(i, j, step))
-        return num / den if direction == "type" else den / num
-    return trial
 
 
 def _unit_tuple(space: LpSpace, count: int, seed: int) -> np.ndarray:
@@ -280,12 +271,13 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
     sweep that feeds each winner forward can never report a decrease.
     """
     exponent = check_exponent(direction, exponent)
+    final = _final_eval_config(seed, samples)
+    if not all(isinstance(v, numbers.Integral) for v in (budget, n_vectors, restarts)):
+        raise ValueError("budget, n_vectors and restarts must be integers")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if n_vectors < 1:
         raise ValueError("need at least one vector")
-    if samples < 1:
-        raise ValueError("samples must be positive")
     if restarts < 0 or restarts == 0 and warm_start is None:
         raise ValueError("restarts must be positive, or 0 with a warm start")
 
@@ -315,9 +307,9 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
         if not exact:
             xi = gaussian_array((samples, n_vectors), derive_seed(seed, "crn", r))
             xiT = np.ascontiguousarray(xi.T)
-        best, parts = _scored(space, direction, exponent, X, xi)
+        best, build = _scored(space, direction, exponent, X, xi)
         evals += 1
-        trial = _trials(space, direction, exponent, X, xiT, parts)
+        trial = build(xiT)
         for scale in CLIMB_SCALES:
             improved = True
             while improved and evals < budget:
@@ -331,16 +323,15 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                             evals += 1
                             val = trial(i, j, sign * scale)
                             if val > best * (1.0 - TIE_RTOL):
-                                val, parts = _scored(space, direction, exponent, X, xi)
+                                val, build = _scored(space, direction, exponent, X, xi)
                             if val > best:
                                 best = val
                                 improved = True
-                                trial = _trials(space, direction, exponent, X, xiT, parts)
+                                trial = build(xiT)
                             else:
                                 X[i, j] -= sign * scale
         candidates.append(X)
 
-    final = _final_eval_config(seed, samples)
     final_xi = None if exact else gaussian_array((final.samples, n_vectors), final.seed)
     scores = [_objective(space, direction, exponent, X, final_xi) for X in candidates]
     pick = int(np.argmax(scores))

@@ -217,6 +217,15 @@ def test_besov_norm_fourier_is_the_lp_block_sum_bit_for_bit(d, dim):
             assert besov_norm_fourier(f, s, p, q, bank) == lq_norm(weights * blocks, q)
 
 
+@pytest.mark.parametrize("s", [-math.inf, math.inf, math.nan])
+def test_besov_norm_fourier_requires_a_finite_s(s):
+    # -inf weighted level 0 by 2^(-inf * 0) = nan: nan and a RuntimeWarning
+    bank = build_filter_bank(8.0, 512, 1, 7)
+    f = GridFunction(8.0, np.ones((512, 1)), LpSpace(2, 1))
+    with pytest.raises(ValueError, match="s must be finite"):
+        besov_norm_fourier(f, s, 2.0, 2.0, bank)
+
+
 def test_bank_compatibility_guard():
     bank = build_filter_bank(8.0, 512, 1, 7)
     other = GridFunction(4.0, np.zeros((512, 1)), LpSpace(2, 1))

@@ -25,6 +25,14 @@ def test_zeta_sum_requires_convergence():
         zeta_sum(1.0)
 
 
+def test_zeta_sum_rejects_nan_and_so_do_the_tents():
+    # nan passed `r <= 1`: the sum read nan, every tent width nan, and the
+    # family raised "tent supports must stay inside (0, 1)"
+    for build in (zeta_sum, lambda r: tent_widths(3, r), lambda r: make_tent_family(3, r)):
+        with pytest.raises(ValueError, match="r > 1"):
+            build(math.nan)
+
+
 def test_make_step_geometry_and_alternation():
     vecs = np.arange(6.0).reshape(3, 2) + 1.0
     f = make_step(3, vecs, LpSpace(2, 2))

@@ -140,6 +140,18 @@ def test_mcconfig_defaults():
     assert isinstance(batch_means(np.ones(320), 0), MCEstimate)
 
 
+@pytest.mark.parametrize("samples", [2.5, 320.5, math.nan, math.inf, 640.0, "640"])
+def test_mcconfig_rejects_a_sample_count_that_is_not_an_integer(samples):
+    # 2.5 and nan built a config that failed later inside np.empty
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        MCConfig(samples, 1)
+
+
+def test_mcconfig_takes_numpy_integers():
+    assert MCConfig(np.int64(640), 1).samples == 640
+    assert MCConfig(np.uint16(320), 1).samples == 320
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_mcconfig_rejects_fewer_than_one_sample(samples):
     # 0 once gave a nan mean through "Mean of empty slice", -5 a NumPy shape error

@@ -27,6 +27,16 @@ def test_as_exponent_rejects_below_one():
         as_exponent(0.9)
 
 
+def test_lpspace_dim_must_be_a_whole_number():
+    # 2.7 was truncated to dimension 2
+    for dim in (2.7, 0.5, math.nan, math.inf, 0, -1):
+        with pytest.raises(ValueError, match="dim must be a whole number"):
+            LpSpace(2, dim)
+    for dim in (3, 3.0, np.int64(3), np.int32(3)):
+        space = LpSpace(1.5, dim)
+        assert space.dim == 3 and type(space.dim) is int
+
+
 def test_lp_norms_against_numpy():
     rng = np.random.Generator(np.random.Philox(key=3))
     for _ in range(20):

@@ -227,6 +227,25 @@ def test_estimate_constant_validation():
         estimate_constant(linf, "type", 2.0, 2, budget=50, warm_start=np.eye(3, 2))
 
 
+@pytest.mark.parametrize("bad", [dict(budget=math.nan), dict(budget=100.0), dict(restarts=1.5),
+                                 dict(n_vectors=2.5), dict(samples=320.5), dict(samples=math.nan)])
+def test_estimate_constant_counts_must_be_integers(bad):
+    # budget nan ran no climb and reported budget 1, not exhausted; samples
+    # 320.5 was taken; restarts 1.5 and n_vectors 2.5 raised TypeError
+    kw = dict(budget=100, restarts=1, samples=320, n_vectors=2) | bad
+    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+        estimate_constant(LpSpace(INF, 2), "type", 2.0, kw.pop("n_vectors"), **kw)
+
+
+def test_estimate_constant_takes_numpy_integer_counts():
+    kw = dict(budget=100, seed=4, samples=320, restarts=2)
+    want = estimate_constant(LpSpace(INF, 2), "type", 2.0, 2, **kw)
+    got = estimate_constant(LpSpace(INF, 2), "type", 2.0, np.int64(2),
+                            **{k: np.int64(v) for k, v in kw.items()})
+    assert (got.value, got.budget, got.restarts_run) == (want.value, want.budget, want.restarts_run)
+    assert got.witness.tobytes() == want.witness.tobytes()
+
+
 def test_constant_estimate_fields():
     est = estimate_constant(LpSpace(1, 2), "cotype", 2.0, 2, budget=500,
                             seed=11, samples=512, restarts=2)
@@ -379,8 +398,18 @@ TRIAL_CASES = [(INF, "type", 2.0), (INF, "cotype", 2.0), (1, "type", 1.5), (1, "
                (1.5, "type", 2.0), (1.5, "cotype", INF), (3, "type", 1.5), (3, "cotype", 2.0)]
 
 
+def built_trial(space, direction, exponent, X, xi):
+    """The climb's trial scorer for X, as `estimate_constant` builds it:
+    draws only where the moment is sampled."""
+    xi = None if space.gaussian_exact else xi
+    _, build = typecotype._scored(space, direction, exponent, X, xi)
+    return build(None if xi is None else np.ascontiguousarray(xi.T)), xi
+
+
+# the incremental kinds: sampled l^inf and exact l^1 (a sampled finite-p
+# trial is the fresh `_objective` itself)
 @settings(max_examples=100)
-@given(st.sampled_from(TRIAL_CASES), st.integers(1, 4), st.integers(1, 4),
+@given(st.sampled_from(TRIAL_CASES[:4]), st.integers(1, 4), st.integers(1, 4),
        st.integers(0, 2 ** 32 - 1), st.data())
 def test_trial_value_agrees_with_fresh_scoring_of_the_moved_tuple(case, n, dim, seed, data):
     p, direction, exponent = case
@@ -390,8 +419,7 @@ def test_trial_value_agrees_with_fresh_scoring_of_the_moved_tuple(case, n, dim, 
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, dim - 1))
     step = data.draw(st.floats(-1.0, 1.0))
-    _, parts = typecotype._scored(space, direction, exponent, X, xi)
-    trial = typecotype._trials(space, direction, exponent, X, np.ascontiguousarray(xi.T), parts)
+    trial, xi = built_trial(space, direction, exponent, X, xi)
     X[i, j] += step
     got = trial(i, j, step)
     fresh = typecotype._objective(space, direction, exponent, X, xi)
@@ -403,13 +431,27 @@ def test_a_move_that_zeroes_the_tuple_scores_minus_inf(p, direction, exponent):
     space = LpSpace(p, 3)
     X = np.zeros((2, 3))
     X[1, 2] = 0.7
-    xi = gaussian_array((32, 2), 4)
-    _, parts = typecotype._scored(space, direction, exponent, X, xi)
-    trial = typecotype._trials(space, direction, exponent, X, np.ascontiguousarray(xi.T), parts)
+    trial, xi = built_trial(space, direction, exponent, X, gaussian_array((32, 2), 4))
     X[1, 2] -= 0.7
     got = trial(1, 2, -0.7)
     assert got == -math.inf
     assert typecotype._objective(space, direction, exponent, X, xi) == -math.inf
+
+
+@pytest.mark.parametrize("p,dim,incremental", [(INF, 3, True), (1, 3, True), (3, 1, True),
+                                               (1.5, 3, False), (3, 3, False)])
+def test_only_linf_and_exact_climbs_get_an_incremental_scorer(p, dim, incremental, monkeypatch):
+    # exact l^1 and l^p_1 re-evaluate one column's Nabeya pairs, sampled l^inf
+    # one column of |S|; a sampled finite-p trial is one fresh `_objective`
+    space = LpSpace(p, dim)
+    X = gaussian_array((2, dim), 6)
+    trial, xi = built_trial(space, "type", 2.0, X, gaussian_array((32, 2), 7))
+    fresh, calls = typecotype._objective, []
+    monkeypatch.setattr(typecotype, "_objective", lambda *args: calls.append(args) or fresh(*args))
+    X[1, 0] += 0.3
+    got = trial(1, 0, 0.3)
+    assert len(calls) == (0 if incremental else 1)
+    assert got == pytest.approx(fresh(space, "type", 2.0, X, xi), rel=1e-13, abs=0.0)
 
 
 @st.composite
@@ -451,8 +493,7 @@ def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move, p):
     direction, exponent = case
     X, i, j, step = move
     space = LpSpace(p if X.shape[1] == 1 else 1, X.shape[1])
-    _, parts = typecotype._scored(space, direction, exponent, X, None)
-    trial = typecotype._trials(space, direction, exponent, X, None, parts)
+    trial = typecotype._scored(space, direction, exponent, X, None)[1](None)
     X[i, j] += step
     got = trial(i, j, step)
     fresh = typecotype._objective(space, direction, exponent, X, None)
@@ -507,13 +548,16 @@ def test_fresh_linf_score_forms_the_scorer_products_to_the_bit(draw, dim):
     moment = float(np.mean(space.norms(S) ** 2))
     den = lq_norm(space.norms(X), 2.0)
     for direction in ("type", "cotype"):
-        value, (norms, (St, A)) = typecotype._scored(space, direction, 2.0, X, xi)
-        assert St.flags.c_contiguous and St.tobytes() == np.ascontiguousarray(S.T).tobytes()
-        assert A.tobytes() == np.abs(St).tobytes()
-        assert float(np.mean(A.max(axis=0) ** 2)) == moment
+        value, build = typecotype._scored(space, direction, 2.0, X, xi)
         num = math.sqrt(moment)
         assert value == (num / den if direction == "type" else den / num)
-        assert norms.tobytes() == space.norms(X).tobytes()
+        # the scorer built from the score's products is the one built from scratch
+        trial = build(np.ascontiguousarray(xi.T))
+        for i, j, step in ((0, 0, 0.5), (5, dim - 1, -0.2), (2, 1, -X[2, 1])):
+            want = rebuilt_linf_trial(space, direction, 2.0, X, xi, i, j, step)
+            X[i, j] += step
+            assert trial(i, j, step) == want
+            X[i, j] -= step
 
 
 def rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step):
@@ -552,8 +596,7 @@ def test_linf_trial_matches_a_scorer_rebuilt_from_scratch_bit_for_bit(case, n, d
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))
     step = data.draw(st.sampled_from([-X[i, j], 0.5, -0.2, 0.08, data.draw(st.floats(-1.0, 1.0))]))
     want = rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step)
-    _, parts = typecotype._scored(space, direction, exponent, X, xi)
-    trial = typecotype._trials(space, direction, exponent, X, np.ascontiguousarray(xi.T), parts)
+    trial = typecotype._scored(space, direction, exponent, X, xi)[1](np.ascontiguousarray(xi.T))
     X[i, j] += step
     assert trial(i, j, step) == want
 
