@@ -5,9 +5,12 @@ keyed by explicit 64-bit seeds.  Gaussians are Box-Muller on Philox uniforms
 (not the generator's own ziggurat), a block of pairs at a time: radii and
 angles come from two Philox generators on one key, the second advanced by
 half the draws, so the values depend on (seed, shape) and not on the block
-size.  `gaussian_array` and the streamed `spaces.gaussian_second_moment`
-share that kernel.  `derive_seed` hashes a parent seed with labels for
-sub-tasks, so serial and parallel execution see identical streams.
+size.  A block takes cos and sin over its angles grouped by sixteenth of a
+turn and puts them back in pair order: the same libm calls on the same
+operands, so the grouping moves no bit.  `gaussian_array` and the streamed
+`spaces.gaussian_second_moment` share that kernel.  `derive_seed` hashes a
+parent seed with labels for sub-tasks, so serial and parallel execution see
+identical streams.
 """
 
 from __future__ import annotations
@@ -41,21 +44,33 @@ def _box_muller_blocks(half: int, seed: int, block: int = _BLOCK):
     m0 <= m < half: r = sqrt(-2 log(1 - u[m])), theta = 2 pi u[half + m], u the
     Philox uniforms of `seed`.  u[half:] comes from a second generator on the
     key, advanced by half draws, so no value depends on the block size.  Each
-    block reuses the arrays; the last one takes block to 2 block - 1 pairs."""
+    block reuses the arrays; the last one takes block to 2 block - 1 pairs.
+
+    A block takes theta, cos and sin over its angles grouped by the uint8 key
+    floor(16 u) (one stable argsort, a radix sort), so that libm's range
+    reduction predicts its branches, and scatters both back to their pair
+    indices.  Ufuncs act elementwise: each value is the same call on the
+    same operand as in pair order, so the grouping moves no bit."""
     count, key = max(1, half // block), int(seed) & (2**64 - 1)
     radii = np.random.Generator(np.random.Philox(key=key))
     angles = np.random.Generator(np.random.Philox(key=key).advance(half // 4))  # 4 doubles/step
     angles.random(half % 4)
-    buffers = [np.empty(half - (count - 1) * block) for _ in range(4)]
+    size = half - (count - 1) * block
+    buffers, sixteenths = [np.empty(size) for _ in range(4)], np.empty(size, np.uint8)
     for m0 in range(0, count * block, block):
-        r, theta, cos, sin = (b[:block if m0 + 2 * block <= half else half - m0] for b in buffers)
+        m = block if m0 + 2 * block <= half else half - m0
+        r, u, cos, sin = (b[:m] for b in buffers)
         radii.random(out=r)
-        angles.random(out=theta)
+        angles.random(out=u)
         # 1 - u in (0, 1] keeps the log finite; the ufuncs of a one-shot transform, in place
         np.sqrt(np.multiply(-2.0, np.log1p(np.negative(r, out=r), out=r), out=r), out=r)
-        np.multiply(2.0 * np.pi, theta, out=theta)
-        np.multiply(r, np.cos(theta, out=cos), out=cos)
-        np.multiply(r, np.sin(theta, out=sin), out=sin)
+        order = np.argsort(np.multiply(16.0, u, out=sixteenths[:m], casting="unsafe"),
+                           kind="stable")
+        theta = np.multiply(2.0 * np.pi, np.take(u, order, out=sin, mode="clip"), out=sin)
+        cos[order] = np.cos(theta, out=u)
+        sin[order] = np.sin(theta, out=u)  # theta, in sin, is read before the scatter
+        np.multiply(r, cos, out=cos)
+        np.multiply(r, sin, out=sin)
         yield m0, cos, sin
 
 
@@ -86,7 +101,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.samples, numbers.Integral):
+        if not isinstance(self.samples, numbers.Integral) or isinstance(self.samples, bool):
             raise ValueError("samples must be an integer")
         if self.samples < 1:
             raise ValueError("samples must be positive")

@@ -23,12 +23,12 @@ builder makes, from the products the score formed, a scorer that
 re-evaluates only those: in O(samples + n) on l^inf (from S^T and |S^T|,
 so a build only takes the other columns' maxima), and over the Nabeya pairs
 of the moved column where the moment is exact (l^1 and dimension 1).
-Sampled finite-p targets score each trial by the fresh objective.
-A trial within TIE_RTOL of the best, hence every accepted move, is
-re-scored by the fresh objective, and the scorer is rebuilt from that
-re-score on acceptance, so the climb makes the decisions and holds
-the values of fresh scoring unless rounding moves a trial by more than
-TIE_RTOL (it moved trials by at most 6e-16 relative in the default
+Sampled finite-p targets score each trial by the fresh `_scored`, which
+hands on its builder.  Elsewhere a trial within TIE_RTOL of the best, hence
+every accepted move, is re-scored by the fresh objective, and the scorer is
+rebuilt from that re-score on acceptance, so the climb makes the decisions
+and holds the values of fresh scoring unless rounding moves a trial by more
+than TIE_RTOL (it moved trials by at most 6e-16 relative in the default
 type-constant and cotype-constant searches).  The final value re-scores
 all candidates under one shared evaluation (a matrix whose seed depends
 only on (seed, samples, tuple size), or the closed form), so a witness
@@ -125,8 +125,9 @@ def _scored(space, direction, exponent, X, xi):
     matrix xi, or exact for xi = None (Hilbert: sum of squares; else Nabeya's
     sum over the pair terms of X^T X); and `build(xiT)` (xiT = xi transposed,
     or None), which makes the climb's scorer for X from the products formed
-    here: `trial(i, j, step)` is `_objective` after X[i, j] moved by `step`
-    (X already holds the move), up to rounding.
+    here: `trial(i, j, step)` gives `_objective` after X[i, j] moved by
+    `step` (X already holds the move), up to rounding, and the builder for
+    the moved X where that value is the fresh score (else None).
 
     - Sampled l^inf: S^T = (xi X)^T, coordinate-major, and A = |S^T|, whose
       column maxima are the sample norms (max and abs are exact:
@@ -141,7 +142,7 @@ def _scored(space, direction, exponent, X, xi):
       the move nearly cancels), and added to the sum over the pairs that
       avoid j (a masked product of nonnegative terms: no difference loses
       digits).
-    - Sampled finite p: the trial is the fresh `_objective`.
+    - Sampled finite p: the trial is the fresh `_scored`, value and builder.
     - Hilbert targets are analytic and never climbed: no builder."""
     norms = space.norms(X)
     if xi is not None and space.p is INF:
@@ -163,7 +164,7 @@ def _scored(space, direction, exponent, X, xi):
         moment = float(np.mean(space.norms(xi @ X) ** 2))
 
         def build(xiT):
-            return lambda i, j, step: _objective(space, direction, exponent, X, xi)
+            return lambda i, j, step: _scored(space, direction, exponent, X, xi)
     elif space.is_hilbert:
         moment, build = float((X ** 2).sum()), None
     else:
@@ -194,16 +195,17 @@ def _objective(space, direction, exponent, X, xi) -> float:
 
 def _trial(direction, exponent, norms, moved):
     """The trial scorer over the row norms before a move, where
-    `moved(i, j, step)` gives row i's norm and the second moment after it."""
+    `moved(i, j, step)` gives row i's norm and the second moment after it;
+    its values are incremental, so it hands on no builder."""
     norms = norms.tolist()
 
     def trial(i, j, step):
         norm, moment = moved(i, j, step)
         den = _moved_den(exponent, norms, i, norm)
         if den == 0.0:
-            return -math.inf
+            return -math.inf, None
         num = math.sqrt(moment)
-        return num / den if direction == "type" else den / num
+        return (num / den if direction == "type" else den / num), None
     return trial
 
 
@@ -272,7 +274,8 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
     """
     exponent = check_exponent(direction, exponent)
     final = _final_eval_config(seed, samples)
-    if not all(isinstance(v, numbers.Integral) for v in (budget, n_vectors, restarts)):
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               for v in (budget, n_vectors, restarts)):
         raise ValueError("budget, n_vectors and restarts must be integers")
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -321,8 +324,12 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 break
                             X[i, j] += sign * scale
                             evals += 1
-                            val = trial(i, j, sign * scale)
-                            if val > best * (1.0 - TIE_RTOL):
+                            # `build` keeps the last re-score's products alive until the
+                            # next one: freeing them a trial early cost page faults
+                            val, fresh = trial(i, j, sign * scale)
+                            if fresh is not None:
+                                build = fresh
+                            elif val > best * (1.0 - TIE_RTOL):
                                 val, build = _scored(space, direction, exponent, X, xi)
                             if val > best:
                                 best = val

@@ -237,6 +237,15 @@ def test_estimate_constant_counts_must_be_integers(bad):
         estimate_constant(LpSpace(INF, 2), "type", 2.0, kw.pop("n_vectors"), **kw)
 
 
+@pytest.mark.parametrize("count", ["budget", "n_vectors", "restarts"])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_estimate_constant_refuses_booleans_as_counts(count, flag):
+    # a bool is a numbers.Integral: True was a budget, a tuple size or a restart count
+    kw = dict(budget=100, restarts=1, samples=320, n_vectors=2) | {count: flag}
+    with pytest.raises(ValueError, match="must be integers"):
+        estimate_constant(LpSpace(INF, 2), "type", 2.0, kw.pop("n_vectors"), **kw)
+
+
 def test_estimate_constant_takes_numpy_integer_counts():
     kw = dict(budget=100, seed=4, samples=320, restarts=2)
     want = estimate_constant(LpSpace(INF, 2), "type", 2.0, 2, **kw)
@@ -326,6 +335,18 @@ def test_rank_one_climb_matches_fresh_scoring_bit_for_bit(p, direction, exponent
     assert est.budget == evals
     assert est.restarts_run == started
     assert est.budget_exhausted == (evals >= kw["budget"])
+
+
+@pytest.mark.parametrize("p,direction,exponent", ORACLE_CASES[4:])
+def test_sampled_finite_p_search_scores_each_evaluation_once(p, direction, exponent, monkeypatch):
+    # a trial is the fresh score and hands on its builder: a near-tie is not
+    # scored again, so `_scored` runs once per evaluation and once per
+    # candidate in the final evaluation
+    fresh, calls = typecotype._scored, []
+    monkeypatch.setattr(typecotype, "_scored", lambda *args: calls.append(args) or fresh(*args))
+    est = estimate_constant(LpSpace(p, 4), direction, exponent, 4, budget=3000, seed=0,
+                            samples=1024, restarts=6)
+    assert len(calls) == est.budget + est.restarts_run
 
 
 @pytest.mark.parametrize("p,direction", [(INF, "type"), (1, "cotype"), (1.5, "type")])
@@ -421,9 +442,10 @@ def test_trial_value_agrees_with_fresh_scoring_of_the_moved_tuple(case, n, dim, 
     step = data.draw(st.floats(-1.0, 1.0))
     trial, xi = built_trial(space, direction, exponent, X, xi)
     X[i, j] += step
-    got = trial(i, j, step)
+    got, build = trial(i, j, step)
     fresh = typecotype._objective(space, direction, exponent, X, xi)
     assert got == pytest.approx(fresh, rel=1e-13, abs=0.0)
+    assert build is None
 
 
 @pytest.mark.parametrize("p,direction,exponent", TRIAL_CASES)
@@ -433,7 +455,7 @@ def test_a_move_that_zeroes_the_tuple_scores_minus_inf(p, direction, exponent):
     X[1, 2] = 0.7
     trial, xi = built_trial(space, direction, exponent, X, gaussian_array((32, 2), 4))
     X[1, 2] -= 0.7
-    got = trial(1, 2, -0.7)
+    got, _ = trial(1, 2, -0.7)
     assert got == -math.inf
     assert typecotype._objective(space, direction, exponent, X, xi) == -math.inf
 
@@ -442,16 +464,18 @@ def test_a_move_that_zeroes_the_tuple_scores_minus_inf(p, direction, exponent):
                                                (1.5, 3, False), (3, 3, False)])
 def test_only_linf_and_exact_climbs_get_an_incremental_scorer(p, dim, incremental, monkeypatch):
     # exact l^1 and l^p_1 re-evaluate one column's Nabeya pairs, sampled l^inf
-    # one column of |S|; a sampled finite-p trial is one fresh `_objective`
+    # one column of |S|; a sampled finite-p trial is one fresh `_scored`,
+    # which hands on its builder
     space = LpSpace(p, dim)
     X = gaussian_array((2, dim), 6)
     trial, xi = built_trial(space, "type", 2.0, X, gaussian_array((32, 2), 7))
-    fresh, calls = typecotype._objective, []
-    monkeypatch.setattr(typecotype, "_objective", lambda *args: calls.append(args) or fresh(*args))
+    fresh, calls = typecotype._scored, []
+    monkeypatch.setattr(typecotype, "_scored", lambda *args: calls.append(args) or fresh(*args))
     X[1, 0] += 0.3
-    got = trial(1, 0, 0.3)
+    got, build = trial(1, 0, 0.3)
     assert len(calls) == (0 if incremental else 1)
-    assert got == pytest.approx(fresh(space, "type", 2.0, X, xi), rel=1e-13, abs=0.0)
+    assert (build is None) == incremental
+    assert got == pytest.approx(fresh(space, "type", 2.0, X, xi)[0], rel=1e-13, abs=0.0)
 
 
 @st.composite
@@ -495,7 +519,7 @@ def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move, p):
     space = LpSpace(p if X.shape[1] == 1 else 1, X.shape[1])
     trial = typecotype._scored(space, direction, exponent, X, None)[1](None)
     X[i, j] += step
-    got = trial(i, j, step)
+    got, _ = trial(i, j, step)
     fresh = typecotype._objective(space, direction, exponent, X, None)
     if not X.any():
         assert got == fresh == -math.inf
@@ -556,7 +580,7 @@ def test_fresh_linf_score_forms_the_scorer_products_to_the_bit(draw, dim):
         for i, j, step in ((0, 0, 0.5), (5, dim - 1, -0.2), (2, 1, -X[2, 1])):
             want = rebuilt_linf_trial(space, direction, 2.0, X, xi, i, j, step)
             X[i, j] += step
-            assert trial(i, j, step) == want
+            assert trial(i, j, step) == (want, None)
             X[i, j] -= step
 
 
@@ -598,7 +622,7 @@ def test_linf_trial_matches_a_scorer_rebuilt_from_scratch_bit_for_bit(case, n, d
     want = rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step)
     trial = typecotype._scored(space, direction, exponent, X, xi)[1](np.ascontiguousarray(xi.T))
     X[i, j] += step
-    assert trial(i, j, step) == want
+    assert trial(i, j, step) == (want, None)
 
 
 @pytest.mark.parametrize("seed,budget,restarts,cut", [(9, 4000, 12, True), (31, 20000, 2, False)])
