@@ -112,8 +112,9 @@ class FilterBank:
         return (f.period == self.period and f.n == self.n and f.d == self.d)
 
     def _level(self, k: int) -> np.ndarray:
-        """The multiplier m_k; k must be an integer in 0..levels."""
-        if not (isinstance(k, numbers.Integral) and 0 <= k <= self.levels):
+        """The multiplier m_k; k must be an integer in 0..levels (a bool would index as a mask)."""
+        if not (isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                and 0 <= k <= self.levels):
             raise ValueError(f"level must be in 0..{self.levels}")
         return self.multipliers[k]
 

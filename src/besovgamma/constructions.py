@@ -29,13 +29,17 @@ def zeta_sum(r: float) -> float:
 
     The tail from a = ZETA_TERMS + 1 is integral + f(a)/2 - f'(a)/12 +
     f'''(a)/720; the next omitted term is below r^5 a^{-r-5}, far under
-    1e-12 for any r > 1.
+    1e-12 for any r > 1.  Where a^{-r} underflows to 0 (r > 53.9, and inf)
+    the tail is below the head's last bit while r (r+1) (r+2) may overflow,
+    so the head alone is the sum.
     """
     r = float(r)
     if not r > 1.0:  # nan too
         raise ValueError("the series needs r > 1")
     head = float(np.sum(np.arange(1, ZETA_TERMS + 1, dtype=float) ** (-r)))
     a = float(ZETA_TERMS + 1)
+    if a ** -r == 0.0:
+        return head
     tail = a ** (1.0 - r) / (r - 1.0)
     tail += 0.5 * a ** (-r)
     tail += r * a ** (-r - 1.0) / 12.0

@@ -22,13 +22,12 @@ Two representations cover everything the experiments need:
   roundoff.  These two keep full complex spectra; every other transform of
   real samples, here and in `besov`, is a real-input half spectrum.
 
-Dilation by powers of two treats grid samples as a function living in the
-centered window [-L/2, L/2)^d: after one band rule (the dilated spectrum
-must stay below Nyquist), shrinking (lambda > 1) strides indices and zeroes
-what is dilated in from outside the window, growing (lambda < 1)
-interpolates trigonometrically.  Under these semantics ||f(lambda .)||_p
-picks up the lambda^{-d/p} volume factor a whole-period stride would lose.
-Both run on the half spectrum; shrunk samples are gathered, so exact.
+Dilation by lambda = 2^k, k >= 0, treats grid samples as a function living
+in the centered window [-L/2, L/2)^d: after one band rule on the half
+spectrum (the dilated spectrum must stay below Nyquist), it strides indices
+and zeroes what is dilated in from outside the window, so the samples it
+keeps are gathered, exact.  Under these semantics ||f(lambda .)||_p picks
+up the lambda^{-d/p} volume factor a whole-period stride would lose.
 
 In dimension 1, `LpSpace.norms` and `dilate`'s energy sums read the one
 coordinate instead of reducing over it, the bits of the sum; the norms keep
@@ -337,29 +336,25 @@ def _centered_indices(n: int) -> np.ndarray:
 
 
 def dilate(f: GridFunction, lam: float) -> "GridFunction":
-    """Samples of x -> f(lam x) for lam = 2^n, window semantics.
+    """Samples of x -> f(lam x) for lam = 2^k, k >= 0, window semantics.
 
-    One band rule guards both directions: on every axis, the spectral energy
-    at centered indices |m| > (N/2 - 1) // max(lam, 1) may be at most
-    BAND_ENERGY_TOL of the total (for lam < 1, the Nyquist bin alone), read
+    One band rule: on every axis, the spectral energy at centered indices
+    |m| > (N/2 - 1) // lam may be at most BAND_ENERGY_TOL of the total, read
     off the half spectrum (rfftn), where bins 1..N/2 - 1 of the halved last
     axis also stand for their mirrors and count twice; a length-1 vector
-    axis is read, not summed.  lam >= 2 strides indices (exact sample reuse) and
-    zeroes content whose preimage falls outside the centered window, raising
-    if more than DILATE_DISCARD_TOL of the energy would go; lam = 2^{-s}
-    upsamples by trigonometric interpolation (exact for the stored
-    interpolant): irfftn of the zero-padded half spectrum, each coarse
-    Nyquist bin split evenly between the fine bins -N/2 and +N/2.
+    axis is read, not summed.  It then strides indices (exact sample reuse)
+    and zeroes content whose preimage falls outside the centered window,
+    raising if more than DILATE_DISCARD_TOL of the energy would go.
     """
     lam = float(lam)
-    n_log = math.log2(lam) if 0.0 < lam < math.inf else 0.5  # 0.5: no power of two
+    n_log = math.log2(lam) if 1.0 <= lam < math.inf else 0.5  # 0.5: no power of two
     if abs(n_log - round(n_log)) > 1e-12:
-        raise ValueError("dilation factor must be a power of two")
+        raise ValueError("dilation factor must be a power of two, 2^k with k >= 0")
     n_log = int(round(n_log))
     if n_log == 0:
         return GridFunction(f.period, f.values.copy(), f.space)
     N, axes = f.n, tuple(range(f.d))
-    stride = 2 ** max(n_log, 0)
+    stride = 2 ** n_log
     spec = np.fft.rfftn(f.values, axes=axes)
     power = _over_coordinates(np.add, np.abs(spec) ** 2)
     power[..., 1:N // 2] *= 2.0
@@ -368,34 +363,17 @@ def dilate(f: GridFunction, lam: float) -> "GridFunction":
     total = power.sum()
     for axis in range(f.d):
         if power.compress(beyond[:power.shape[axis]], axis=axis).sum() > BAND_ENERGY_TOL * total:
-            raise ValueError("dilation would push the active band past Nyquist" if n_log > 0
-                             else "content at the Nyquist bin cannot be upsampled unambiguously")
-    if n_log > 0:
-        # Node j keeps sample j * stride while j lies in the shrunken
-        # window [-half, half); f's energy outside it is about to be dropped.
-        half = N // (2 * stride)
-        kept = _every_axis(np.logical_and, (jc >= -half) & (jc < half), f.d)
-        gather = np.ix_(*[jc * stride % N] * f.d)
-        new_vals = np.where(kept[..., None], f.values[gather], 0.0)
-        energy = _over_coordinates(np.add, f.values ** 2)  # after the gather: less live at once
-        discarded = energy[~kept].sum()
-        total = energy.sum()
-        if total > 0 and discarded > DILATE_DISCARD_TOL * total:
-            raise ValueError("dilation would discard too much mass at the window edge "
-                             f"({discarded / total:.2e} of the total energy)")
-        return GridFunction(f.period, new_vals, f.space)
-    # lam < 1: upsample by zero-padding the spectrum, then sample the fine grid
-    # at the original node positions scaled by lam.  The real part of the
-    # complex zero-padding that puts each Nyquist bin at -N/2 is the mean of
-    # that padding and the one that puts it at +N/2 on every axis at once;
-    # on the halved last axis the first reaches bins 0..N/2 - 1, the second 0..N/2.
-    up = 2 ** (-n_log)
-    fine_n = up * N
-    fine_spec = np.zeros((fine_n,) * (f.d - 1) + (fine_n // 2 + 1, f.space.dim), dtype=complex)
-    plus = np.where(jc == -(N // 2), N // 2, jc)
-    fine_spec[np.ix_(*[jc % fine_n] * (f.d - 1), np.arange(N // 2))] = spec[..., :N // 2, :]
-    fine_spec[np.ix_(*[plus % fine_n] * (f.d - 1), np.arange(N // 2 + 1))] += spec
-    fine_vals = np.fft.irfftn(fine_spec, s=(fine_n,) * f.d, axes=axes) * (up ** f.d / 2)
-    # node j and bin m both sit at index (j or m) mod fine_n of the fine grid
-    new_vals = fine_vals[np.ix_(*[jc % fine_n] * f.d)]
+            raise ValueError("dilation would push the active band past Nyquist")
+    # Node j keeps sample j * stride while j lies in the shrunken
+    # window [-half, half); f's energy outside it is about to be dropped.
+    half = N // (2 * stride)
+    kept = _every_axis(np.logical_and, (jc >= -half) & (jc < half), f.d)
+    gather = np.ix_(*[jc * stride % N] * f.d)
+    new_vals = np.where(kept[..., None], f.values[gather], 0.0)
+    energy = _over_coordinates(np.add, f.values ** 2)  # after the gather: less live at once
+    discarded = energy[~kept].sum()
+    total = energy.sum()
+    if total > 0 and discarded > DILATE_DISCARD_TOL * total:
+        raise ValueError("dilation would discard too much mass at the window edge "
+                         f"({discarded / total:.2e} of the total energy)")
     return GridFunction(f.period, new_vals, f.space)

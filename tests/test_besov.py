@@ -410,7 +410,7 @@ def test_banks_and_grids_keep_one_grid_rule(period, n, d, message, builder):
 def test_every_level_route_keeps_one_level_rule():
     bank = build_filter_bank(8.0, 512, 1, 7)
     f = GridFunction(8.0, np.ones((512, 1)), LpSpace(2, 1))
-    for k in (-1, -2, 8, 1.5, 2.0):
+    for k in (-1, -2, 8, 1.5, 2.0, True, False):
         for route in (bank.kernel, bank.kernel_l1, lambda k: lp_block(f, bank, k)):
             with pytest.raises(ValueError, match=r"level must be in 0\.\.7"):
                 route(k)
