@@ -15,20 +15,17 @@ L^p norms, weight 2^{ks} at level k: one real-input forward transform of f
 and values in two buffers the norm reuses.  A bank checks once, when it is
 built, that each level is real and even (m(-xi) = m(xi)), as that needs.
 
-Difference route (for compactly supported piecewise functions on the
-line): L^p norm plus the l^q-in-t integral of t^{-s} times the modulus of
-continuity.  One algorithm serves steps and linear sources: the shift
-profile F(h) = ||f(.+h) - f||_p^p is evaluated at a set of shifts in one
+Difference route (for compactly supported step functions on the line; a
+linear source raises): L^p norm plus the l^q-in-t integral of t^{-s} times
+the modulus of continuity.  The shift profile F(h) = ||f(.+h) - f||_p^p is
+evaluated at the breakpoint differences, where F has its kinks, in one
 vectorised pass (`_shift_powers`, the only code that computes F; the
-single-shift `translate_diff_norm` calls it too; over many shifts a step's
-cells read each power ||v_c - v_a||^p from one table of its value pairs,
-to the bit of the per-cell power), and the modulus and the
+single-shift `translate_diff_norm` calls it too; over many shifts the
+cells read each power ||v_c - v_a||^p from one table of the step's value
+pairs, to the bit of the per-cell power), and the modulus and the
 integral read one profile of those values (`_profile`): rho(t)^p is the
 larger of the running max of F and F interpolated linearly between the
-shifts.  The source kind decides only which shifts are sampled: for steps
-the breakpoint differences, where F has its kinks, so the result is exact
-up to quadrature roundoff; for linear sources those plus a geometric grid
-that runs up to the support length.
+shifts, so the result is exact up to quadrature roundoff.
 
 Holder route (piecewise linear only): the sup norm plus the difference
 quotient maximized over breakpoint pairs.  That maximum is exact, not a
@@ -46,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (GL_NODES, GridFunction, Interpolation, PiecewiseFunction,
-                        _affine_powers, _check_grid, _frequency_radii, _gl_rule, _in_float_range,
+from .functions import (GridFunction, Interpolation, PiecewiseFunction, _check_grid,
+                        _frequency_radii, _gl_rule, _in_float_range, _steps_only,
                         grid_lp_norm, lp_norm)
 from .spaces import INF, _finite_exponent, as_exponent, lq_norm
 
@@ -215,14 +212,9 @@ def besov_norm_fourier(f: GridFunction, s: float, p, q, bank: FilterBank) -> flo
 
 def _shifts(f: PiecewiseFunction) -> np.ndarray:
     """The shifts h at which the difference route samples F, sorted: the
-    distinct positive breakpoint differences, where F has its kinks, and for
-    linear sources also the grid 2^{k/32}, k >= -960, up to max(1, support length)."""
+    distinct positive breakpoint differences, where a step's F has its kinks."""
     diffs = (f.breakpoints[None, :] - f.breakpoints[:, None]).ravel()
-    gaps = np.unique(diffs[diffs > 0])
-    if f.interpolation is Interpolation.STEP:
-        return gaps
-    grid = 2.0 ** (np.arange(-30 * 32, 32 * math.log2(max(gaps[-1], 1.0)) + 1) / 32)
-    return np.union1d(gaps, grid[(grid <= 1.0) | (grid < gaps[-1])])
+    return np.unique(diffs[diffs > 0])
 
 
 def _framed(a: np.ndarray) -> np.ndarray:
@@ -245,32 +237,25 @@ def _pair_powers(space, table: np.ndarray, p: float) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # `_in_float_range` names what leaves float range
 def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndarray:
-    """F(h) = ||f(.+h) - f||_p^p at every shift h: per row, the merged
-    breakpoints of f and f(.+h) cut cells where both are constant (steps) or
-    affine (linear sources: `_affine_powers` on the difference's cell-end
-    values; a sampled value, not a bound, since the rule misses the |u|^p
-    kink where a coordinate of the difference changes sign inside a cell).  Chunks
-    keep each temporary array near 2^18 floats.  Shifts far beyond the
-    support length round b - h together; the public callers clamp to it.
+    """F(h) = ||f(.+h) - f||_p^p of a step f at every shift h (a linear
+    source raises, `_steps_only`): per row, the merged breakpoints of f and
+    f(.+h) cut cells where both are constant.  Chunks keep each temporary
+    array near 2^18 floats.  Shifts far beyond the support length round
+    b - h together; the public callers clamp to it.
 
-    A step's cells pair only T = b.size + 1 values (zero on either side).
+    The cells pair only T = b.size + 1 values (zero on either side).
     When the call covers at least T^2 cells (2 b.size - 1 per shift) and
     T^2 <= 2^18, each ||v_c - v_a||^p is taken once into a T x T table
     (`_pair_powers`, T^2 floats) that the cells read; otherwise, as for one
     shift, each cell takes its own.  The operands, ufuncs and row
     reduction are the same, so both give F to the bit.  F that leaves
     float range raises (`_in_float_range`)."""
+    _steps_only(f)
     b = f.breakpoints
-    step = f.interpolation is Interpolation.STEP
-    if step:
-        table = _framed(f.values[1:])  # row i: the value on (b_{i-1}, b_i]
-        gate = table.shape[0] ** 2 <= min(2 ** 18, shifts.size * (2 * b.size - 1))
-        pairs = _pair_powers(f.space, table, p) if gate else None
-    else:
-        # row i: the affine piece on (b_{i-1}, b_i], start + (x - origin) slope; zero outside
-        start, origin = _framed(f.values[:-1]), _framed(b[:-1])
-        slope = _framed((f.values[1:] - f.values[:-1]) / (b[1:] - b[:-1])[:, None])
-    rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim * (1 if step else GL_NODES)))
+    table = _framed(f.values[1:])  # row i: the value on (b_{i-1}, b_i]
+    gate = table.shape[0] ** 2 <= min(2 ** 18, shifts.size * (2 * b.size - 1))
+    pairs = _pair_powers(f.space, table, p) if gate else None
+    rows = max(1, 2 ** 18 // (2 * b.size * f.space.dim))
     out = np.empty(shifts.size)
     for lo in range(0, shifts.size, rows):
         h = shifts[lo:lo + rows, None]
@@ -281,15 +266,9 @@ def _shift_powers(f: PiecewiseFunction, shifts: np.ndarray, p: float) -> np.ndar
         lens = pts[:, 1:] - pts[:, :-1]
         mids = 0.5 * (pts[:, 1:] + pts[:, :-1])
         here, there = np.searchsorted(b, mids), np.searchsorted(b, mids + h)
-        if step:
-            powered = (f.space.norms(table[there] - table[here]) ** p if pairs is None
-                       else pairs[here, there])
-            out[lo:lo + rows] = (lens * powered).sum(axis=1)
-            continue
-        d0, d1 = (start[there] + (x + h - origin[there])[..., None] * slope[there]
-                  - start[here] - (x - origin[here])[..., None] * slope[here]
-                  for x in (pts[:, :-1], pts[:, 1:]))
-        out[lo:lo + rows] = _affine_powers(f.space, lens, d0, d1, p)
+        powered = (f.space.norms(table[there] - table[here]) ** p if pairs is None
+                   else pairs[here, there])
+        out[lo:lo + rows] = (lens * powered).sum(axis=1)
     return _in_float_range(out, f, p)
 
 
@@ -322,14 +301,12 @@ def _profile(f: PiecewiseFunction, p: float, h: np.ndarray, top: float):
 
 
 def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
-    """sup_{|h| <= t} ||f(.+h) - f||_p; positive h suffice (t -> t - h).
+    """sup_{|h| <= t} ||f(.+h) - f||_p of a step f; positive h suffice (t -> t - h).
 
     The rho that `besov_norm_difference` integrates, read off `_profile`
-    (below the smallest shift, F(t) itself).  Exact for steps up to roundoff,
-    whose F is piecewise linear with kinks at the breakpoint differences.
-    For linear sources a sampled value, not a bound: F is interpolated
-    between shifts, each from a quadrature that can miss the |u|^p kink of
-    a coordinate changing sign inside a cell.
+    (below the smallest shift, F(t) itself).  Exact up to roundoff: a
+    step's F is piecewise linear with kinks at the breakpoint differences.
+    A linear source raises (`_steps_only`).
 
     `t` may be an array, read off one profile cut at the first shift >= max
     t, so each entry equals its own scalar call; a scalar t returns a float,
@@ -357,23 +334,20 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
 
 @np.errstate(over="ignore", invalid="ignore")  # a total out of float range raises below
 def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
-    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} over `_profile` cut at 1.
-    Below the smallest shift g, F(h) = F(g) (h/g)^a, with a = 1 where f
-    jumps (steps, linear sources nonzero at an end) and a = p for continuous
-    ones: closed form, +inf for s >= a/p.  Later pieces split where F
-    overtakes M; each half gets 20-point Gauss-Legendre in log t.  For
-    q = inf the sup is the max of t^{-s} F^{1/p} over the shifts: on a piece
-    t^{-s} M^{1/p} decreases, and for s < 1/p, t^{-s} F^{1/p} has no
-    interior maximum."""
-    jumps = f.interpolation is Interpolation.STEP or f.space.norms(f.values[[0, -1]]).any()
-    order = 1.0 if jumps else p
-    if s >= order / p:
+    """(int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q} of a step f over `_profile`
+    cut at 1.  Below the smallest shift g, F(h) = F(g) h/g: closed form
+    (F(g)/g)^{q/p} g^e / e with e = (1/p - s) q, +inf for s >= 1/p.  Later
+    pieces split where F overtakes M; each half gets 20-point Gauss-Legendre
+    in log t.  For q = inf the sup is the max of t^{-s} F^{1/p} over the
+    shifts: on a piece t^{-s} M^{1/p} decreases, and for s < 1/p,
+    t^{-s} F^{1/p} has no interior maximum."""
+    if s >= 1.0 / p:
         return math.inf
     kinks, F, best, slope = _profile(f, p, _shifts(f), 1.0)
     if q is INF:
         return float((kinks ** -s * F ** (1.0 / p)).max())
-    expo = (order / p - s) * q
-    total = float((F[0] / kinks[0] ** order) ** (q / p) * kinks[0] ** expo / expo)
+    expo = (1.0 / p - s) * q
+    total = float((F[0] / kinks[0]) ** (q / p) * kinks[0] ** expo / expo)
     lo, hi, r0, r1, top = kinks[:-1], kinks[1:], F[:-1], F[1:], best[:-1]
     rising = r1 > top
     cross = lo + (hi - lo) * np.where(rising, (top - r0) / np.where(rising, r1 - r0, 1.0), 1.0)
@@ -395,15 +369,13 @@ def _seminorm(f: PiecewiseFunction, s: float, p: float, q) -> float:
 
 
 def besov_norm_difference(f: PiecewiseFunction, s: float, p: float, q) -> float:
-    """L^p norm plus (int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q}, rho the modulus.
+    """L^p norm plus (int_0^1 (t^{-s} rho(t))^q dt/t)^{1/q}, rho the modulus,
+    of a step f (a linear source raises, `_steps_only`).
 
     s must lie in (0, 1) and p in [1, inf).  A p-th or q-th power total that
-    leaves float range, or underflows to 0 for a nonzero f, raises.  Steps:
-    exact up to quadrature roundoff.  Linear sources: F(h) = ||f(.+h) - f||_p^p
-    sampled at the breakpoint differences and on a geometric grid of 32
-    shifts per octave over 30 octaves, interpolated linearly between them.
-    +inf for s >= 1/p where f jumps: every step, and a linear source
-    nonzero at an end.
+    leaves float range, or underflows to 0 for a nonzero f, raises.  Exact
+    up to quadrature roundoff; +inf for s >= 1/p, where a step's jumps
+    make the seminorm diverge.
     """
     s = float(s)
     if not (0.0 < s < 1.0):

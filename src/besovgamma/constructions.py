@@ -13,6 +13,7 @@ Four constructions feed the experiments:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +25,10 @@ from .spaces import LpSpace, _finite_tuple
 ZETA_TERMS = 10 ** 6
 
 
+@lru_cache(maxsize=None)
 def zeta_sum(r: float) -> float:
-    """sum_{i >= 1} i^{-r}: ZETA_TERMS direct terms plus an Euler-Maclaurin tail.
+    """sum_{i >= 1} i^{-r}: ZETA_TERMS direct terms plus an Euler-Maclaurin tail,
+    kept per r (a refused r raises every time, as exceptions are not cached).
 
     The tail from a = ZETA_TERMS + 1 is integral + f(a)/2 - f'(a)/12 +
     f'''(a)/720; the next omitted term is below r^5 a^{-r-5}, far under

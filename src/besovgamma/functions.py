@@ -5,13 +5,10 @@ Two representations cover everything the experiments need:
 * `PiecewiseFunction` — vector-valued step or piecewise-linear functions on
   a bounded interval, zero outside.  Intervals are right-closed: a step
   takes the stored value on (t_{j-1}, t_j], so ties at breakpoints resolve
-  to the left segment.  L^p norms of steps are closed-form exact;
-  piecewise-linear segments use one fixed Gauss-Legendre rule
-  (`_affine_powers`, 32 nodes per segment).  Its error is at roundoff
-  where the integrand ||a + t (b - a)||^p is smooth inside a segment, but
-  an l^p coordinate that changes sign inside a segment puts a |t|^p kink
-  there: the scalar source -1 -> 1 on [0, 1] reads 0.50039 at p = 1
-  (7.8e-4 relative) and 8.0e-5 relative off at p = 1.5.
+  to the left segment.  Finite-p L^p norms (closed form) and the
+  difference norms in `besov` are computed for steps only (`_steps_only`
+  refuses a linear source); the sup norm, the L^2 norm, restriction and
+  evaluation are exact for both kinds.
 
 * `GridFunction` — vector-valued samples on a uniform periodic grid over
   [0, L)^d, d in {1, 2}, N a power of two per axis.  The samples are
@@ -45,8 +42,6 @@ from typing import Sequence
 import numpy as np
 
 from .spaces import INF, LpSpace, _over_coordinates, as_exponent
-
-GL_NODES = 32
 
 # Energy fraction `dilate` may silently discard at the window edge, and the
 # spectral-energy fraction it allows past the band that its stride keeps
@@ -157,29 +152,18 @@ class PiecewiseFunction:
         return PiecewiseFunction(merged, new_values, self.interpolation, self.space)
 
 
-def _affine_powers(space: LpSpace, lens, a, b, p: float):
-    """sum over cells of (len/2) sum_k w_k ||a + theta_k (b - a)||^p, the
-    GL_NODES-point Gauss-Legendre rule for the integral of ||u||^p over
-    cells of lengths `lens` (..., cells) on which u runs affinely from
-    a to b (..., cells, dim); summed over the last cell axis.  Smooth
-    integrands are integrated to roundoff, but where a coordinate of u
-    changes sign inside a cell |.|^p has a kink the rule misses: the scalar
-    u from -1 to 1 on [0, 1] reads 0.50039 at p = 1 (exact 0.5, 7.8e-4
-    relative) and 8.0e-5 relative off at p = 1.5."""
-    nodes, weights = _gl_rule(GL_NODES)
-    theta = (0.5 * (nodes + 1.0))[:, None]
-    powered = space.norms(a[..., None, :] + theta * (b - a)[..., None, :]) ** p
-    return 0.5 * (lens * (powered @ weights)).sum(axis=-1)
+def _steps_only(f: PiecewiseFunction) -> None:
+    """Refuse a linear source where only the step closed forms are computed."""
+    if f.interpolation is not Interpolation.STEP:
+        raise ValueError("finite-p L^p and difference norms are computed for step functions")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # `_in_float_range` names what leaves float range
 def _power_total(f: PiecewiseFunction, p: float) -> float:
-    """||f||_p^p: closed form for steps, `_affine_powers` for linear
-    segments; inf or nan, without a warning, where it leaves float range."""
+    """||f||_p^p of a step in closed form; inf or nan, without a warning,
+    where it leaves float range."""
     lens = f.breakpoints[1:] - f.breakpoints[:-1]
-    if f.interpolation is Interpolation.STEP:
-        return float(lens @ f.space.norms(f.values[1:]) ** p)
-    return float(_affine_powers(f.space, lens, f.values[:-1], f.values[1:], p))
+    return float(lens @ f.space.norms(f.values[1:]) ** p)
 
 
 def _in_float_range(powers: np.ndarray, f: PiecewiseFunction, p: float) -> np.ndarray:
@@ -191,20 +175,19 @@ def _in_float_range(powers: np.ndarray, f: PiecewiseFunction, p: float) -> np.nd
         return powers
     if not np.isfinite(powers).all():
         raise ValueError(f"a p-th power of f leaves float range at p = {p}")
-    nonzero = (f.values[1:] if f.interpolation is Interpolation.STEP else f.values).any()
-    if nonzero and _power_total(f, p) == 0.0:
+    if f.values[1:].any() and _power_total(f, p) == 0.0:
         raise ValueError(f"f is below float range: ||f||_p^p underflows to 0 at p = {p} "
                          "(rescale it)")
     return powers
 
 
 def lp_norm(f: PiecewiseFunction, p) -> float:
-    """L^p(R; E) norm.  Steps are closed-form exact; linear segments use
-    `_affine_powers`; p = INF is exact for both kinds (a linear path's norm
-    is convex, so its sup sits at a breakpoint).  A norm whose p-th power
-    (for p = INF, the space's norm of a value) leaves float range, or
-    underflows to 0 for a nonzero f, raises a ValueError naming p
-    (`_in_float_range` for finite p)."""
+    """L^p(R; E) norm.  Finite p takes steps only, closed-form exact (a
+    linear source raises, `_steps_only`); p = INF is exact for both kinds
+    (a linear path's norm is convex, so its sup sits at a breakpoint).  A
+    norm whose p-th power (for p = INF, the space's norm of a value) leaves
+    float range, or underflows to 0 for a nonzero f, raises a ValueError
+    naming p (`_in_float_range` for finite p)."""
     p = as_exponent(p)
     if p is INF:
         values = f.values[1:] if f.interpolation is Interpolation.STEP else f.values
@@ -216,6 +199,7 @@ def lp_norm(f: PiecewiseFunction, p) -> float:
             raise ValueError(f"f is below float range: its l^{f.space.p} norm underflows "
                              f"to 0 at p = {p} (rescale it)")
         return top
+    _steps_only(f)
     total = _power_total(f, p)
     if not 0.0 < total < math.inf:  # `_in_float_range` raises unless f = 0
         _in_float_range(np.array([total]), f, p)

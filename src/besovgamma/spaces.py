@@ -40,9 +40,12 @@ Exponent = Union[float, _Infinity]
 
 
 def as_exponent(p) -> Exponent:
-    """Normalize an exponent to a float in [1, inf) or the INF singleton."""
+    """Normalize an exponent to a float in [1, inf) or the INF singleton;
+    a boolean, which float() would read as 1 or 0, raises."""
     if p is INF or isinstance(p, _Infinity):
         return INF
+    if isinstance(p, (bool, np.bool_)):
+        raise ValueError(f"exponent must be a number, not the boolean {p!r}")
     if isinstance(p, str):
         if p.lower() in ("inf", "infinity"):
             return INF
@@ -92,7 +95,8 @@ class LpSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_exponent(self.p))
-        if not (float(self.dim).is_integer() and self.dim >= 1):
+        if isinstance(self.dim, (bool, np.bool_)) or not (
+                float(self.dim).is_integer() and self.dim >= 1):
             raise ValueError("dim must be a whole number >= 1")
         object.__setattr__(self, "dim", int(self.dim))
 

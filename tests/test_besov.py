@@ -459,7 +459,7 @@ def test_modulus_monotone_and_dense_scan_lower_bound():
     rng = np.random.Generator(np.random.Philox(key=77))
     breaks = np.sort(rng.uniform(0.0, 1.0, size=7))
     vals = rng.normal(size=(7, 2))
-    f = PiecewiseFunction(breaks, vals, Interpolation.LINEAR, LpSpace(2, 2))
+    f = PiecewiseFunction(breaks, vals, Interpolation.STEP, LpSpace(2, 2))
     p = 1.7
     ts = [0.05, 0.1, 0.2, 0.4]
     rhos = [modulus_of_continuity(f, t, p) for t in ts]
@@ -474,20 +474,18 @@ def test_modulus_monotone_and_dense_scan_lower_bound():
         assert dense <= rho * 1.02 + 1e-12
 
 
-@pytest.mark.parametrize("f, modulus_rtol", [(make_step(3, np.eye(3), LpSpace(1.5, 3)), 1e-12),
-                                              (make_tent_family(2, 1.05, 1.5), 1e-8)])
-def test_shifts_beyond_the_support_read_as_disjoint(f, modulus_rtol):
+def test_shifts_beyond_the_support_read_as_disjoint():
     # once |h| >= L the supports are disjoint, F = 2 ||f||_p^p; without the
     # clamp to L, shifts that dwarf the breakpoints round them together.
-    # Both sources have their sup of F there; the tent's F at shorter shifts
-    # carries the quadrature error of cells where a coordinate changes sign.
+    # The step has its sup of F there.
+    f = make_step(3, np.eye(3), LpSpace(1.5, 3))
     p = 1.5
     a, b = f.support
     want = 2.0 ** (1.0 / p) * lp_norm(f, p)
     for h in (2.0 * (b - a), 1e16, math.inf):
         assert translate_diff_norm(f, h, p) == pytest.approx(want, rel=1e-12)
         assert translate_diff_norm(f, -h, p) == pytest.approx(want, rel=1e-12)
-        assert modulus_of_continuity(f, h, p) == pytest.approx(want, rel=modulus_rtol)
+        assert modulus_of_continuity(f, h, p) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         translate_diff_norm(f, math.nan, p)
     with pytest.raises(ValueError):
@@ -544,22 +542,15 @@ def test_besov_difference_monotone_in_s():
 
 
 def test_besov_difference_divergence_for_rough_steps():
-    # at s >= 1/p the jump contribution is non-integrable; a linear source
-    # that is nonzero at an end of its support jumps there too, while a
-    # continuous one has rho(t) ~ t and stays finite for every s < 1
+    # at s >= 1/p the jump contribution is non-integrable
     assert besov_norm_difference(indicator(1.5), 0.7, 1.5, 1.0) == math.inf
-    ramp = PiecewiseFunction([0.0, 1.0], [[0.0], [1.0]], Interpolation.LINEAR, LpSpace(1.5, 1))
-    assert besov_norm_difference(ramp, 0.7, 1.5, 1.0) == math.inf
-    assert math.isfinite(besov_norm_difference(make_tent_family(4, 1.05, 1.5), 0.7, 1.5, 1.0))
     with pytest.raises(ValueError):
         besov_norm_difference(indicator(1.5), 1.2, 1.5, 1.0)
 
 
 @st.composite
-def random_steps(draw, kinds=(Interpolation.STEP,)):
-    """A step (or another of `kinds`) with non-uniform breakpoints into
-    l^p_dim, p in [1, 3], dim 1..3."""
-    kind = draw(st.sampled_from(kinds))
+def random_steps(draw):
+    """A step with non-uniform breakpoints into l^p_dim, p in [1, 3], dim 1..3."""
     dim = draw(st.integers(1, 3))
     m = draw(st.integers(2, 8))
     gaps = draw(st.lists(st.floats(0.02, 0.8), min_size=m - 1, max_size=m - 1))
@@ -567,15 +558,15 @@ def random_steps(draw, kinds=(Interpolation.STEP,)):
     entry = st.floats(-2.0, 2.0).map(lambda x: round(x, 6))
     vals = draw(st.lists(entry, min_size=m * dim, max_size=m * dim))
     p = draw(st.floats(1.0, 3.0))
-    f = PiecewiseFunction(breaks, np.reshape(vals, (m, dim)), kind, LpSpace(p, dim))
+    f = PiecewiseFunction(breaks, np.reshape(vals, (m, dim)), Interpolation.STEP, LpSpace(p, dim))
     return f, p
 
 
 @settings(max_examples=60)
-@given(random_steps(tuple(Interpolation)), st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12))
+@given(random_steps(), st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12))
 def test_step_shift_powers_match_translate_diff_norm(step, shifts):
-    # arbitrary shifts plus every breakpoint difference, where cells degenerate;
-    # steps and linear sources alike, against the oracle that evaluates f
+    # arbitrary shifts plus every breakpoint difference, where cells degenerate,
+    # against the oracle that evaluates f
     f, p = step
     b = f.breakpoints
     diffs = (b[None, :] - b[:, None]).ravel()
@@ -694,19 +685,16 @@ def test_the_difference_route_names_a_power_out_of_float_range(scale, message):
     # 1e300 at p = 4/3 overflowed with a RuntimeWarning into inf and nan;
     # 1e-300 read 0.0 everywhere although f is nonzero
     p = 4.0 / 3.0
-    for f in scaled_sources(scale):
-        for call in difference_route(f, p):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=message):
-                    call()
+    for call in difference_route(scaled_sources(scale)[0], p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call()
     # q-th powers of the modulus can leave float range where F does not
-    for f in scaled_sources(1e-200):
-        with pytest.raises(ValueError, match=r"below float range.*q = 2\.0 \(rescale it\)"):
-            besov_norm_difference(f, 0.2, p, 2.0)
-    for f in scaled_sources(1e200):
-        with pytest.raises(ValueError, match=r"leaves float range at p = 1\.333\d*, q = 3\.0"):
-            besov_norm_difference(f, 0.2, p, 3.0)
+    with pytest.raises(ValueError, match=r"below float range.*q = 2\.0 \(rescale it\)"):
+        besov_norm_difference(scaled_sources(1e-200)[0], 0.2, p, 2.0)
+    with pytest.raises(ValueError, match=r"leaves float range at p = 1\.333\d*, q = 3\.0"):
+        besov_norm_difference(scaled_sources(1e200)[0], 0.2, p, 3.0)
 
 
 def test_the_zero_function_and_rounded_shifts_still_read_zero():
@@ -733,7 +721,7 @@ def test_the_sup_norm_names_a_value_norm_out_of_float_range(scale, message):
 
 
 def test_the_sup_norm_of_ordinary_and_zero_sources_keeps_its_bits():
-    for f in scaled_sources(1.0) + [random_linear(jumps=True)]:
+    for f in scaled_sources(1.0) + [random_linear()]:
         values = f.values[1:] if f.interpolation is Interpolation.STEP else f.values
         assert lp_norm(f, INF) == float(f.space.norms(values).max())
     f = make_step(8, np.random.default_rng(5).normal(size=(8, 8)), LpSpace(4.0 / 3.0, 8))
@@ -765,23 +753,21 @@ def modulus_taking_shifts_twice(f, t, p):
 
 @pytest.mark.parametrize("t", [0.3, np.array([1e-4, 0.05, 0.3, 0.9, 2.0])])
 def test_a_modulus_call_takes_the_shifts_once(monkeypatch, t):
-    rng = np.random.default_rng(11)
-    sources = [(make_step(8, rng.normal(size=(8, 8)), LpSpace(4.0 / 3.0, 8)), 4.0 / 3.0),
-               (make_tent_family(4, 1.05, 1.5), 1.5), (random_linear(jumps=True), 1.7)]
+    p = 4.0 / 3.0
+    f = make_step(8, np.random.default_rng(11).normal(size=(8, 8)), LpSpace(p, 8))
     shifts, calls = besov._shifts, []
     monkeypatch.setattr(besov, "_shifts", lambda f: calls.append(f) or shifts(f))
-    for f, p in sources:
-        want = modulus_taking_shifts_twice(f, t, p)
-        del calls[:]
-        rho = modulus_of_continuity(f, t, p)
-        assert len(calls) == 1
-        assert np.asarray(rho).tobytes() == want.tobytes()
+    want = modulus_taking_shifts_twice(f, t, p)
+    del calls[:]
+    rho = modulus_of_continuity(f, t, p)
+    assert len(calls) == 1
+    assert np.asarray(rho).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
 def test_an_empty_modulus_sweep_returns_an_empty_array(shape):
     f = make_step(3, np.eye(3), LpSpace(1.5, 3))
-    for source in (f, random_linear(jumps=True)):
+    for source in (f, random_linear()):
         rho = modulus_of_continuity(source, np.empty(shape), 1.5)
         assert isinstance(rho, np.ndarray) and rho.shape == shape
 
@@ -857,57 +843,30 @@ def test_besov_difference_closed_form_for_long_indicator():
         assert besov_norm_difference(f, s, p, q) == pytest.approx(closed, rel=1e-13)
 
 
-def random_linear(jumps: bool):
-    """Linear on 7 random breakpoints into l^{1.7}_2; without `jumps` the end
-    values are zero, so the source is continuous."""
+def random_linear():
+    """Linear on 7 random breakpoints into l^{1.7}_2, nonzero at both ends."""
     rng = np.random.Generator(np.random.Philox(key=5))
-    vals = rng.normal(size=(7, 2))
-    if not jumps:
-        vals[[0, -1]] = 0.0
-    return PiecewiseFunction(np.sort(rng.uniform(0.0, 1.0, size=7)), vals,
+    return PiecewiseFunction(np.sort(rng.uniform(0.0, 1.0, size=7)), rng.normal(size=(7, 2)),
                              Interpolation.LINEAR, LpSpace(1.7, 2))
 
 
-def dense_reference(f, s, p, qs):
-    """The norm for each q in qs from F on 256 shifts per octave over
-    2^-36..1, with no breakpoint differences among them: rho the running
-    max of the sampled F^{1/p}, the trapezoid rule in log t, and below
-    2^-36 rho ~ t^{1/p} where f jumps at an end, rho ~ t otherwise."""
-    h = 2.0 ** (-np.arange(36 * 256, -1, -1) / 256)
-    rho = np.maximum.accumulate(_shift_powers(f, h, p)) ** (1.0 / p)
-    rate = 1.0 / p if f.space.norms(f.values[[0, -1]]).any() else 1.0
-    out = []
-    for q in qs:
-        if q is INF:
-            out.append(lp_norm(f, p) + float((h ** -s * rho).max()))
-            continue
-        g = h ** (-s * q) * rho ** q
-        body = float((0.5 * (g[1:] + g[:-1]) * np.diff(np.log(h))).sum())
-        out.append(lp_norm(f, p) + (body + g[0] / ((rate - s) * q)) ** (1.0 / q))
-    return out
-
-
-@pytest.mark.parametrize("f, s, p", [
-    (make_tent_family(4, 1.05, 1.5), 0.2, 1.5),   # continuous: the paper's tents
-    (make_tent_family(4, 1.05, 1.5), 0.8, 1.5),   # continuous, s above 1/p
-    (random_linear(jumps=True), 0.2, 1.7),
-    (random_linear(jumps=True), 0.5, 1.7),
-    (random_linear(jumps=False), 0.4, 1.7),
-])
-def test_linear_difference_norm_matches_dense_reference(f, s, p):
-    qs = (1.0, 2.0, INF)
-    for q, want in zip(qs, dense_reference(f, s, p, qs)):
-        assert besov_norm_difference(f, s, p, q) == pytest.approx(want, rel=1e-4)
+@pytest.mark.parametrize("f", [make_tent_family(4, 1.05, 1.5), random_linear()])
+def test_the_difference_route_takes_steps_only(f):
+    # finite-p L^p and difference norms are closed forms for steps; a linear
+    # source raises, while its sup norm stays exact (a convex path's norm
+    # peaks at a breakpoint)
+    for call in difference_route(f, f.space.p):
+        with pytest.raises(ValueError, match="step functions"):
+            call()
+    assert lp_norm(f, INF) == float(f.space.norms(f.values).max())
 
 
 def two_pass_seminorm(f, s, p, q):
     """`_seminorm` for finite q as it stood with one loop pass per half of
     each piece, [lo, cross] and then [cross, hi], each added to the total."""
-    jumps = f.interpolation is Interpolation.STEP or f.space.norms(f.values[[0, -1]]).any()
-    order = 1.0 if jumps else p
     kinks, F, best, slope = _profile(f, p, besov._shifts(f), 1.0)
-    expo = (order / p - s) * q
-    total = float((F[0] / kinks[0] ** order) ** (q / p) * kinks[0] ** expo / expo)
+    expo = (1.0 / p - s) * q
+    total = float((F[0] / kinks[0]) ** (q / p) * kinks[0] ** expo / expo)
     lo, hi, r0, r1, top = kinks[:-1], kinks[1:], F[:-1], F[1:], best[:-1]
     rising = r1 > top
     cross = lo + (hi - lo) * np.where(rising, (top - r0) / np.where(rising, r1 - r0, 1.0), 1.0)
@@ -927,27 +886,16 @@ def two_pass_seminorm(f, s, p, q):
     (make_step(3, np.eye(3), LpSpace(1.5, 3)), 0.4, 1.5),
     (PiecewiseFunction([0.0, 0.13, 0.31, 0.32, 0.58, 0.9], np.random.default_rng(1).normal(
         size=(6, 2)), Interpolation.STEP, LpSpace(1.5, 2)), 0.3, 1.5),
-    (make_tent_family(4, 1.05, 1.5), 0.2, 1.5),
-    (make_tent_family(3, 1.05, 3.0), 0.6, 3.0),
-    (random_linear(jumps=True), 0.5, 1.7),
 ])
 def test_one_pass_seminorm_equals_the_two_pass_loop_bit_for_bit(f, s, p, q):
     assert _seminorm(f, s, p, q) == two_pass_seminorm(f, s, p, q)
 
 
-def test_linear_modulus_is_nondecreasing_in_t():
-    # rho(t)^p = max(M, F interpolated between the shifts), with M the
-    # running max of F over the shifts up to t, is nondecreasing in t
-    f = random_linear(jumps=True)
-    rhos = [modulus_of_continuity(f, t, 1.7) for t in np.geomspace(1e-3, 1.0, 60)]
-    assert np.all(np.diff(rhos) >= 0.0)
-
-
 def test_modulus_sweep_equals_its_per_point_calls():
     # one profile, cut at the first shift >= max t, serves the whole sweep,
     # and each t reads the same piece of it as its scalar call; t from 1e-10
-    # also reaches below the smallest sampled shift 2^-30, where F(t) counts
-    f = random_linear(jumps=True)
+    # also reaches below the smallest shift, the block width 1/16, where F(t) counts
+    f = make_step(8, np.random.default_rng(12).normal(size=(8, 2)), LpSpace(1.7, 2))
     ts = np.geomspace(1e-10, 1.0, 200)
     start = time.perf_counter()
     rhos = modulus_of_continuity(f, ts, 1.7)
@@ -963,28 +911,6 @@ def test_modulus_sweep_equals_its_per_point_calls():
     assert isinstance(modulus_of_continuity(f, 0.3, 1.7), float)
     with pytest.raises(ValueError):
         modulus_of_continuity(f, np.array([0.1, 0.0]), 1.7)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_linear_modulus_matches_a_dense_sup(seed):
-    # a dense reference for sup_{h <= t} F(h): the running max of F on 1000
-    # geometric shifts up to 1 and 1000 even ones on to 1.5, and F(t)
-    # itself.  rho interpolates F between the sampled shifts, 32 per octave
-    # up to the support length 1.5.  Worst relative errors over these ten
-    # sources: 1.5e-4 for t <= 1 and 1.3e-3 above (7.8e-3 above 1 for a
-    # grid that stops at 1, where only breakpoint differences are sampled)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.5, size=5)), [1.5]])
-    f = PiecewiseFunction(breaks, rng.normal(size=(7, 2)), Interpolation.LINEAR,
-                          LpSpace(1.7, 2))
-    ts = np.concatenate([np.geomspace(1e-7, 1.0, 60), np.linspace(1.0, 1.5, 26)[1:]])
-    grid = np.union1d(np.geomspace(1e-9, 1.0, 1000), np.linspace(1.0, 1.5, 1001))
-    F = _shift_powers(f, np.concatenate([grid, ts]), 1.7)
-    upto = np.maximum.accumulate(F[:grid.size])[np.searchsorted(grid, ts, side="right") - 1]
-    dense = np.maximum(upto, F[grid.size:]) ** (1.0 / 1.7)
-    rho = modulus_of_continuity(f, ts, 1.7)
-    np.testing.assert_allclose(rho[ts <= 1.0], dense[ts <= 1.0], rtol=1e-3, atol=0.0)
-    np.testing.assert_allclose(rho[ts > 1.0], dense[ts > 1.0], rtol=2e-3, atol=0.0)
 
 
 def test_holder_norm_single_tent():

@@ -11,6 +11,7 @@ from besovgamma.constructions import (make_psi_system, make_single_band,
                                       tent_widths, zeta_sum)
 from besovgamma.functions import (Interpolation, dilate, grid_lp_norm,
                                   l2_norm_squared, lp_norm)
+from besovgamma.harness import run
 from besovgamma.montecarlo import gaussian_array
 from besovgamma.spaces import LpSpace
 
@@ -33,6 +34,15 @@ def test_zeta_sum_rejects_nan_and_so_do_the_tents():
     for build in (zeta_sum, lambda r: tent_widths(3, r), lambda r: make_tent_family(3, r)):
         with pytest.raises(ValueError, match="r > 1"):
             build(math.nan)
+
+
+def test_a_default_tent_scaling_run_sums_the_series_once():
+    # each zeta_sum sums 10^6 powers; tent_widths asked for the same r
+    # 13 times per default run
+    zeta_sum.cache_clear()
+    run("tent-scaling")
+    info = zeta_sum.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_make_step_geometry_and_alternation():

@@ -27,9 +27,18 @@ def test_as_exponent_rejects_below_one():
         as_exponent(0.9)
 
 
+def test_as_exponent_and_lpspace_reject_booleans():
+    # True read as p = 1.0, so LpSpace(True, 3) built l^1_3
+    for flag in (True, False, np.True_, np.False_):
+        with pytest.raises(ValueError, match=f"boolean {flag!r}"):
+            as_exponent(flag)
+        with pytest.raises(ValueError, match="boolean"):
+            LpSpace(flag, 3)
+
+
 def test_lpspace_dim_must_be_a_whole_number():
     # 2.7 was truncated to dimension 2
-    for dim in (2.7, 0.5, math.nan, math.inf, 0, -1):
+    for dim in (2.7, 0.5, math.nan, math.inf, 0, -1, True, np.True_):
         with pytest.raises(ValueError, match="dim must be a whole number"):
             LpSpace(2, dim)
     for dim in (3, 3.0, np.int64(3), np.int32(3)):
