@@ -277,6 +277,7 @@ def translate_diff_norm(f: PiecewiseFunction, h: float, p: float) -> float:
     even in h by t -> t - h), to the 1/p.  From the support length L on the
     supports are disjoint and F = 2 ||f||_p^p, so |h| is clamped to L."""
     p = _finite_exponent(p)
+    _steps_only(f)
     h = abs(float(h))
     if math.isnan(h):
         raise ValueError("the shift h must not be NaN")
@@ -314,6 +315,7 @@ def modulus_of_continuity(f: PiecewiseFunction, t, p: float):
     L (itself a shift) reads as L.
     """
     p = _finite_exponent(p)
+    _steps_only(f)
     ts = np.asarray(t, dtype=float)
     if not (ts > 0.0).all():
         raise ValueError("t must be positive")

@@ -44,8 +44,7 @@ def as_exponent(p) -> Exponent:
     a boolean, which float() would read as 1 or 0, raises."""
     if p is INF or isinstance(p, _Infinity):
         return INF
-    if isinstance(p, (bool, np.bool_)):
-        raise ValueError(f"exponent must be a number, not the boolean {p!r}")
+    _not_boolean(p)
     if isinstance(p, str):
         if p.lower() in ("inf", "infinity"):
             return INF
@@ -73,8 +72,15 @@ def check_exponent(direction: str, exponent):
     return exponent
 
 
+def _not_boolean(p) -> None:
+    """Refuse a boolean exponent, which float() would read as 1 or 0."""
+    if isinstance(p, (bool, np.bool_)):
+        raise ValueError(f"exponent must be a number, not the boolean {p!r}")
+
+
 def _finite_exponent(p) -> float:
-    """p as a float in [1, inf): INF, inf, NaN and p < 1 raise."""
+    """p as a float in [1, inf): INF, inf, NaN, p < 1 and booleans raise."""
+    _not_boolean(p)
     if p is INF or not 1.0 <= float(p) < math.inf:
         raise ValueError(f"the exponent must be a finite p >= 1, got {p}")
     return float(p)
@@ -200,23 +206,24 @@ def _nabeya_terms(cov):
     return sigmas, scale * pair
 
 
-def _nabeya_cross(j: int, sigmas: list, cov_row: list) -> float:
-    """sum_{k != j} T_jk of `_nabeya_terms` for one row of the covariance,
-    with s_j = sqrt(cov_jj) and the other s_k given, in plain Python floats:
-    a short row costs less this way than in NumPy calls."""
+def _nabeya_row(j: int, sigmas: list, cov_row: list) -> list:
+    """Row j of T in `_nabeya_terms` for one row of the covariance, with
+    s_j = sqrt(cov_jj) and the other s_k given, in plain Python floats (a
+    short row costs less this way than in NumPy calls); T_jj = (pi/2) cov_jj,
+    since E|G_j|^2 = cov_jj."""
     sqrt, asin = math.sqrt, math.asin
     s_j = sqrt(cov_row[j])
-    cross = 0.0
-    for k, (s_k, c) in enumerate(zip(sigmas, cov_row)):
+    row = []
+    for s_k, c in zip(sigmas, cov_row):
         scale = s_j * s_k
-        if k != j and scale > 0.0:
-            rho = c / scale
-            if rho > 1.0:
-                rho = 1.0
-            elif rho < -1.0:
-                rho = -1.0
-            cross += scale * (sqrt((1.0 - rho) * (1.0 + rho)) + rho * asin(rho))
-    return cross
+        rho = c / scale if scale > 0.0 else 0.0
+        if rho > 1.0:
+            rho = 1.0
+        elif rho < -1.0:
+            rho = -1.0
+        row.append(scale * (sqrt((1.0 - rho) * (1.0 + rho)) + rho * asin(rho)))
+    row[j] = 0.5 * math.pi * cov_row[j]
+    return row
 
 
 def l1_gaussian_second_moment(cov) -> float:

@@ -18,18 +18,20 @@ Gaussian matrix xi per restart), otherwise MC noise would swamp
 single-coordinate gains.  A trial move of X[i, j] changes only column j of
 S = xi X and row i of X (exact: only row and column j of Q = X^T X).  The
 fresh score `_scored` chooses the climb's kernel in one branch and returns a
-builder of its trial scorer; once per restart and per accepted move, that
-builder makes, from the products the score formed, a scorer that
-re-evaluates only those: in O(samples + n) on l^inf (from S^T and |S^T|,
-so a build only takes the other columns' maxima), and over the Nabeya pairs
-of the moved column where the moment is exact (l^1 and dimension 1).
-Sampled finite-p targets score each trial by the fresh `_scored`, which
-hands on its builder.  Elsewhere a trial within TIE_RTOL of the best, hence
-every accepted move, is re-scored by the fresh objective, and the scorer is
-rebuilt from that re-score on acceptance, so the climb makes the decisions
-and holds the values of fresh scoring unless rounding moves a trial by more
-than TIE_RTOL (it moved trials by at most 6e-16 relative in the default
-type-constant and cotype-constant searches).  The final value re-scores
+builder of its trial scorer, which makes, from the products the score
+formed, a scorer that re-evaluates only those: in O(samples + n) on l^inf
+(from S^T and |S^T|, so a build only takes the other columns' maxima), and
+over the Nabeya pairs of the moved column where the moment is exact (l^1
+and dimension 1).  Sampled finite-p targets score each trial by the fresh
+`_scored`, which hands on its builder.  Elsewhere a trial that beats the
+best by more than TIE_RTOL is accepted on its own value, and the scorer
+advances its products in place by the move; a close call, within TIE_RTOL
+of the best, is decided by fresh scores of the trial and of the best (if
+that was such an accept), and the scorer is rebuilt from the trial's on
+acceptance.  So the climb makes the decisions of fresh scoring unless
+rounding moves a trial by more than TIE_RTOL/2 (it moved trials by less
+than 6.3e-16 relative in the default type-constant and cotype-constant
+searches, advanced scorers included).  The final value re-scores
 all candidates under one shared evaluation (a matrix whose seed depends
 only on (seed, samples, tuple size), or the closed form), so a witness
 padded with zero coordinates into a larger space reproduces its value bit
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MCConfig, derive_seed, gaussian_array, rademacher_array
-from .spaces import (INF, LpSpace, _finite_tuple, _nabeya_cross, _nabeya_terms, check_exponent,
+from .spaces import (INF, LpSpace, _finite_tuple, _nabeya_row, _nabeya_terms, check_exponent,
                      lq_norm)
 
 DEFAULT_RESTARTS = 64
@@ -125,23 +127,28 @@ def _scored(space, direction, exponent, X, xi):
     matrix xi, or exact for xi = None (Hilbert: sum of squares; else Nabeya's
     sum over the pair terms of X^T X); and `build(xiT)` (xiT = xi transposed,
     or None), which makes the climb's scorer for X from the products formed
-    here: `trial(i, j, step)` gives `_objective` after X[i, j] moved by
-    `step` (X already holds the move), up to rounding, and the builder for
-    the moved X where that value is the fresh score (else None).
+    here, and then advances them in place (build once per score):
+    `trial(i, j, step)` gives `_objective` after X[i, j] moved by `step` (X
+    already holds the move), up to rounding, and the builder for the moved
+    X where that value is the fresh score (else None); an incremental
+    scorer's `trial.advance(i, j, step)` takes that move in.
 
     - Sampled l^inf: S^T = (xi X)^T, coordinate-major, and A = |S^T|, whose
       column maxima are the sample norms (max and abs are exact:
       `space.norms(xi @ X)` to the bit).  The scorer takes the other
-      columns' maxima once (`_max_of_others`); a trial rebuilds
-      |S[:, j] + step xi[:, i]| in one buffer, folds those maxima in, and
-      reads row i's norm as a Python max, in O(samples + n).
-    - Exact l^1 and l^p_1 (normed by sum |x|): the pairs (j, k) of Nabeya's
-      sum are re-evaluated in plain Python floats from the new row j of
-      Q = X^T X, formed as one product X[:, j] @ X (an update of the cached
-      row would carry rounding of the old entries, large against a column
-      the move nearly cancels), and added to the sum over the pairs that
-      avoid j (a masked product of nonnegative terms: no difference loses
-      digits).
+      columns' maxima (`_max_of_others`) into its own buffers; a trial
+      rebuilds |S[:, j] + step xi[:, i]| in one buffer, folds those maxima
+      in, and reads row i's norm as a Python max, in O(samples + n).  An
+      advance adds step xi[:, i] to S^T[j] by the trial's two ufunc calls,
+      takes its |.| into A[j] and the maxima again.
+    - Exact l^1 and l^p_1 (normed by sum |x|): row j of the Nabeya terms is
+      re-evaluated in plain Python floats (`_nabeya_row`) from the new row
+      j of Q = X^T X, formed as one product X[:, j] @ X (an update of the
+      cached row would carry rounding of the old entries, large against a
+      column the move nearly cancels), and added to the sum over the pairs
+      that avoid j (a masked product of nonnegative terms: no difference
+      loses digits).  An advance writes that row and column into the
+      terms, sets s_j and sums the pairs that avoid each column again.
     - Sampled finite p: the trial is the fresh `_scored`, value and builder.
     - Hilbert targets are analytic and never climbed: no builder."""
     norms = space.norms(X)
@@ -151,15 +158,22 @@ def _scored(space, direction, exponent, X, xi):
         moment = float(np.mean(A.max(axis=0) ** 2))
 
         def build(xiT):
-            others, buf = _max_of_others(A), np.empty(len(xi))
+            others, after, buf = np.empty_like(A), np.empty_like(A), np.empty(len(xi))
+            _max_of_others(A, others, after)
 
             def moved(i, j, step):
                 np.multiply(xiT[i], step, out=buf)
                 np.add(St[j], buf, out=buf)
                 np.abs(buf, out=buf)
                 np.maximum(others[j], buf, out=buf)
-                return max(map(abs, X[i].tolist())), float(buf @ buf) / len(buf)
-            return _trial(direction, exponent, norms, moved)
+                return float(buf @ buf) / len(buf)
+
+            def advance(i, j, step):
+                np.multiply(xiT[i], step, out=buf)
+                np.add(St[j], buf, out=St[j])
+                np.abs(St[j], out=A[j])
+                _max_of_others(A, others, after)
+            return _trial(direction, exponent, X, norms, max, moved, advance)
     elif xi is not None:
         moment = float(np.mean(space.norms(xi @ X) ** 2))
 
@@ -172,15 +186,18 @@ def _scored(space, direction, exponent, X, xi):
         moment = 2.0 / math.pi * float(T.sum())  # l1_gaussian_second_moment
 
         def build(xiT):
-            off = 1.0 - np.eye(len(sigmas))
-            s, avoid = sigmas.tolist(), ((off @ T) * off).sum(axis=1).tolist()
+            off, s, q, row = 1.0 - np.eye(len(sigmas)), sigmas.tolist(), [], []
+            avoid = ((off @ T) * off).sum(axis=1).tolist()
 
             def moved(i, j, step):
-                q = X[:, j].dot(X).tolist()
-                # the diagonal term T_jj = (pi/2) q_j: E|G_j|^2 = q_j
-                return sum(map(abs, X[i].tolist())), 2.0 / math.pi * (
-                    avoid[j] + 0.5 * math.pi * q[j] + 2.0 * _nabeya_cross(j, s, q))
-            return _trial(direction, exponent, norms, moved)
+                q[:] = X[:, j].dot(X).tolist()
+                row[:] = _nabeya_row(j, s, q)
+                return 2.0 / math.pi * (avoid[j] + 2.0 * sum(row) - row[j])
+
+            def advance(i, j, step):
+                s[j], T[j], T[:, j] = math.sqrt(q[j]), row, row
+                avoid[:] = ((off @ T) * off).sum(axis=1).tolist()
+            return _trial(direction, exponent, X, norms, sum, moved, advance)
     den = lq_norm(norms, exponent)
     if den == 0.0:
         return -math.inf, build
@@ -193,19 +210,26 @@ def _objective(space, direction, exponent, X, xi) -> float:
     return _scored(space, direction, exponent, X, xi)[0]
 
 
-def _trial(direction, exponent, norms, moved):
+def _trial(direction, exponent, X, norms, norm_of, moved, advance):
     """The trial scorer over the row norms before a move, where
-    `moved(i, j, step)` gives row i's norm and the second moment after it;
-    its values are incremental, so it hands on no builder."""
+    `moved(i, j, step)` gives the second moment after it and `norm_of` (max
+    or sum) reads row i's norm from the moved X; its values are incremental,
+    so it hands on no builder.  `trial.advance(i, j, step)` takes in the
+    move just scored, in place: `advance` moves the products and row i's
+    norm is set."""
     norms = norms.tolist()
 
     def trial(i, j, step):
-        norm, moment = moved(i, j, step)
-        den = _moved_den(exponent, norms, i, norm)
+        den = _moved_den(exponent, norms, i, norm_of(map(abs, X[i].tolist())))
         if den == 0.0:
             return -math.inf, None
-        num = math.sqrt(moment)
+        num = math.sqrt(moved(i, j, step))
         return (num / den if direction == "type" else den / num), None
+
+    def advanced(i, j, step):
+        advance(i, j, step)
+        norms[i] = norm_of(map(abs, X[i].tolist()))
+    trial.advance = advanced
     return trial
 
 
@@ -221,10 +245,10 @@ def _moved_den(exponent, norms, i, moved) -> float:
     return top * sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
 
 
-def _max_of_others(A):
+def _max_of_others(A, before, after):
     """others[j] = the max of rows k != j of A (0 for one row), from prefix
-    and suffix maxima: two buffers, the first of which holds the result."""
-    before, after = np.empty_like(A), np.empty_like(A)
+    and suffix maxima in the buffers `before` and `after` (A's shape), the
+    first of which holds the result."""
     before[0], after[-1] = 0.0, 0.0
     for k in range(1, len(A)):
         np.maximum(before[k - 1], A[k - 1], out=before[k])
@@ -312,7 +336,7 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
             xiT = np.ascontiguousarray(xi.T)
         best, build = _scored(space, direction, exponent, X, xi)
         evals += 1
-        trial = build(xiT)
+        trial, held = build(xiT), None
         for scale in CLIMB_SCALES:
             improved = True
             while improved and evals < budget:
@@ -324,17 +348,22 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 break
                             X[i, j] += sign * scale
                             evals += 1
-                            # `build` keeps the last re-score's products alive until the
-                            # next one: freeing them a trial early cost page faults
                             val, fresh = trial(i, j, sign * scale)
+                            clear = fresh is None and val > best * (1.0 + TIE_RTOL)
                             if fresh is not None:
                                 build = fresh
-                            elif val > best * (1.0 - TIE_RTOL):
+                            elif not clear and val > best * (1.0 - TIE_RTOL):
+                                if held is not None:  # best is an incremental value
+                                    best = _objective(space, direction, exponent, held, xi)
+                                    held = None
                                 val, build = _scored(space, direction, exponent, X, xi)
                             if val > best:
-                                best = val
-                                improved = True
-                                trial = build(xiT)
+                                best, improved = val, True
+                                if clear:
+                                    held = X.copy()
+                                    trial.advance(i, j, sign * scale)
+                                else:
+                                    trial = build(xiT)
                             else:
                                 X[i, j] -= sign * scale
         candidates.append(X)

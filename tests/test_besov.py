@@ -766,10 +766,12 @@ def test_a_modulus_call_takes_the_shifts_once(monkeypatch, t):
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
 def test_an_empty_modulus_sweep_returns_an_empty_array(shape):
+    # a linear source is refused before t is read, empty or not
     f = make_step(3, np.eye(3), LpSpace(1.5, 3))
-    for source in (f, random_linear()):
-        rho = modulus_of_continuity(source, np.empty(shape), 1.5)
-        assert isinstance(rho, np.ndarray) and rho.shape == shape
+    rho = modulus_of_continuity(f, np.empty(shape), 1.5)
+    assert isinstance(rho, np.ndarray) and rho.shape == shape
+    with pytest.raises(ValueError, match="step functions"):
+        modulus_of_continuity(random_linear(), np.empty(shape), 1.5)
 
 
 @settings(max_examples=12)
@@ -854,8 +856,11 @@ def random_linear():
 def test_the_difference_route_takes_steps_only(f):
     # finite-p L^p and difference norms are closed forms for steps; a linear
     # source raises, while its sup norm stays exact (a convex path's norm
-    # peaks at a breakpoint)
-    for call in difference_route(f, f.space.p):
+    # peaks at a breakpoint); a zero shift and an empty t read 0.0 and []
+    # before the check once ran
+    p = f.space.p
+    for call in difference_route(f, p) + (lambda: translate_diff_norm(f, 0.0, p),
+                                          lambda: modulus_of_continuity(f, np.array([]), p)):
         with pytest.raises(ValueError, match="step functions"):
             call()
     assert lp_norm(f, INF) == float(f.space.norms(f.values).max())

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
+from besovgamma.besov import besov_norm_difference, modulus_of_continuity, translate_diff_norm
+from besovgamma.constructions import make_step
+from besovgamma.gamma import disjoint_lp_from_sigmas
 from besovgamma.montecarlo import _BLOCK, MCConfig, batch_means, derive_seed, gaussian_array
 from besovgamma.spaces import (INF, LpSpace, as_exponent, gaussian_p_moment,
                                gaussian_second_moment, l1_gaussian_second_moment)
@@ -34,6 +37,20 @@ def test_as_exponent_and_lpspace_reject_booleans():
             as_exponent(flag)
         with pytest.raises(ValueError, match="boolean"):
             LpSpace(flag, 3)
+
+
+def test_every_finite_p_route_rejects_booleans():
+    # True read as p = 1: translate_diff_norm gave the p = 1 value and
+    # gaussian_p_moment(1.0, True) returned sqrt(2/pi)
+    f = make_step(3, np.eye(3), LpSpace(1.5, 3))
+    for flag in (True, False, np.True_, np.False_):
+        for call in (lambda: translate_diff_norm(f, 0.3, flag),
+                     lambda: modulus_of_continuity(f, 0.3, flag),
+                     lambda: besov_norm_difference(f, 0.2, flag, 2.0),
+                     lambda: gaussian_p_moment(1.0, flag),
+                     lambda: disjoint_lp_from_sigmas([1.0, 2.0], flag)):
+            with pytest.raises(ValueError, match=f"boolean {flag!r}"):
+                call()
 
 
 def test_lpspace_dim_must_be_a_whole_number():
