@@ -301,17 +301,26 @@ class GridFunction:
         return GridFunction(period, vals.real.copy(), space)
 
 
+@np.errstate(over="ignore", under="ignore")  # named below
 def grid_lp_norm(f: GridFunction, p) -> float:
     """Rectangle-rule L^p norm over one period (exact for p = 2 on
     band-limited data by Parseval; otherwise accurate to the usual
-    trapezoidal order for resolved samples)."""
+    trapezoidal order for resolved samples).  As in `lp_norm`, a total
+    (the sum of p-th powers, or for p = INF the largest value norm) that
+    leaves float range, or underflows to 0 for a nonzero f, raises a
+    ValueError naming p; only that scalar is checked."""
     p = as_exponent(p)
     norms = f.space.norms(f.values)
     if p is INF:
-        return float(norms.max())
-    # in place on the norms' own array: np.square at p = 2, as ** takes it
-    powers = np.square(norms, out=norms) if p == 2.0 else np.power(norms, p, out=norms)
-    return float(powers.sum() * f.dx ** f.d) ** (1.0 / p)
+        total = float(norms.max())
+    else:
+        # in place on the norms' own array: np.square at p = 2, as ** takes it
+        powers = np.square(norms, out=norms) if p == 2.0 else np.power(norms, p, out=norms)
+        total = float(powers.sum() * f.dx ** f.d)
+    if not 0.0 < total < math.inf and (total != 0.0 or f.values.any()):
+        raise ValueError(f"the grid norm of f leaves float range at p = {p}: its total "
+                         f"reads {total} (rescale f)")
+    return total if p is INF else total ** (1.0 / p)
 
 
 def _centered_indices(n: int) -> np.ndarray:

@@ -29,9 +29,17 @@ N_BATCHES = 32
 MIN_BATCHED_SAMPLES = 10 * N_BATCHES
 
 
+def _integer_seed(seed) -> int:
+    """`seed` as an int: a float, a boolean or a string raises (int() would
+    truncate 1.7 to 1 and read True as 1); NumPy integers pass."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
 def derive_seed(root_seed: int, *parts) -> int:
     """Deterministically derive a 64-bit child seed from a root seed and labels."""
-    text = repr(int(root_seed)) + "".join("|" + repr(p) for p in parts)
+    text = repr(_integer_seed(root_seed)) + "".join("|" + repr(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -51,7 +59,7 @@ def _box_muller_blocks(half: int, seed: int, block: int = _BLOCK):
     reduction predicts its branches, and scatters both back to their pair
     indices.  Ufuncs act elementwise: each value is the same call on the
     same operand as in pair order, so the grouping moves no bit."""
-    count, key = max(1, half // block), int(seed) & (2**64 - 1)
+    count, key = max(1, half // block), _integer_seed(seed) & (2**64 - 1)
     radii = np.random.Generator(np.random.Philox(key=key))
     angles = np.random.Generator(np.random.Philox(key=key).advance(half // 4))  # 4 doubles/step
     angles.random(half % 4)
@@ -89,7 +97,7 @@ def rademacher_array(shape, seed: int) -> np.ndarray:
     """Array of independent +-1 signs from the same Philox stream family."""
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     total = int(np.prod(shape)) if shape else 1
-    u = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1))).random(total)
+    u = np.random.Generator(np.random.Philox(key=_integer_seed(seed) & (2**64 - 1))).random(total)
     return np.where(u < 0.5, -1.0, 1.0).reshape(shape)
 
 
@@ -101,6 +109,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_seed(self.seed)
         if not isinstance(self.samples, numbers.Integral) or isinstance(self.samples, bool):
             raise ValueError("samples must be an integer")
         if self.samples < 1:

@@ -163,13 +163,14 @@ def _over_coordinates(op: np.ufunc, a: np.ndarray) -> np.ndarray:
 def lq_norm(seq, q) -> float:
     """l^q norm of a nonnegative sequence, max-factored so that a single
     dominant entry returns that entry to the bit (monotonicity in q then
-    survives floating point)."""
+    survives floating point); inf with an infinite entry, at every q.  A
+    negative or nan entry raises."""
     q = as_exponent(q)
     seq = np.asarray(seq, dtype=float)
+    if not (seq >= 0.0).all():
+        raise ValueError("lq_norm needs nonnegative entries, none of them nan")
     top = float(seq.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    if q is INF:
+    if top == 0.0 or top == math.inf or q is INF:
         return top
     return top * float(((seq / top) ** q).sum()) ** (1.0 / q)
 

@@ -15,15 +15,20 @@ estimate of the witness's ratio, biased up by the search's pick.
 
 Sampled climbing compares candidates under common random numbers (one
 Gaussian matrix xi per restart), otherwise MC noise would swamp
-single-coordinate gains.  A trial move of X[i, j] changes only column j of
-S = xi X and row i of X (exact: only row and column j of Q = X^T X).  The
-fresh score `_scored` chooses the climb's kernel in one branch and returns a
-builder of its trial scorer, which makes, from the products the score
-formed, a scorer that re-evaluates only those: in O(samples + n) on l^inf
-(from S^T and |S^T|, so a build only takes the other columns' maxima), and
-over the Nabeya pairs of the moved column where the moment is exact (l^1
-and dimension 1).  Sampled finite-p targets score each trial by the fresh
-`_scored`, which hands on its builder.  Elsewhere a trial that beats the
+single-coordinate gains.  A restart climbs X held as rows of Python floats:
+a move and its reversal, (x + s) - s, round as they would in an array, and
+an array of X is formed only for a fresh score or a candidate.  A trial
+move of X[i, j] changes only column j of S = xi X and row i of X (exact:
+only row and column j of Q = X^T X).  The fresh score `_scored` chooses the
+climb's kernel in one branch and returns a builder of its trial scorer,
+which makes, from the products the score formed, a scorer that
+re-evaluates only those: in O(samples + n) on l^inf (from S^T and |S^T|,
+so a build only takes the other columns' maxima, and an advance only the
+maxima that read the moved column), and over the Nabeya pairs of the
+moved column where the moment is exact (l^1 and dimension 1).  Each keeps
+the tuple's denominator while a move leaves row i's norm unchanged.
+Sampled finite-p targets score each trial by the fresh `_scored`, which
+hands on its builder.  Elsewhere a trial that beats the
 best by more than TIE_RTOL is accepted on its own value, and the scorer
 advances its products in place by the move; a close call, within TIE_RTOL
 of the best, is decided by fresh scores of the trial and of the best (if
@@ -125,31 +130,38 @@ def _final_eval_config(seed: int, samples: int) -> MCConfig:
 def _scored(space, direction, exponent, X, xi):
     """The ratio of X, with the second moment averaged over the fixed draw
     matrix xi, or exact for xi = None (Hilbert: sum of squares; else Nabeya's
-    sum over the pair terms of X^T X); and `build(xiT)` (xiT = xi transposed,
-    or None), which makes the climb's scorer for X from the products formed
-    here, and then advances them in place (build once per score):
-    `trial(i, j, step)` gives `_objective` after X[i, j] moved by `step` (X
-    already holds the move), up to rounding, and the builder for the moved
-    X where that value is the fresh score (else None); an incremental
-    scorer's `trial.advance(i, j, step)` takes that move in.
+    sum over the pair terms of X^T X); and `build(rows)` (rows = X as lists
+    of Python floats, which the climb moves in place), which makes the
+    climb's scorer for X from the products formed here, and then advances
+    them in place (build once per score): `trial(i, j, step)` gives
+    `_objective` after rows[i][j] moved by `step` (rows already hold the
+    move), up to rounding, and the builder for the moved X where that value
+    is the fresh score (else None); an incremental scorer's
+    `trial.advance(i, j, step)` takes in the move just scored.
 
     - Sampled l^inf: S^T = (xi X)^T, coordinate-major, and A = |S^T|, whose
       column maxima are the sample norms (max and abs are exact:
-      `space.norms(xi @ X)` to the bit).  The scorer takes the other
-      columns' maxima (`_max_of_others`) into its own buffers; a trial
-      rebuilds |S[:, j] + step xi[:, i]| in one buffer, folds those maxima
-      in, and reads row i's norm as a Python max, in O(samples + n).  An
-      advance adds step xi[:, i] to S^T[j] by the trial's two ufunc calls,
-      takes its |.| into A[j] and the maxima again.
+      `space.norms(xi @ X)` to the bit).  The scorer takes the prefix and
+      suffix maxima of A and their max, the other columns' maxima
+      (`_max_of_others`), into its own buffers, and forms |step| xi^T once
+      per climb scale (the climb takes them in turn); a trial adds or
+      subtracts row i of that to S^T[j] in one buffer (the bits of adding
+      step xi[:, i], as (-s) x = -(s x)), takes |.|, folds in the maxima of
+      the other columns and reads row i's norm as a Python max, in
+      O(samples + n).  An advance takes the sum into S^T[j] and its |.|
+      into A[j], then the prefix maxima after column j and the suffix
+      maxima before it.
     - Exact l^1 and l^p_1 (normed by sum |x|): row j of the Nabeya terms is
       re-evaluated in plain Python floats (`_nabeya_row`) from the new row
-      j of Q = X^T X, formed as one product X[:, j] @ X (an update of the
-      cached row would carry rounding of the old entries, large against a
-      column the move nearly cancels), and added to the sum over the pairs
-      that avoid j (a masked product of nonnegative terms: no difference
-      loses digits).  An advance writes that row and column into the
-      terms, sets s_j and sums the pairs that avoid each column again.
-    - Sampled finite p: the trial is the fresh `_scored`, value and builder.
+      j of Q = X^T X, formed as one product X[:, j] @ X on a copy of X kept
+      in step with the rows (an update of the cached row would carry
+      rounding of the old entries, large against a column the move nearly
+      cancels), and added to the sum over the pairs that avoid j (a masked
+      product of nonnegative terms: no difference loses digits).  An
+      advance writes that row and column into the terms, sets s_j and sums
+      the pairs that avoid each column again.
+    - Sampled finite p: the trial is the fresh `_scored` of the rows, value
+      and builder.
     - Hilbert targets are analytic and never climbed: no builder."""
     norms = space.norms(X)
     if xi is not None and space.p is INF:
@@ -157,47 +169,54 @@ def _scored(space, direction, exponent, X, xi):
         A = np.abs(St)
         moment = float(np.mean(A.max(axis=0) ** 2))
 
-        def build(xiT):
-            others, after, buf = np.empty_like(A), np.empty_like(A), np.empty(len(xi))
-            _max_of_others(A, others, after)
+        def build(rows):
+            before, after, others = np.zeros_like(A), np.zeros_like(A), np.empty_like(A)
+            _max_of_others(A, before, after, others)
+            # rows as lists of views, read without making a view per trial
+            S, O, scaled, buf = list(St), list(others), [None, None], np.empty(len(xi))
+
+            def shifted(i, j, step, out):  # S^T[j] + step xi[:, i], into out
+                if scaled[0] != abs(step):  # |step| xi^T, once per climb scale
+                    scaled[:] = abs(step), list(np.multiply(xi.T, abs(step), order="C"))
+                return (np.add if step > 0.0 else np.subtract)(S[j], scaled[1][i], out=out)
 
             def moved(i, j, step):
-                np.multiply(xiT[i], step, out=buf)
-                np.add(St[j], buf, out=buf)
-                np.abs(buf, out=buf)
-                np.maximum(others[j], buf, out=buf)
+                np.abs(shifted(i, j, step, buf), out=buf)
+                np.maximum(O[j], buf, out=buf)
                 return float(buf @ buf) / len(buf)
 
             def advance(i, j, step):
-                np.multiply(xiT[i], step, out=buf)
-                np.add(St[j], buf, out=St[j])
-                np.abs(St[j], out=A[j])
-                _max_of_others(A, others, after)
-            return _trial(direction, exponent, X, norms, max, moved, advance)
+                np.abs(shifted(i, j, step, S[j]), out=A[j])
+                _max_of_others(A, before, after, others, j)
+            return _trial(direction, exponent, rows, norms, max, moved, advance)
     elif xi is not None:
         moment = float(np.mean(space.norms(xi @ X) ** 2))
 
-        def build(xiT):
-            return lambda i, j, step: _scored(space, direction, exponent, X, xi)
+        def build(rows):
+            return lambda i, j, step: _scored(space, direction, exponent, np.array(rows), xi)
     elif space.is_hilbert:
         moment, build = float((X ** 2).sum()), None
     else:
         sigmas, T = _nabeya_terms(X.T @ X)
         moment = 2.0 / math.pi * float(T.sum())  # l1_gaussian_second_moment
 
-        def build(xiT):
+        def build(rows):
             off, s, q, row = 1.0 - np.eye(len(sigmas)), sigmas.tolist(), [], []
             avoid = ((off @ T) * off).sum(axis=1).tolist()
+            mirror, last = X.copy(), (0, 0)
 
             def moved(i, j, step):
-                q[:] = X[:, j].dot(X).tolist()
+                nonlocal last
+                # the last trial's entry, kept or taken back, and this one's
+                mirror[last], mirror[i, j], last = rows[last[0]][last[1]], rows[i][j], (i, j)
+                q[:] = mirror[:, j].dot(mirror).tolist()
                 row[:] = _nabeya_row(j, s, q)
                 return 2.0 / math.pi * (avoid[j] + 2.0 * sum(row) - row[j])
 
             def advance(i, j, step):
                 s[j], T[j], T[:, j] = math.sqrt(q[j]), row, row
                 avoid[:] = ((off @ T) * off).sum(axis=1).tolist()
-            return _trial(direction, exponent, X, norms, sum, moved, advance)
+            return _trial(direction, exponent, rows, norms, sum, moved, advance)
     den = lq_norm(norms, exponent)
     if den == 0.0:
         return -math.inf, build
@@ -210,50 +229,84 @@ def _objective(space, direction, exponent, X, xi) -> float:
     return _scored(space, direction, exponent, X, xi)[0]
 
 
-def _trial(direction, exponent, X, norms, norm_of, moved, advance):
+def _trial(direction, exponent, rows, norms, norm_of, moved, advance):
     """The trial scorer over the row norms before a move, where
-    `moved(i, j, step)` gives the second moment after it and `norm_of` (max
-    or sum) reads row i's norm from the moved X; its values are incremental,
-    so it hands on no builder.  `trial.advance(i, j, step)` takes in the
-    move just scored, in place: `advance` moves the products and row i's
-    norm is set."""
+    `moved(i, j, step)` gives the second moment after it (called on every
+    trial, so a scorer may keep a copy of the rows in step) and `norm_of`
+    (max or sum) reads row i's norm from the moved rows; its values are
+    incremental, so it hands on no builder.  `trial.advance(i, j, step)`
+    takes in the move just scored, in place: `advance` moves the products,
+    and row i's norm and the tuple's denominator are set.
+
+    The denominator is `_moved_den`'s to the bit, from the same inputs: the
+    tuple's own while the move leaves row i's norm unchanged; while the
+    largest norm `top` stays, top (sum of the kept terms (norm / top)^q,
+    row i's replaced)^{1/q}, summed in the same order; else `_moved_den`."""
     norms = norms.tolist()
+    den, last = _moved_den(exponent, norms, 0, norms[0]), None
+    top = ties = terms = None
+
+    def take_terms():
+        nonlocal top, ties, terms
+        top = max(norms)
+        ties = norms.count(top)  # rows whose norm is top
+        terms = [(v / top) ** exponent for v in norms] if top and exponent is not INF else []
+    take_terms()
+
+    def moved_den(i, size):
+        if size == norms[i]:
+            return den
+        if size > top or norms[i] == top and ties == 1:  # the largest norm moves
+            return _moved_den(exponent, norms, i, size)
+        if exponent is INF:
+            return top
+        kept, terms[i] = terms[i], (size / top) ** exponent
+        value = top * sum(terms) ** (1.0 / exponent)
+        terms[i] = kept
+        return value
 
     def trial(i, j, step):
-        den = _moved_den(exponent, norms, i, norm_of(map(abs, X[i].tolist())))
-        if den == 0.0:
-            return -math.inf, None
+        nonlocal last
+        size = norm_of(map(abs, rows[i]))
+        last = moved_den(i, size), size
         num = math.sqrt(moved(i, j, step))
-        return (num / den if direction == "type" else den / num), None
+        if last[0] == 0.0:
+            return -math.inf, None
+        return (num / last[0] if direction == "type" else last[0] / num), None
 
     def advanced(i, j, step):
+        nonlocal den
         advance(i, j, step)
-        norms[i] = norm_of(map(abs, X[i].tolist()))
+        den, norms[i] = last
+        take_terms()
     trial.advance = advanced
     return trial
 
 
 def _moved_den(exponent, norms, i, moved) -> float:
-    """The l^q norm of the cached row norms with row i's replaced by
-    `moved`, in plain Python, max-factored as in `lq_norm` (0 for a zero
-    tuple)."""
-    norms = norms.copy()
-    norms[i] = moved
+    """The l^q norm of the row norms with row i's replaced by `moved`, in
+    plain Python, max-factored as in `lq_norm` (0 for a zero tuple); the
+    list is restored before the return."""
+    kept, norms[i] = norms[i], moved
     top = max(norms)
-    if top == 0.0 or exponent is INF:
-        return top
-    return top * sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
+    if top != 0.0 and exponent is not INF:
+        top *= sum((v / top) ** exponent for v in norms) ** (1.0 / exponent)
+    norms[i] = kept
+    return top
 
 
-def _max_of_others(A, before, after):
-    """others[j] = the max of rows k != j of A (0 for one row), from prefix
-    and suffix maxima in the buffers `before` and `after` (A's shape), the
-    first of which holds the result."""
-    before[0], after[-1] = 0.0, 0.0
-    for k in range(1, len(A)):
+def _max_of_others(A, before, after, others, j=None):
+    """others[k] = the max of rows k' != k of A (0 for one row), as the max
+    of the prefix maxima before[k] (rows < k) and the suffix maxima after[k]
+    (rows > k), in buffers of A's shape whose before[0] and after[-1] hold
+    0.  After row j of A moved, only before[k > j] and after[k < j] are
+    taken again; all of them for j = None."""
+    lo, hi = (0, len(A) - 1) if j is None else (j, j)
+    for k in range(lo + 1, len(A)):
         np.maximum(before[k - 1], A[k - 1], out=before[k])
-        np.maximum(after[-k], A[-k], out=after[-k - 1])
-    return np.maximum(before, after, out=before)
+    for k in range(hi - 1, -1, -1):
+        np.maximum(after[k + 1], A[k + 1], out=after[k])
+    return np.maximum(before, after, out=others)
 
 
 def _unit_tuple(space: LpSpace, count: int, seed: int) -> np.ndarray:
@@ -319,6 +372,8 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
         warm = _finite_tuple(space, warm_start)
         if warm.shape[0] != n_vectors:
             raise ValueError("warm start has the wrong shape")
+        if not warm.any():  # its ratio would read -inf, which `type_ratio` refuses
+            raise ValueError("the tuple must contain a nonzero vector")
         candidates.append(warm)
 
     restarts_run = 0
@@ -327,28 +382,26 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
             break
         restarts_run += 1
         if warm_start is not None and r == 0:
-            X = candidates[0].copy()
+            X = candidates[0].tolist()
         else:
-            X = _unit_tuple(space, n_vectors, derive_seed(seed, "restart", r))
-        xi = xiT = None
-        if not exact:
-            xi = gaussian_array((samples, n_vectors), derive_seed(seed, "crn", r))
-            xiT = np.ascontiguousarray(xi.T)
-        best, build = _scored(space, direction, exponent, X, xi)
+            X = _unit_tuple(space, n_vectors, derive_seed(seed, "restart", r)).tolist()
+        xi = None if exact else gaussian_array((samples, n_vectors),
+                                               derive_seed(seed, "crn", r))
+        best, build = _scored(space, direction, exponent, np.array(X), xi)
         evals += 1
-        trial, held = build(xiT), None
+        trial, held = build(X), None
         for scale in CLIMB_SCALES:
             improved = True
             while improved and evals < budget:
                 improved = False
-                for i in range(n_vectors):
+                for i, row in enumerate(X):
                     for j in range(space.dim):
-                        for sign in (1.0, -1.0):
+                        for step in (scale, -scale):
                             if evals >= budget:
                                 break
-                            X[i, j] += sign * scale
+                            row[j] += step
                             evals += 1
-                            val, fresh = trial(i, j, sign * scale)
+                            val, fresh = trial(i, j, step)
                             clear = fresh is None and val > best * (1.0 + TIE_RTOL)
                             if fresh is not None:
                                 build = fresh
@@ -356,17 +409,18 @@ def estimate_constant(space: LpSpace, direction: str, exponent, n_vectors: int,
                                 if held is not None:  # best is an incremental value
                                     best = _objective(space, direction, exponent, held, xi)
                                     held = None
-                                val, build = _scored(space, direction, exponent, X, xi)
+                                val, build = _scored(space, direction, exponent, np.array(X), xi)
                             if val > best:
                                 best, improved = val, True
                                 if clear:
-                                    held = X.copy()
-                                    trial.advance(i, j, sign * scale)
+                                    held = np.array(X)
+                                    trial.advance(i, j, step)
                                 else:
-                                    trial = build(xiT)
+                                    trial = build(X)
                             else:
-                                X[i, j] -= sign * scale
-        candidates.append(X)
+                                row[j] -= step
+        candidates.append(np.array(X))
+        trial = build = None  # the scorer's products go before the next restart draws
 
     final_xi = None if exact else gaussian_array((final.samples, n_vectors), final.seed)
     scores = [_objective(space, direction, exponent, X, final_xi) for X in candidates]

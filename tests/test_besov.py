@@ -19,7 +19,7 @@ from besovgamma.besov import (FilterBank, _profile, _seminorm, _shift_powers, ap
 from besovgamma.constructions import make_step, make_tent_family
 from besovgamma.functions import (GridFunction, Interpolation, PiecewiseFunction,
                                   _gl_rule, grid_lp_norm, lp_norm)
-from besovgamma.montecarlo import derive_seed
+from besovgamma.montecarlo import derive_seed, gaussian_array
 from besovgamma.spaces import INF, LpSpace
 from conftest import dense_shift_power
 
@@ -103,6 +103,23 @@ def test_lq_norm_single_dominant_entry_is_bit_exact():
     x = np.array([0.0, 0.0, 1.7, 0.0])
     assert lq_norm(x, 1.5) == 1.7
     assert lq_norm(x, 7.0) == 1.7
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, INF])
+def test_lq_norm_reads_an_infinite_entry_as_inf(q):
+    # inf / inf made a nan (with a RuntimeWarning) at every finite q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lq_norm([1.0, math.inf], q) == math.inf
+        assert lq_norm([math.inf, 0.0, 2.0], q) == math.inf
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, INF])
+@pytest.mark.parametrize("bad", [[-3.0, 1.0], [1.0, -1e-300], [math.nan, 1.0], [0.0, math.nan]])
+def test_lq_norm_refuses_negative_and_nan_entries(bad, q):
+    # [-3, 1] read 1.0 at q = inf and a complex number at q = 3
+    with pytest.raises(ValueError, match="nonnegative entries"):
+        lq_norm(bad, q)
 
 
 def test_build_filter_bank_validation():
@@ -189,6 +206,16 @@ def test_besov_norm_fourier_single_band_scaling():
         for q in (1.0, 2.0, INF):
             assert besov_norm_fourier(g, s, p, q, bank) == pytest.approx(
                 2.0 ** (2 * s) * block, rel=1e-10)
+
+
+def test_besov_norm_fourier_names_a_block_out_of_float_range():
+    # a 1e300 grid in l^2_1 read nan, with overflow warnings
+    bank = build_filter_bank(8.0, 256, 1, 5)
+    f = GridFunction(8.0, 1e300 * gaussian_array((256, 1), 5), LpSpace(2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range at p = 3.0"):
+            besov_norm_fourier(f, 0.5, 3, 2, bank)
 
 
 def test_besov_norm_fourier_monotone_in_s_and_q():

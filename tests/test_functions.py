@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -9,7 +10,7 @@ from besovgamma.functions import (BAND_ENERGY_TOL, DILATE_DISCARD_TOL, GridFunct
                                   Interpolation, PiecewiseFunction, _frequency_radii,
                                   dilate, grid_lp_norm, l2_norm_squared, lp_norm)
 from besovgamma.montecarlo import derive_seed, gaussian_array
-from besovgamma.spaces import INF, LpSpace
+from besovgamma.spaces import INF, LpSpace, as_exponent
 
 
 def random_piecewise(seed, kind, m=6, dim=3):
@@ -281,6 +282,23 @@ def test_grid_lp_norm_powers_in_place_to_the_bit(p, dim, d):
                 else float((norms ** p).sum() * f.dx ** f.d) ** (1.0 / p))
         assert grid_lp_norm(f, p) == want
         assert f.values.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, INF])
+def test_grid_lp_norm_names_a_total_out_of_float_range(p):
+    # in l^2_1 a 1e300 grid read inf at p = 3 and a 1e-120 grid read 0.0,
+    # with overflow warnings; a zero grid still reads 0
+    space = LpSpace(2, 1)
+    values = gaussian_array((256, 1), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"float range at p = {as_exponent(p)}"):
+            grid_lp_norm(GridFunction(8.0, 1e300 * values, space), p)
+        # 1e-170: the l^2_1 value norm sqrt(x x) underflows; 1e-120: its cube does
+        for scale in (1e-170, 1e-120) if p == 3.0 else (1e-170,):
+            with pytest.raises(ValueError, match="float range.*reads 0.0"):
+                grid_lp_norm(GridFunction(8.0, scale * values, space), p)
+        assert grid_lp_norm(GridFunction(8.0, 0.0 * values, space), p) == 0.0
 
 
 def make_bump(period=32.0, n=1024, carrier=4.0, sigma=1.0):

@@ -235,3 +235,20 @@ def test_mcconfig_rejects_fewer_than_one_sample(samples):
     # 0 once gave a nan mean through "Mean of empty slice", -5 a NumPy shape error
     with pytest.raises(ValueError, match="samples must be positive"):
         MCConfig(samples, 1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.9, 1.0, math.nan, np.float64(3.0), True, False, "3"])
+def test_every_seed_entry_refuses_what_is_not_an_integer(seed):
+    # each truncated or read a bool as 0 or 1: derive_seed(1.7, "a") equalled
+    # derive_seed(1, "a"), and MCConfig(seed=1.5) kept the 1.5 it reported
+    for draw in (lambda: derive_seed(seed, "a"), lambda: gaussian_array((3,), seed),
+                 lambda: rademacher_array((3,), seed), lambda: MCConfig(640, seed)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw()
+
+
+def test_seeds_take_numpy_integers():
+    assert derive_seed(np.int64(7), "a") == derive_seed(7, "a")
+    assert gaussian_array((5,), np.uint32(9)).tobytes() == gaussian_array((5,), 9).tobytes()
+    assert rademacher_array((5,), np.int16(-2)).tobytes() == rademacher_array((5,), -2).tobytes()
+    assert MCConfig(640, np.int64(3)).seed == 3

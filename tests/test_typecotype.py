@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,6 +258,26 @@ def test_estimate_constant_takes_numpy_integer_counts():
     assert got.witness.tobytes() == want.witness.tobytes()
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "4"])
+def test_estimate_constant_refuses_a_seed_that_is_not_an_integer(seed):
+    # seed 1.5 searched as seed 1 and reported seed=1.5; True searched as 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        estimate_constant(LpSpace(INF, 2), "type", 2.0, 2, budget=100, seed=seed, samples=320,
+                          restarts=1)
+
+
+@pytest.mark.parametrize("restarts", [0, 2])
+@pytest.mark.parametrize("space", [LpSpace(INF, 2), LpSpace(1, 2), LpSpace(3, 2)])
+def test_estimate_constant_refuses_a_zero_warm_start(space, restarts):
+    # at restarts 0 it was scored alone and reported value -inf, where
+    # `type_ratio` refuses the same tuple
+    with pytest.raises(ValueError, match="nonzero vector"):
+        type_ratio(space, 2.0, np.zeros((2, 2)), MCConfig(320, 1))
+    with pytest.raises(ValueError, match="nonzero vector"):
+        estimate_constant(space, "type", 2.0, 2, budget=100, samples=320, restarts=restarts,
+                          warm_start=np.zeros((2, 2)))
+
+
 def test_constant_estimate_fields():
     est = estimate_constant(LpSpace(1, 2), "cotype", 2.0, 2, budget=500,
                             seed=11, samples=512, restarts=2)
@@ -416,6 +438,46 @@ def test_full_size_search_matches_fresh_scoring_bit_for_bit(p, direction):
     assert (est.budget, est.restarts_run) == (evals, started)
 
 
+# the default type-constant and cotype-constant searches in dimension 8
+# (budget 4000, 2048 samples, 12 restarts), as the climb on NumPy arrays
+# found them: value hex, witness sha256, budget, restarts run, exhausted
+DEFAULT_SEARCH_DIGESTS = {
+    (INF, "type", 1): ("0x1.c970c8a127181p+0",
+                       "7131fb2d0f682a7f510c35c0597a1c9e39b5aa039b6fe1a56d263a2ed1ca22de", 4000, 3, True),
+    (INF, "type", 2): ("0x1.c72e538c9a29fp+0",
+                       "f6c00b7da3bbccd1e8c4289affa08d236a517c70f2a366c11c1cc07fb08845a0", 4000, 2, True),
+    (INF, "type", 3): ("0x1.cd4ab9bb4c3b4p+0",
+                       "6e6b270b7e95368d0c9fa4c00664956c93ce5c7d5f6a438de70e89365d78d3e3", 4000, 2, True),
+    (INF, "type", 4): ("0x1.c9c0f7ab90950p+0",
+                       "3a3db12d6caab9c7d4570493189a9419b361768f457d273c28e370b6c6772ed3", 4000, 3, True),
+    (INF, "type", 5): ("0x1.c9336ea6c6bf0p+0",
+                       "1e31e9473fea331fb98a50d9994492b5573a97d88a8dfa5781d568b9c429c5bf", 4000, 3, True),
+    (INF, "type", 6): ("0x1.c8089e7a1e872p+0",
+                       "7d7431782d6bf7a4a72ac604326d2e2adb760d9319dd1c0e479f9a417faf5bf5", 4000, 3, True),
+    (1, "cotype", 1): ("0x1.31af8379f84a2p+0",
+                       "65367dc45d6f038ab1d79a676216d465047280b8552c575a7235bb9098d0e31a", 4000, 1, True),
+    (1, "cotype", 2): ("0x1.31a3d1891b2d2p+0",
+                       "44dde8a60b84dafff3998037e4e515bd7f8cc75015e72b21683b45797af48191", 4000, 1, True),
+    (1, "cotype", 3): ("0x1.342e0e941a7a4p+0",
+                       "28a658b970ab0eaa956dce82988028c7dec253e285cd8b8989546b180ae9edf7", 4000, 1, True),
+    (1, "cotype", 4): ("0x1.3344de920e1e9p+0",
+                       "4fafcf4d3146d642a6208443562eec7de08879418b016a7eb9de583b91ebff0d", 4000, 1, True),
+    (1, "cotype", 5): ("0x1.33a197930a16fp+0",
+                       "f30c98f325e824ed2964c8d534f44b0cec117d59f46314f95af9cf8934df9a07", 4000, 1, True),
+    (1, "cotype", 6): ("0x1.337bb143a514dp+0",
+                       "fbde0f252af2d070ad01bf7c4cbe702318c4e0ddb28d027775621f26f3db17c8", 4000, 2, True),
+}
+
+
+@pytest.mark.parametrize("p,direction,seed", list(DEFAULT_SEARCH_DIGESTS))
+def test_default_size_searches_keep_their_pinned_digests(p, direction, seed):
+    est = estimate_constant(LpSpace(p, 8), direction, 2.0, 8, budget=4000, seed=seed,
+                            samples=2048, restarts=12)
+    got = (est.value.hex(), hashlib.sha256(est.witness.tobytes()).hexdigest(), est.budget,
+           est.restarts_run, est.budget_exhausted)
+    assert got == DEFAULT_SEARCH_DIGESTS[p, direction, seed]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_default_searches_score_fresh_only_at_restart_starts_and_final_candidates(seed, monkeypatch):
     # a clear accept advances the trial scorer on its incremental value, so
@@ -472,10 +534,12 @@ TRIAL_CASES = [(INF, "type", 2.0), (INF, "cotype", 2.0), (1, "type", 1.5), (1, "
 
 def built_trial(space, direction, exponent, X, xi):
     """The climb's trial scorer for X, as `estimate_constant` builds it:
-    draws only where the moment is sampled."""
+    draws only where the moment is sampled, over the rows of X as lists
+    of Python floats, which the caller moves."""
     xi = None if space.gaussian_exact else xi
-    _, build = typecotype._scored(space, direction, exponent, X, xi)
-    return build(None if xi is None else np.ascontiguousarray(xi.T)), xi
+    rows = X.tolist()
+    _, build = typecotype._scored(space, direction, exponent, np.array(rows), xi)
+    return build(rows), xi, rows
 
 
 # the incremental kinds: sampled l^inf and exact l^1 (a sampled finite-p
@@ -492,17 +556,17 @@ def test_trial_value_agrees_with_fresh_scoring_of_the_moved_tuple(case, n, dim, 
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, dim - 1))
     step = data.draw(st.floats(-1.0, 1.0))
-    trial, xi = built_trial(space, direction, exponent, X, xi)
+    trial, xi, rows = built_trial(space, direction, exponent, X, xi)
     rng = np.random.default_rng(seed)
     for _ in range(advances):
         a, b = rng.integers(n), rng.integers(dim)
         move = float(rng.choice([-1.0, 1.0]) * rng.choice(CLIMB_SCALES))
-        X[a, b] += move
+        rows[a][b] += move
         trial(a, b, move)
         trial.advance(a, b, move)
-    X[i, j] += step
+    rows[i][j] += step
     got, build = trial(i, j, step)
-    fresh = typecotype._objective(space, direction, exponent, X, xi)
+    fresh = typecotype._objective(space, direction, exponent, np.array(rows), xi)
     assert got == pytest.approx(fresh, rel=1e-13, abs=0.0)
     assert build is None
 
@@ -512,11 +576,11 @@ def test_a_move_that_zeroes_the_tuple_scores_minus_inf(p, direction, exponent):
     space = LpSpace(p, 3)
     X = np.zeros((2, 3))
     X[1, 2] = 0.7
-    trial, xi = built_trial(space, direction, exponent, X, gaussian_array((32, 2), 4))
-    X[1, 2] -= 0.7
+    trial, xi, rows = built_trial(space, direction, exponent, X, gaussian_array((32, 2), 4))
+    rows[1][2] -= 0.7
     got, _ = trial(1, 2, -0.7)
     assert got == -math.inf
-    assert typecotype._objective(space, direction, exponent, X, xi) == -math.inf
+    assert typecotype._objective(space, direction, exponent, np.array(rows), xi) == -math.inf
 
 
 @pytest.mark.parametrize("p,dim,incremental", [(INF, 3, True), (1, 3, True), (3, 1, True),
@@ -527,14 +591,15 @@ def test_only_linf_and_exact_climbs_get_an_incremental_scorer(p, dim, incrementa
     # which hands on its builder
     space = LpSpace(p, dim)
     X = gaussian_array((2, dim), 6)
-    trial, xi = built_trial(space, "type", 2.0, X, gaussian_array((32, 2), 7))
+    trial, xi, rows = built_trial(space, "type", 2.0, X, gaussian_array((32, 2), 7))
     fresh, calls = typecotype._scored, []
     monkeypatch.setattr(typecotype, "_scored", lambda *args: calls.append(args) or fresh(*args))
-    X[1, 0] += 0.3
+    rows[1][0] += 0.3
     got, build = trial(1, 0, 0.3)
     assert len(calls) == (0 if incremental else 1)
     assert (build is None) == incremental
-    assert got == pytest.approx(fresh(space, "type", 2.0, X, xi)[0], rel=1e-13, abs=0.0)
+    assert got == pytest.approx(fresh(space, "type", 2.0, np.array(rows), xi)[0],
+                                rel=1e-13, abs=0.0)
 
 
 @st.composite
@@ -576,8 +641,10 @@ def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move, p):
     direction, exponent = case
     X, i, j, step = move
     space = LpSpace(p if X.shape[1] == 1 else 1, X.shape[1])
-    trial = typecotype._scored(space, direction, exponent, X, None)[1](None)
-    X[i, j] += step
+    rows = X.tolist()
+    trial = typecotype._scored(space, direction, exponent, X, None)[1](rows)
+    rows[i][j] += step
+    X = np.array(rows)
     got, _ = trial(i, j, step)
     fresh = typecotype._objective(space, direction, exponent, X, None)
     if not X.any():
@@ -586,14 +653,20 @@ def test_l1_pair_trial_agrees_with_fresh_exact_scoring(case, move, p):
         assert got == pytest.approx(fresh, rel=1e-13, abs=0.0)
 
 
-def zero_filled_max_of_others(A):
-    """The l^inf scorer's per-sample max of the other columns as it stood:
-    zero-filled prefix and suffix maxima and a third array for their max."""
+def zero_filled_one_sided_maxima(A):
+    """The prefix maxima (rows < k) and suffix maxima (rows > k) of A's
+    rows, zero-filled, as the l^inf scorer took them before it kept them."""
     before, after = np.zeros_like(A), np.zeros_like(A)
     for k in range(1, len(A)):
         np.maximum(before[k - 1], A[k - 1], out=before[k])
         np.maximum(after[-k], A[-k], out=after[-k - 1])
-    return np.maximum(before, after)
+    return before, after
+
+
+def zero_filled_max_of_others(A):
+    """The l^inf scorer's per-sample max of the other columns as it stood:
+    zero-filled prefix and suffix maxima and a third array for their max."""
+    return np.maximum(*zero_filled_one_sided_maxima(A))
 
 
 @st.composite
@@ -612,13 +685,22 @@ def linf_samples(draw):
 
 
 @settings(max_examples=200)
-@given(linf_samples())
-def test_linf_max_of_others_matches_the_zero_filled_prefix_and_suffix(S):
+@given(linf_samples(), st.data())
+def test_linf_max_of_others_matches_the_zero_filled_prefix_and_suffix(S, data):
     A = np.abs(np.ascontiguousarray(S.T))
     kept = A.tobytes()
-    got = typecotype._max_of_others(A, np.empty_like(A), np.empty_like(A))
+    before, after, others = np.zeros_like(A), np.zeros_like(A), np.empty_like(A)
+    got = typecotype._max_of_others(A, before, after, others)
+    assert got is others
     assert got.tobytes() == zero_filled_max_of_others(A).tobytes()
     assert A.tobytes() == kept
+    # after one row moves, only the maxima that read it are taken again
+    j = data.draw(st.integers(0, len(A) - 1))
+    A[j] = np.abs(gaussian_array(A.shape[1], data.draw(st.integers(0, 2 ** 32 - 1))))
+    typecotype._max_of_others(A, before, after, others, j)
+    want = zero_filled_one_sided_maxima(A)
+    assert (before.tobytes(), after.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    assert others.tobytes() == np.maximum(*want).tobytes()
 
 
 @pytest.mark.parametrize("draw", [gaussian_array, rademacher_array])
@@ -635,20 +717,22 @@ def test_fresh_linf_score_forms_the_scorer_products_to_the_bit(draw, dim):
         num = math.sqrt(moment)
         assert value == (num / den if direction == "type" else den / num)
         # the scorer built from the score's products is the one built from scratch
-        trial = build(np.ascontiguousarray(xi.T))
+        rows = X.tolist()
+        trial = build(rows)
         for i, j, step in ((0, 0, 0.5), (5, dim - 1, -0.2), (2, 1, -X[2, 1])):
             want = rebuilt_linf_trial(space, direction, 2.0, X, xi, i, j, step)
-            X[i, j] += step
+            rows[i][j] += step
             assert trial(i, j, step) == (want, None)
-            X[i, j] -= step
+            rows[i][j] -= step
 
 
-def rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step):
-    """The sampled l^inf trial value as its scorer stood: S, |S^T| and the
-    zero-filled maxima rebuilt from X before the move, and row i's norm after
-    it by `space.norms`."""
+def rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step, St=None):
+    """The sampled l^inf trial value as its scorer stood: S^T (from X before
+    the move, unless given), |S^T| and the zero-filled maxima rebuilt, step
+    xi[:, i] added by a product and a sum, and row i's norm after the move
+    by `space.norms`."""
     xiT = np.ascontiguousarray(xi.T)
-    St = np.ascontiguousarray((xi @ X).T)
+    St = np.ascontiguousarray((xi @ X).T) if St is None else St
     others = zero_filled_max_of_others(np.abs(St))
     norms = space.norms(X).tolist()
     moved = X[i].copy()
@@ -665,9 +749,11 @@ def rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step):
     return num / den if direction == "type" else den / num
 
 
+LINF_CASES = [("type", 2.0), ("type", 1.5), ("cotype", 2.0), ("cotype", INF)]
+
+
 @settings(max_examples=150)
-@given(st.sampled_from([("type", 2.0), ("type", 1.5), ("cotype", 2.0), ("cotype", INF)]),
-       st.integers(1, 4), st.integers(1, 8), st.integers(1, 64),
+@given(st.sampled_from(LINF_CASES), st.integers(1, 4), st.integers(1, 8), st.integers(1, 64),
        st.integers(0, 2 ** 32 - 1), st.data())
 def test_linf_trial_matches_a_scorer_rebuilt_from_scratch_bit_for_bit(case, n, dim, samples, seed, data):
     direction, exponent = case
@@ -679,9 +765,54 @@ def test_linf_trial_matches_a_scorer_rebuilt_from_scratch_bit_for_bit(case, n, d
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))
     step = data.draw(st.sampled_from([-X[i, j], 0.5, -0.2, 0.08, data.draw(st.floats(-1.0, 1.0))]))
     want = rebuilt_linf_trial(space, direction, exponent, X, xi, i, j, step)
-    trial = typecotype._scored(space, direction, exponent, X, xi)[1](np.ascontiguousarray(xi.T))
-    X[i, j] += step
+    rows = X.tolist()
+    trial = typecotype._scored(space, direction, exponent, X, xi)[1](rows)
+    rows[i][j] += step
     assert trial(i, j, step) == (want, None)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(LINF_CASES), st.integers(1, 4), st.integers(1, 8), st.integers(1, 64),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7), st.sampled_from(CLIMB_SCALES),
+                          st.sampled_from([1.0, -1.0])), max_size=24),
+       st.integers(0, 3), st.integers(0, 7))
+def test_linf_trial_after_advances_matches_the_rebuilt_scorer_bit_for_bit(
+        case, n, dim, samples, seed, moves, i, j):
+    # S^T advanced by the scorer (a sum with |step| xi^T, kept per step
+    # size) and by the rebuilt reference (a product and a sum) agree to the
+    # bit, and so do the one-sided maxima it keeps and takes again only
+    # where the moved column is read
+    direction, exponent = case
+    space = LpSpace(INF, dim)
+    X = gaussian_array((n, dim), derive_seed(seed, "tuple"))
+    xi = gaussian_array((samples, n), derive_seed(seed, "xi"))
+    xiT, St = np.ascontiguousarray(xi.T), np.ascontiguousarray((xi @ X).T)
+    rows, sided = X.tolist(), []
+    keep = typecotype._max_of_others
+    with mock.patch.object(typecotype, "_max_of_others",
+                           lambda *args: sided.append(args) or keep(*args)):
+        trial = typecotype._scored(space, direction, exponent, X, xi)[1](rows)
+        for a, b, scale, sign in moves:
+            a, b, step = a % n, b % dim, sign * scale
+            want = rebuilt_linf_trial(space, direction, exponent, np.array(rows), xi, a, b,
+                                      step, St)
+            rows[a][b] += step
+            assert trial(a, b, step) == (want, None)
+            trial.advance(a, b, step)
+            np.add(St[b], np.multiply(xiT[a], step), out=St[b])
+            before, after, others = sided[-1][1:4]
+            want = zero_filled_one_sided_maxima(np.abs(St))
+            assert (before.tobytes(), after.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+            assert others.tobytes() == np.maximum(*want).tobytes()
+    i, j = i % n, j % dim
+    for scale in CLIMB_SCALES:
+        for step in (scale, -scale):
+            want = rebuilt_linf_trial(space, direction, exponent, np.array(rows), xi, i, j,
+                                      step, St)
+            rows[i][j] += step
+            assert trial(i, j, step) == (want, None)
+            rows[i][j] -= step
 
 
 @pytest.mark.parametrize("seed,budget,restarts,cut", [(9, 4000, 12, True), (31, 20000, 2, False)])
